@@ -95,7 +95,9 @@ func (m *Member) onAck(a *AckMsg) {
 	m.drainBlocked()
 	if m.known != nil {
 		m.known.Merge(a.Delivered)
-		if len(m.missingSet()) > 0 {
+		// An armed timer will look for itself; only a disarmed one
+		// needs the test.
+		if !m.nackArmed && m.hasMissing() {
 			m.armNack()
 		}
 	}
@@ -144,20 +146,13 @@ func (m *Member) fireNack() {
 		return
 	}
 	m.fireOrderNack()
-	missing := m.missingSet()
-	if len(missing) == 0 {
-		if m.pendCount == 0 && m.dataCount == 0 {
-			m.nackRetries = make(map[MsgID]int)
-			return
+	// Ids arrive in (sender, seq) order, so each target's share is
+	// sorted as it is built and rank order is target order.
+	var want [][]MsgID
+	m.eachMissing(func(id MsgID) bool {
+		if want == nil {
+			want = make([][]MsgID, len(m.nodes))
 		}
-		// Undelivered backlog with nothing data-missing: either about
-		// to drain, or waiting on order assignments (handled by
-		// fireOrderNack); re-check later.
-		m.armNack()
-		return
-	}
-	want := make(map[vclock.ProcessID][]MsgID)
-	for _, id := range missing {
 		retries := m.nackRetries[id]
 		m.nackRetries[id] = retries + 1
 		target := id.Sender
@@ -169,102 +164,81 @@ func (m *Member) fireNack() {
 			}
 		}
 		want[target] = append(want[target], id)
+		return true
+	})
+	if want == nil {
+		if m.pendCount == 0 && m.dataCount == 0 {
+			m.nackRetries = make(map[MsgID]int)
+			return
+		}
+		// Undelivered backlog with nothing data-missing: either about
+		// to drain, or waiting on order assignments (handled by
+		// fireOrderNack); re-check later.
+		m.armNack()
+		return
 	}
-	targets := make([]vclock.ProcessID, 0, len(want))
-	for target := range want {
-		targets = append(targets, target)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	for _, target := range targets {
-		ids := want[target]
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].Sender != ids[j].Sender {
-				return ids[i].Sender < ids[j].Sender
-			}
-			return ids[i].Seq < ids[j].Seq
-		})
+	for target, ids := range want {
+		if len(ids) == 0 {
+			continue
+		}
 		m.CtrlMsgs.Inc()
-		m.send(target, &NackMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Want: ids})
+		m.send(vclock.ProcessID(target), &NackMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Want: ids})
 	}
 	m.armNack()
 }
 
-// missingSet returns the ids of messages known to exist that this
-// member has neither delivered nor buffered in its holdback queue,
-// deduplicated and sorted. Two sources of evidence feed it: the
-// dependency stamps of pending (undeliverable) messages, and the
-// per-sender "known sent" frontier learned from acks — the latter
-// catches a lost message with no successors.
-func (m *Member) missingSet() []MsgID {
-	seen := make(map[MsgID]bool)
-	var out []MsgID
-	add := func(id MsgID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// eachMissing visits, in (sender, seq) order, the id of every message
+// known to exist that this member has neither delivered nor buffered,
+// until visit returns false. The per-sender known frontier holds all
+// the evidence: acks and piggybacked delivered clocks raise it (which
+// catches a lost message with no successors), and so does every held
+// message's own sequence and, under Causal, its dependency stamp
+// (onDataMain). A held message waits only on prefixes that start at
+// delivered+1, so the union of what the holdback queue waits on is the
+// window (delivered, known] minus the queue itself. The total orders
+// deliver across per-sender order, so their window starts at the
+// delivered set's contiguous frontier and skips what was delivered
+// above it.
+func (m *Member) eachMissing(visit func(MsgID) bool) {
+	total := m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal
+	for s, hi := range m.known {
+		id := MsgID{Sender: vclock.ProcessID(s)}
+		lo := m.delivered[s]
+		if total {
+			lo = m.deliveredIDs.hi[s]
 		}
-	}
-	if m.known != nil {
-		switch m.cfg.Ordering {
-		case TotalSeq, TotalCausal:
-			// Total modes deliver across per-sender order, so the
-			// delivered clock is a max, not a count: check each known
-			// sequence individually against the delivered set and the
-			// arrival buffer.
-			for s := range m.known {
-				sender := vclock.ProcessID(s)
-				// Everything at or below the delivered set's contiguous
-				// frontier is delivered; only the tail needs checking.
-				for seq := m.deliveredIDs.Frontier(sender) + 1; seq <= m.known.Get(sender); seq++ {
-					id := MsgID{Sender: sender, Seq: seq}
-					if m.deliveredIDs.Has(id) {
-						continue
-					}
-					if _, arrived := m.dataGet(id); arrived {
-						continue
-					}
-					add(id)
-				}
+		for id.Seq = lo + 1; id.Seq <= hi; id.Seq++ {
+			var have bool
+			if total {
+				_, have = m.dataQ[s][id.Seq]
+				have = have || m.deliveredIDs.Has(id)
+			} else {
+				_, have = m.pendQ[s][id.Seq]
 			}
-		default:
-			for s := range m.known {
-				sender := vclock.ProcessID(s)
-				for seq := m.delivered.Get(sender) + 1; seq <= m.known.Get(sender); seq++ {
-					if _, held := m.pendQ[sender][seq]; held {
-						continue
-					}
-					add(MsgID{Sender: sender, Seq: seq})
-				}
+			if !have && !visit(id) {
+				return
 			}
 		}
 	}
-	for _, shard := range m.pendQ {
-		for _, msg := range shard {
-			switch m.cfg.Ordering {
-			case Causal:
-				for _, st := range m.delivered.Missing(msg.VC, msg.Sender) {
-					if _, held := m.pendQ[st.Proc][st.Time]; held {
-						continue // already arrived, just undeliverable itself
-					}
-					add(MsgID{Sender: st.Proc, Seq: st.Time})
-				}
-			case FIFO:
-				for s := m.delivered.Get(msg.Sender) + 1; s < msg.Seq; s++ {
-					if _, held := m.pendQ[msg.Sender][s]; held {
-						continue
-					}
-					add(MsgID{Sender: msg.Sender, Seq: s})
-				}
-			}
-		}
+}
+
+// hasMissing reports whether eachMissing would visit anything. Under
+// FIFO and Causal it only counts: known >= delivered per sender, and
+// every held (s, q) has delivered[s] < q <= known[s], so something is
+// missing exactly when the windows hold more sequences than the queue
+// holds messages. The total orders have no such count (deliveries above
+// the frontier sit in the window too) and stop at the first gap.
+func (m *Member) hasMissing() bool {
+	if m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal {
+		found := false
+		m.eachMissing(func(MsgID) bool { found = true; return false })
+		return found
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sender != out[j].Sender {
-			return out[i].Sender < out[j].Sender
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
+	var window uint64
+	for s, hi := range m.known {
+		window += hi - m.delivered[s]
+	}
+	return window > uint64(m.pendCount)
 }
 
 // fireOrderNack (total modes) asks the sequencer to resend lost order

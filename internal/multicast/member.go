@@ -652,7 +652,11 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 			m.lastAdvert = sc.Clone()
 		}
 		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, msg.ApproxSize())
-		m.known.Set(m.rank, m.sendSeq)
+		if m.sendSeq > m.known.Get(m.rank) {
+			// A WAL replay (ResumeChains) re-stamps sequences this member
+			// already delivered; known never moves below delivered.
+			m.known.Set(m.rank, m.sendSeq)
+		}
 		m.armAck()
 	}
 	m.SentCount.Inc()
@@ -923,6 +927,12 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		}
 		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, msg.ApproxSize())
 		m.armAck()
+		if len(m.nackRetries) > 0 {
+			// An arrived message never goes missing again: dropping its
+			// retry count keeps the map the size of the current gaps,
+			// not of every id ever requested this epoch.
+			delete(m.nackRetries, msg.ID())
+		}
 	}
 	switch m.cfg.Ordering {
 	case Unordered:
@@ -956,6 +966,12 @@ func (m *Member) onDataMain(msg *DataMsg) {
 			m.traceHoldback(msg, "fifo gap")
 		}
 		if m.cfg.Atomic {
+			if m.cfg.Ordering == Causal {
+				// The stamp names every predecessor the held message
+				// waits on; with it folded in, eachMissing reads the
+				// queue's wants off the known frontier alone.
+				m.known.Merge(msg.VC)
+			}
 			m.armNack()
 		}
 	case TotalSeq:

@@ -1,0 +1,398 @@
+package multicast
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"catocs/internal/sim"
+	"catocs/internal/transport"
+	"catocs/internal/vclock"
+)
+
+// missWorld is one seeded lossy group whose members are checked against
+// referenceMissingSet after every handler and timer callback.
+type missWorld struct {
+	t       *testing.T
+	k       *sim.Kernel
+	net     *transport.SimNet
+	nodes   []transport.NodeID
+	cfg     Config
+	members []*Member
+	got     [][]any // payloads delivered per rank, across lives
+	gaps    int     // checks that saw a non-empty missing set
+}
+
+// checkedNet decorates the network for one member so the equivalence
+// check runs right after each of its handler and timer callbacks.
+type checkedNet struct {
+	transport.Network
+	w *missWorld
+	m *Member
+}
+
+func (c *checkedNet) Register(id transport.NodeID, h transport.Handler) {
+	c.Network.Register(id, func(from transport.NodeID, payload any) {
+		h(from, payload)
+		c.w.check(c.m)
+	})
+}
+
+func (c *checkedNet) After(d time.Duration, f func()) {
+	c.Network.After(d, func() {
+		f()
+		c.w.check(c.m)
+	})
+}
+
+func newMissWorld(t *testing.T, ord Ordering, delta bool, n int, seed int64) *missWorld {
+	k := sim.NewKernel(seed)
+	k.SetEventLimit(50_000_000)
+	w := &missWorld{
+		t: t, k: k,
+		net: transport.NewSimNet(k, transport.LinkConfig{
+			BaseDelay: time.Millisecond, Jitter: 6 * time.Millisecond, LossProb: 0.08, DupProb: 0.05,
+		}),
+		nodes: make([]transport.NodeID, n),
+		cfg: Config{Group: "miss", Ordering: ord, Atomic: true, DeltaClocks: delta, VCRefreshEvery: 8,
+			AckInterval: 10 * time.Millisecond, NackDelay: 10 * time.Millisecond},
+		members: make([]*Member, n),
+		got:     make([][]any, n),
+	}
+	for i := range w.nodes {
+		w.nodes[i] = transport.NodeID(i)
+	}
+	for r := range w.members {
+		w.spawn(r)
+	}
+	return w
+}
+
+// spawn builds (or, after a crash, rebuilds) the member at rank r.
+func (w *missWorld) spawn(r int) *Member {
+	cn := &checkedNet{Network: w.net, w: w}
+	cn.m = NewMember(cn, w.nodes, vclock.ProcessID(r), w.cfg, func(d Delivered) {
+		w.got[r] = append(w.got[r], d.Payload)
+	})
+	w.members[r] = cn.m
+	return cn.m
+}
+
+// check asserts that the incremental gap index agrees with the
+// from-scratch oracle, and the invariants hasMissing's count rests on.
+func (w *missWorld) check(m *Member) {
+	t := w.t
+	want := m.referenceMissingSet()
+	var got []MsgID
+	m.eachMissing(func(id MsgID) bool {
+		got = append(got, id)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("t=%v rank %d epoch %d: eachMissing = %v, reference = %v", w.k.Now(), m.rank, m.epoch, got, want)
+	}
+	if m.hasMissing() != (len(want) > 0) {
+		t.Fatalf("t=%v rank %d: hasMissing = %v with reference %v", w.k.Now(), m.rank, m.hasMissing(), want)
+	}
+	if len(want) > 0 {
+		w.gaps++
+	}
+	for id := range m.nackRetries {
+		_, held := m.pendQ[id.Sender][id.Seq]
+		if _, arrived := m.dataGet(id); held || arrived {
+			t.Fatalf("t=%v rank %d: retry count kept for %v, which is buffered", w.k.Now(), m.rank, id)
+		}
+	}
+	if m.cfg.Ordering != FIFO && m.cfg.Ordering != Causal {
+		return
+	}
+	for s := range m.known {
+		if m.known[s] < m.delivered[s] {
+			t.Fatalf("t=%v rank %d: known[%d] = %d < delivered = %d", w.k.Now(), m.rank, s, m.known[s], m.delivered[s])
+		}
+		for q, msg := range m.pendQ[s] {
+			if q <= m.delivered[s] || q > m.known[s] {
+				t.Fatalf("t=%v rank %d: held (%d,%d) outside (delivered %d, known %d]", w.k.Now(), m.rank, s, q, m.delivered[s], m.known[s])
+			}
+			for p, v := range msg.VC {
+				if v > m.known[p] {
+					t.Fatalf("t=%v rank %d: held (%d,%d) stamp[%d] = %d above known %d", w.k.Now(), m.rank, s, q, p, v, m.known[p])
+				}
+			}
+		}
+	}
+}
+
+// script schedules per casts from each writer, 4 ms apart; the last
+// rank (the one the scenarios crash) always writes.
+func (w *missWorld) script(per int) (casts int) {
+	n := len(w.nodes)
+	step := n / 4
+	if step == 0 {
+		step = 1
+	}
+	for r := 0; r < n; r++ {
+		if r%step != 0 && r != n-1 {
+			continue
+		}
+		for i := 0; i < per; i++ {
+			w.k.At(time.Duration(i)*4*time.Millisecond+time.Duration(r)*100*time.Microsecond, func() {
+				if m := w.members[r]; !w.net.Crashed(w.nodes[r]) {
+					m.Multicast([2]int{r, i}, 32)
+					w.check(m)
+				}
+			})
+		}
+		casts += per
+	}
+	return casts
+}
+
+// exactlyOnce fails unless rank r delivered every payload at most once;
+// it returns the delivered set.
+func (w *missWorld) exactlyOnce(r int) map[any]bool {
+	set := make(map[any]bool, len(w.got[r]))
+	for _, p := range w.got[r] {
+		if set[p] {
+			w.t.Fatalf("rank %d delivered %v twice", r, p)
+		}
+		set[p] = true
+	}
+	return set
+}
+
+// viewChange crashes the last rank mid-run and walks the survivors
+// through a flush in three separate instants — suppress, fill, install
+// — so acks and NACK timers run (and are checked) inside the window
+// where ForceDeliver has moved delivered but the view is not yet reset.
+func (w *missWorld) viewChange(at time.Duration) {
+	n := len(w.nodes)
+	survivors := w.members[:n-1]
+	w.k.At(at, func() {
+		w.net.Crash(w.nodes[n-1])
+		w.members[n-1].Close()
+		for _, m := range survivors {
+			m.Suppress()
+			w.check(m)
+		}
+	})
+	w.k.At(at+8*time.Millisecond, func() {
+		union := make(map[MsgID]*DataMsg)
+		for _, m := range survivors {
+			for _, d := range m.UnstableData() {
+				union[d.ID()] = d
+			}
+		}
+		fills := make([]*DataMsg, 0, len(union))
+		for _, d := range union {
+			fills = append(fills, d)
+		}
+		sort.Slice(fills, func(i, j int) bool {
+			if fills[i].Sender != fills[j].Sender {
+				return fills[i].Sender < fills[j].Sender
+			}
+			return fills[i].Seq < fills[j].Seq
+		})
+		for _, m := range survivors {
+			for _, d := range fills {
+				m.ForceDeliver(d)
+				w.check(m)
+			}
+		}
+	})
+	w.k.At(at+16*time.Millisecond, func() {
+		for r, m := range survivors {
+			m.InstallView(w.nodes[:n-1], vclock.ProcessID(r), 1)
+			w.check(m)
+			m.Resume()
+			w.check(m)
+		}
+	})
+}
+
+// rejoin crashes the last rank of a static group and later rebuilds it
+// from its chain checkpoint the way the TCP fleet's WAL recovery does:
+// resume the send chain at the stable cast count, replay the unstable
+// suffix under its original sequence numbers.
+func (w *missWorld) rejoin(crashAt, backAt time.Duration) {
+	r := len(w.nodes) - 1
+	var ack []uint64
+	var frontier, stable uint64
+	var suffix []any
+	w.k.At(crashAt, func() {
+		m := w.members[r]
+		ack, frontier = m.CheckpointChains()
+		stable = m.sendSeq
+		for _, d := range m.UnstableData() {
+			if d.Sender == m.rank {
+				suffix = append(suffix, d.Payload)
+			}
+		}
+		stable -= uint64(len(suffix))
+		m.Close()
+		w.net.Crash(w.nodes[r])
+	})
+	w.k.At(backAt, func() {
+		w.net.Recover(w.nodes[r])
+		m := w.spawn(r)
+		m.ResumeChains(stable, ack, frontier)
+		w.check(m)
+		for _, p := range suffix {
+			m.Multicast(p, 32)
+			w.check(m)
+		}
+	})
+}
+
+// TestMissingSetMatchesReference drives seeded drop/dup/reorder
+// schedules through every atomic ordering and clock encoding and holds
+// the incremental gap index to the from-scratch oracle after every
+// callback, through a view change and through a ResumeChains rejoin.
+func TestMissingSetMatchesReference(t *testing.T) {
+	configs := []struct {
+		name  string
+		ord   Ordering
+		delta bool
+	}{
+		{"fifo", FIFO, false},
+		{"causal", Causal, false},
+		{"causal-delta", Causal, true},
+		{"total-seq", TotalSeq, false},
+		{"total-causal", TotalCausal, false},
+	}
+	for _, c := range configs {
+		for _, n := range []int{3, 8, 32} {
+			seed := int64(100*n) + int64(c.ord)
+			t.Run(fmt.Sprintf("%s/n%d/viewchange", c.name, n), func(t *testing.T) {
+				t.Parallel()
+				w := newMissWorld(t, c.ord, c.delta, n, seed)
+				w.script(30)
+				w.viewChange(60 * time.Millisecond)
+				w.k.RunUntil(600 * time.Millisecond)
+				base := w.exactlyOnce(0)
+				for r := 0; r < n-1; r++ {
+					set := w.exactlyOnce(r)
+					if len(set) != len(base) {
+						t.Fatalf("survivor %d delivered %d payloads, survivor 0 delivered %d", r, len(set), len(base))
+					}
+					for p := range base {
+						if !set[p] {
+							t.Fatalf("survivor %d missed %v", r, p)
+						}
+					}
+					if m := w.members[r]; m.Epoch() != 1 || m.PendingCount() != 0 {
+						t.Fatalf("survivor %d ended in epoch %d holding %d", r, m.Epoch(), m.PendingCount())
+					}
+				}
+				if w.gaps == 0 {
+					t.Fatal("no check ever saw a gap: the schedule exercised nothing")
+				}
+			})
+			t.Run(fmt.Sprintf("%s/n%d/rejoin", c.name, n), func(t *testing.T) {
+				t.Parallel()
+				w := newMissWorld(t, c.ord, c.delta, n, seed+7)
+				casts := w.script(30)
+				w.rejoin(50*time.Millisecond, 90*time.Millisecond)
+				w.k.RunUntil(600 * time.Millisecond)
+				// Casts the script skipped while the rank was down never
+				// happened; everything that was cast must be everywhere.
+				everywhere := w.exactlyOnce(n - 1)
+				if len(everywhere) > casts || len(everywhere) < casts-30 {
+					t.Fatalf("rejoined rank delivered %d payloads of at most %d cast", len(everywhere), casts)
+				}
+				for r := 0; r < n; r++ {
+					if set := w.exactlyOnce(r); len(set) != len(everywhere) {
+						t.Fatalf("rank %d delivered %d payloads, rejoined rank delivered %d", r, len(set), len(everywhere))
+					}
+				}
+				if w.gaps == 0 {
+					t.Fatal("no check ever saw a gap: the schedule exercised nothing")
+				}
+			})
+		}
+	}
+}
+
+// nullNet drops sends and timers: a member on it only reacts to what a
+// test hands it directly.
+type nullNet struct{}
+
+func (nullNet) Register(transport.NodeID, transport.Handler) {}
+func (nullNet) Send(_, _ transport.NodeID, _ any)            {}
+func (nullNet) Now() time.Duration                           { return 0 }
+func (nullNet) After(time.Duration, func())                  {}
+
+// TestOnAckGapFreeAllocatesNothing pins the ack path on a member that
+// holds messages but misses none at zero allocations, with the NACK
+// timer disarmed so the gap test itself runs on every ack: the count
+// under Causal (deliverable messages held by a flush window) and the
+// first-gap scan under TotalSeq (data waiting for its order).
+func TestOnAckGapFreeAllocatesNothing(t *testing.T) {
+	const n = 8
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	for _, ord := range []Ordering{Causal, TotalSeq} {
+		m := NewMember(nullNet{}, nodes, 1, Config{Group: "a", Ordering: ord, Atomic: true}, func(Delivered) {})
+		if ord == Causal {
+			m.Suppress()
+		}
+		for seq := uint64(1); seq <= 20; seq++ {
+			vc := vclock.New(n)
+			vc.Set(2, seq)
+			m.Handle(nodes[2], &DataMsg{Group: "a", Sender: 2, Seq: seq, VC: vc})
+		}
+		if m.PendingCount() != 20 || m.hasMissing() {
+			t.Fatalf("%v: holding %d with hasMissing=%v, want 20 held and gap-free", ord, m.PendingCount(), m.hasMissing())
+		}
+		ack := &AckMsg{Group: "a", From: 3, Delivered: vclock.New(n)}
+		ack.Delivered.Set(2, 20)
+		if avg := testing.AllocsPerRun(100, func() {
+			m.nackArmed = false
+			m.onAck(ack)
+		}); avg != 0 {
+			t.Errorf("%v: onAck allocates %.1f times per ack on a gap-free member", ord, avg)
+		}
+		if m.nackArmed {
+			t.Errorf("%v: a gap-free ack armed the NACK timer", ord)
+		}
+	}
+}
+
+// TestAssignedGlobalOf pins the sequencer's id -> position lookup
+// against the assignment log it inverts, on the shapes an index
+// replacing the scan will have to survive: TotalSeq assigning a
+// retransmitted early cast after its successors, a sequence space
+// resumed far from 1, ids never assigned or from no member, and a view
+// change.
+func TestAssignedGlobalOf(t *testing.T) {
+	nodes := []transport.NodeID{0, 1, 2}
+	m := NewMember(nullNet{}, nodes, 0, Config{Group: "a", Ordering: TotalSeq}, func(Delivered) {})
+	assigned := []MsgID{
+		{Sender: 1, Seq: 1_000_005}, {Sender: 1, Seq: 1_000_007}, {Sender: 2, Seq: 3},
+		{Sender: 1, Seq: 1_000_002}, {Sender: 2, Seq: 1}, {Sender: 1, Seq: 1_000_006},
+	}
+	for _, id := range assigned {
+		m.assignOrder(id)
+	}
+	for i, id := range assigned {
+		if g, ok := m.assignedGlobalOf(id); !ok || g != uint64(i+1) {
+			t.Errorf("assignedGlobalOf(%v) = %d, %v; want %d", id, g, ok, i+1)
+		}
+		if back, ok := m.assignedIDAt(uint64(i + 1)); !ok || back != id {
+			t.Errorf("assignedIDAt(%d) = %v, %v; want %v", i+1, back, ok, id)
+		}
+	}
+	for _, id := range []MsgID{{Sender: 1, Seq: 1_000_003}, {Sender: 1, Seq: 1}, {Sender: 2, Seq: 2}, {Sender: 2, Seq: 9}, {Sender: 0, Seq: 1}, {Sender: 7, Seq: 1}, {Sender: -1, Seq: 1}} {
+		if g, ok := m.assignedGlobalOf(id); ok {
+			t.Errorf("assignedGlobalOf(%v) = %d for an id never assigned", id, g)
+		}
+	}
+	m.InstallView(nodes, 0, 1)
+	if _, ok := m.assignedGlobalOf(assigned[0]); ok {
+		t.Error("an assignment survived a view change")
+	}
+}

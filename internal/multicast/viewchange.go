@@ -78,6 +78,11 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 			if m.parked != nil {
 				delete(m.parked[msg.Sender], msg.Seq)
 			}
+			// A fill this member never received still has to keep
+			// known >= delivered, which hasMissing's count rests on.
+			if m.known != nil && msg.Seq > m.known.Get(msg.Sender) {
+				m.known.Set(msg.Sender, msg.Seq)
+			}
 		}
 	}
 	m.updateHoldbackGauge()

@@ -169,14 +169,18 @@ func newPeerConn(n *Net, addr string) *peerConn {
 // enqueue admits a frame against the queue budget without blocking.
 // The caller keeps ownership of f.buf on a false return.
 func (p *peerConn) enqueue(f frame) bool {
-	if !p.n.cfg.Queue.Admits(len(p.ch), int(p.queuedBytes.Load()), f.bodyLen()) {
+	// The send hands f.buf to writerLoop, which recycles it, so the
+	// length is read and accounted before and undone on refusal.
+	n := f.bodyLen()
+	if !p.n.cfg.Queue.Admits(len(p.ch), int(p.queuedBytes.Load()), n) {
 		return false
 	}
+	p.queuedBytes.Add(int64(n))
 	select {
 	case p.ch <- f:
-		p.queuedBytes.Add(int64(f.bodyLen()))
 		return true
 	default:
+		p.queuedBytes.Add(-int64(n))
 		return false
 	}
 }

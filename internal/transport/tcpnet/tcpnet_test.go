@@ -3,6 +3,7 @@ package tcpnet_test
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -357,5 +358,48 @@ func TestManyLocalNodesOneProcess(t *testing.T) {
 	// accepted on b (plus none on a; b never sent).
 	if ns := b.NetStats(); ns.ConnsIn != 1 {
 		t.Fatalf("b accepted %d conns; want 1 multiplexed conn for 64 node pairs", ns.ConnsIn)
+	}
+}
+
+// TestQueuedBytesExactAtDrain saturates one peer's outbound queue while
+// its writer is live and recycling frame buffers, then checks the byte
+// account returns to exactly zero. enqueue once read the frame length
+// after handing the buffer to the writer — a data race that also let
+// queuedBytes drift low, so the byte budget failed open.
+func TestQueuedBytesExactAtDrain(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	univ := map[transport.NodeID]string{0: addrs[0], 1: addrs[1]}
+	cfg := fastCfg(addrs[0], []transport.NodeID{0}, univ)
+	cfg.Queue = flowcontrol.Budget{MaxMsgs: 16}
+	a, err := tcpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := tcpnet.New(fastCfg(addrs[1], []transport.NodeID{1}, univ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Register(1, func(transport.NodeID, any) {})
+
+	const k = 20000
+	pad := strings.Repeat("x", 256)
+	for i := 0; i < k; i++ {
+		a.Send(0, 1, testMsg{N: uint64(i), S: pad[:i%len(pad)]})
+	}
+	// FramesOut counts a frame only after its flush, which follows the
+	// writer's own decrement, so the account is settled once every send
+	// is either written or shed.
+	waitFor(t, 10*time.Second, "every frame written or shed", func() bool {
+		ns := a.NetStats()
+		return ns.FramesOut+ns.WriteLost+ns.QueueDrops == k
+	})
+	ns := a.NetStats()
+	if ns.QueueDrops == 0 || ns.FramesOut == 0 {
+		t.Fatalf("NetStats = %+v; want both sheds and writes (queue saturated under a live writer)", ns)
+	}
+	if msgs, bytes := a.Outbound(1); msgs != 0 || bytes != 0 {
+		t.Fatalf("Outbound(1) at drain = %d msgs, %d bytes; want 0, 0", msgs, bytes)
 	}
 }

@@ -297,8 +297,9 @@ func (v VC) DeliverableDelta(sender ProcessID, seq uint64, delta []DeltaEntry) b
 
 // Missing returns, for an undeliverable message stamped msg from
 // sender, the set of (process, sequence) pairs the receiver with
-// delivered-clock v is still waiting on. Used by diagnostics and by the
-// retransmission path of atomic delivery.
+// delivered-clock v is still waiting on. Diagnostics only: atomic
+// delivery's NACK path reads the same set off its known frontier
+// (multicast's eachMissing) and keeps this as its test oracle.
 func (v VC) Missing(msg VC, sender ProcessID) []Stamp {
 	var out []Stamp
 	for i := range msg {

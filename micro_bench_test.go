@@ -15,6 +15,7 @@ import (
 	"catocs/internal/multicast"
 	"catocs/internal/stability"
 	"catocs/internal/state"
+	"catocs/internal/transport"
 	"catocs/internal/vclock"
 	"catocs/internal/wire"
 )
@@ -218,5 +219,78 @@ func BenchmarkStoreVersionedPut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put("key", i)
+	}
+}
+
+// timerNet is a transport.Network that drops every send and keeps the
+// latest callback scheduled at each delay, so a benchmark can fire one
+// of a member's timers by hand.
+type timerNet struct {
+	timers map[time.Duration]func()
+}
+
+func (timerNet) Register(transport.NodeID, transport.Handler) {}
+func (timerNet) Send(_, _ transport.NodeID, _ any)            {}
+func (timerNet) Now() time.Duration                           { return 0 }
+func (n timerNet) After(d time.Duration, f func())            { n.timers[d] = f }
+
+const (
+	backlogAck  = 20 * time.Millisecond
+	backlogNack = 25 * time.Millisecond
+)
+
+// backlogMember is rank 1 of a 32-member atomic causal group holding
+// 300 messages behind 4 gaps: four writers whose first cast never
+// arrived and whose next 75 did — the holdback the lossy N=32 sim
+// workload produces at its peak.
+func backlogMember() (*multicast.Member, timerNet) {
+	const n = 32
+	net := timerNet{timers: make(map[time.Duration]func())}
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	m := multicast.NewMember(net, nodes, 1, multicast.Config{
+		Group: "bench", Ordering: multicast.Causal, Atomic: true,
+		AckInterval: backlogAck, NackDelay: backlogNack,
+	}, func(multicast.Delivered) {})
+	for w := vclock.ProcessID(0); w < n; w += 8 {
+		for seq := uint64(2); seq <= 76; seq++ {
+			vc := vclock.New(n)
+			vc.Set(w, seq)
+			m.Handle(nodes[w], &multicast.DataMsg{Group: "bench", Sender: w, Seq: seq, VC: vc, PayloadSize: 64})
+		}
+	}
+	if m.PendingCount() != 300 {
+		panic(fmt.Sprintf("backlog holds %d messages, want 300", m.PendingCount()))
+	}
+	return m, net
+}
+
+// BenchmarkOnAckBacklog is one peer's stability ack arriving at a
+// member with a loss backlog: the per-ack cost of gap tracking, paid 31
+// times per ack interval at N=32.
+func BenchmarkOnAckBacklog(b *testing.B) {
+	m, _ := backlogMember()
+	acks := make([]*multicast.AckMsg, m.GroupSize())
+	for p := range acks {
+		acks[p] = &multicast.AckMsg{Group: "bench", From: vclock.ProcessID(p), Delivered: vclock.New(len(acks))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := 2 + i%30
+		m.Handle(transport.NodeID(p), acks[p])
+	}
+}
+
+// BenchmarkFireNackBacklog is one firing of the NACK timer over the
+// same backlog: enumerate the 4 gaps and request them.
+func BenchmarkFireNackBacklog(b *testing.B) {
+	_, net := backlogMember()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.timers[backlogNack]() // fireNack re-arms itself while gaps remain
 	}
 }
