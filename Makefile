@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify vet build test race bench benchdiff experiments profile e17-smoke chaos-smoke slow-consumer-smoke mgcast-smoke obs-smoke net-smoke churn-smoke
+.PHONY: verify vet build test race bench benchdiff experiments profile e17-smoke chaos-smoke slow-consumer-smoke mgcast-smoke obs-smoke net-smoke churn-smoke bench-smoke
 
-verify: vet build test race e17-smoke chaos-smoke slow-consumer-smoke mgcast-smoke obs-smoke net-smoke churn-smoke benchdiff
+verify: vet build test race e17-smoke chaos-smoke slow-consumer-smoke mgcast-smoke obs-smoke net-smoke churn-smoke bench-smoke benchdiff
 
 vet:
 	$(GO) vet ./...
@@ -24,15 +24,9 @@ e17-smoke:
 # The chaos smoke gate: seeded fault-injection episodes on every
 # substrate with all invariant oracles armed. On failure the command
 # prints the seed and a shrunk minimal fault script, so the breakage
-# reproduces with the printed one-liner. The second and third runs
-# re-arm the same oracles with the optimized wire paths enabled —
-# delta-encoded clocks on cbcast and delta clocks plus batched
-# ordering announcements on abcast — so the hot-path encodings face
-# the same crash/partition/loss schedules as the defaults.
+# reproduces with the printed one-liner.
 chaos-smoke:
 	$(GO) run ./cmd/chaos -substrate all -n 5 -msgs 20 -episodes 3 -seed 1
-	$(GO) run ./cmd/chaos -substrate cbcast -n 5 -msgs 20 -episodes 3 -seed 1 -delta
-	$(GO) run ./cmd/chaos -substrate abcast -n 5 -msgs 20 -episodes 3 -seed 1 -delta -order-batch 8
 
 # The slow-consumer smoke gate: a tiny E19. Exits 1 if the no-policy
 # baseline fails to show unbounded growth, if any overflow policy lets
@@ -74,6 +68,12 @@ churn-smoke:
 net-smoke:
 	$(GO) test ./internal/experiments -run 'TestE22' -count=1 -v
 
+# The benchmark smoke gate: every BENCHMARK.json workload at about
+# 0.5 s a phase, its delivery oracle on. Exits 1 if any cast is not
+# delivered exactly once, in order, at every member.
+bench-smoke:
+	$(GO) run ./bench -smoke -workload all
+
 # The bench-trajectory regression gate: compare the two most recent
 # BENCH_<n>.json snapshots and flag any gobench ns/op regression over
 # 20%. Warn-only by default (1x-iteration snapshots are noisy);
@@ -91,8 +91,8 @@ benchdiff:
 # bench appends a machine-readable snapshot BENCH_<n>.json (next free
 # n): every Go benchmark at -benchtime=1x plus the scalecast and
 # mgcast sweeps in JSON form, all run from fixed seeds. The whole
-# multicast-throughput family (default, delta, batched, and the
-# observability-cost trio) and the wire-encode bench are then re-run
+# multicast-throughput family (including the observability-cost
+# trio) and the wire-encode bench are then re-run
 # at 50000x so steady-state numbers land in the snapshot with real
 # signal (benchdiff keeps the last line per name). A real-network
 # loadgen fleet run (cmd/netbench) closes the snapshot, so the

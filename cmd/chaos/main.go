@@ -65,8 +65,6 @@ func main() {
 		noShrink   = flag.Bool("no-shrink", false, "report failures without minimising them")
 		groups     = flag.Int("groups", 0, "mgcast: overlapping destination groups (0 = 4)")
 		k          = flag.Int("k", 0, "mgcast: destination groups per cast (0 = 2)")
-		delta      = flag.Bool("delta", false, "cbcast/abcast: delta-encoded vector-clock stamps")
-		orderBatch = flag.Int("order-batch", 0, "abcast: sequencer ordering-announcement batch size (<2 = unbatched)")
 		profile    = flag.String("profile", "", `write a pprof profile of the run: "cpu" or "heap" (to cpu.pprof / heap.pprof)`)
 		churn      = flag.Bool("churn", false, "dynamic-membership mode: join/leave/crash/recover episodes on the membership stack")
 		churnRate  = flag.Float64("churn-rate", 1.0, "churn mode: scales crash→recover and join→leave pairs plus partition/slow windows per generated schedule (1.0 = 2+2+1+1)")
@@ -117,7 +115,6 @@ func main() {
 				Seed: *seed, Script: s,
 				Groups: *groups, K: *k,
 				Budget: fcBudget, Overflow: fcPolicy,
-				DeltaClocks: *delta, OrderBatch: *orderBatch,
 			}
 			if !*clean {
 				cfg.Faults = chaos.DefaultFaults
@@ -136,7 +133,6 @@ func main() {
 				NoFaults: *clean, Shrink: !*noShrink,
 				Groups: *groups, K: *k,
 				Budget: fcBudget, Overflow: fcPolicy,
-				DeltaClocks: *delta, OrderBatch: *orderBatch,
 			}
 			rc.Gen.Crashes = *crashes
 			rc.Gen.Partitions = *partitions

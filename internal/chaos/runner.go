@@ -76,13 +76,6 @@ type Config struct {
 	// supports None, Block, Shed, and Spill; Suspect needs a membership
 	// monitor the episode harness does not run.
 	Overflow flowcontrol.Policy
-	// DeltaClocks sends delta-encoded vector-clock stamps on the
-	// cbcast/abcast substrates, so loss/reorder/duplication episodes
-	// audit the reconstruction chain, not just the full-stamp path.
-	DeltaClocks bool
-	// OrderBatch batches the abcast sequencer's ordering announcements
-	// (<2 = every assignment is its own OrderMsg, the unbatched wire).
-	OrderBatch int
 }
 
 func (cfg *Config) fillDefaults() {
@@ -187,14 +180,12 @@ func Run(cfg Config) Result {
 			ordering = multicast.TotalCausal
 		}
 		mcfg := multicast.Config{
-			Group:       "chaos",
-			Ordering:    ordering,
-			Atomic:      true, // stability tracking + ack/NACK loss recovery
-			Tracer:      tracer,
-			Budget:      cfg.Budget,
-			Overflow:    cfg.Overflow,
-			DeltaClocks: cfg.DeltaClocks,
-			OrderBatch:  cfg.OrderBatch,
+			Group:    "chaos",
+			Ordering: ordering,
+			Atomic:   true, // stability tracking + ack/NACK loss recovery
+			Tracer:   tracer,
+			Budget:   cfg.Budget,
+			Overflow: cfg.Overflow,
 		}
 		if cfg.Overflow == flowcontrol.Spill {
 			mcfg.SpillDevice = wal.NewDevice()
@@ -554,10 +545,6 @@ type RunnerConfig struct {
 	// budget arms the bounded-memory oracle.
 	Budget   flowcontrol.Budget
 	Overflow flowcontrol.Policy
-	// DeltaClocks / OrderBatch enable the wire optimizations in every
-	// episode (see Config).
-	DeltaClocks bool
-	OrderBatch  int
 }
 
 // Failure is one episode that violated an oracle, with its minimised
@@ -641,21 +628,19 @@ func RunEpisodes(rc RunnerConfig) Summary {
 		seed := rc.Seed + int64(i)*1000003
 		script := Gen(rand.New(rand.NewSource(seed^0x6368616f73)), rc.Gen)
 		cfg := Config{
-			Substrate:   rc.Substrate,
-			N:           rc.N,
-			Senders:     rc.Senders,
-			MsgsPer:     rc.MsgsPer,
-			Interval:    rc.Interval,
-			Seed:        seed,
-			Script:      script,
-			Faults:      rc.Faults,
-			Degree:      rc.Degree,
-			Groups:      rc.Groups,
-			K:           rc.K,
-			Budget:      rc.Budget,
-			Overflow:    rc.Overflow,
-			DeltaClocks: rc.DeltaClocks,
-			OrderBatch:  rc.OrderBatch,
+			Substrate: rc.Substrate,
+			N:         rc.N,
+			Senders:   rc.Senders,
+			MsgsPer:   rc.MsgsPer,
+			Interval:  rc.Interval,
+			Seed:      seed,
+			Script:    script,
+			Faults:    rc.Faults,
+			Degree:    rc.Degree,
+			Groups:    rc.Groups,
+			K:         rc.K,
+			Budget:    rc.Budget,
+			Overflow:  rc.Overflow,
 		}
 		res := Run(cfg)
 		for b := 0; b < 8; b++ {
@@ -687,12 +672,6 @@ func RunEpisodes(rc RunnerConfig) Summary {
 				rc.Substrate, rc.N, f.MinConfig.Senders, rc.MsgsPer, seed, f.MinConfig.Script.String())
 			if rc.Substrate == "mgcast" {
 				f.Repro += fmt.Sprintf(" -groups %d -k %d", f.MinConfig.Groups, f.MinConfig.K)
-			}
-			if f.MinConfig.DeltaClocks {
-				f.Repro += " -delta"
-			}
-			if f.MinConfig.OrderBatch >= 2 {
-				f.Repro += fmt.Sprintf(" -order-batch %d", f.MinConfig.OrderBatch)
 			}
 			sum.Failures = append(sum.Failures, f)
 		}

@@ -191,7 +191,7 @@ func RunE5Header(n, msgsPerSender int, bandwidth int, seed int64) E5HeaderPoint 
 	type arm struct {
 		tag     string
 		ord     multicast.Ordering
-		delta   bool
+		refresh int // stamp-chain refresh period (0 = default: full clock on every cast here, non-atomic)
 		senders int
 	}
 	sparse := 4
@@ -199,10 +199,11 @@ func RunE5Header(n, msgsPerSender int, bandwidth int, seed int64) E5HeaderPoint 
 		sparse = n
 	}
 	for _, a := range []arm{
-		{"unordered", multicast.Unordered, false, n},
-		{"causal", multicast.Causal, false, n},
-		{"sparse-full", multicast.Causal, false, sparse},
-		{"sparse-delta", multicast.Causal, true, sparse},
+		{"unordered", multicast.Unordered, 0, n},
+		{"causal", multicast.Causal, 0, n},
+		{"sparse-full", multicast.Causal, 0, sparse},
+		// Safe without Atomic: this link is lossless and FIFO.
+		{"sparse-delta", multicast.Causal, 32, sparse},
 	} {
 		k := sim.NewKernel(seed)
 		k.SetEventLimit(50_000_000)
@@ -216,7 +217,7 @@ func RunE5Header(n, msgsPerSender int, bandwidth int, seed int64) E5HeaderPoint 
 		}
 		var lat metrics.Histogram
 		members := multicast.NewGroup(net, nodes,
-			multicast.Config{Group: "e5h", Ordering: a.ord, DeltaClocks: a.delta},
+			multicast.Config{Group: "e5h", Ordering: a.ord, VCRefreshEvery: a.refresh},
 			func(rank vclock.ProcessID) multicast.DeliverFunc {
 				return func(d multicast.Delivered) { lat.Observe(d.Latency.Seconds()) }
 			})
@@ -267,7 +268,7 @@ func TableE5Header(sizes []int, msgsPerSender, bandwidth int, seed int64) *Table
 		})
 	}
 	t.Notes = append(t.Notes, "lossless link with finite bandwidth: the latency gap is pure header serialization plus any delay-queue wait")
-	t.Notes = append(t.Notes, "ctrl B/pkt columns compare full vs delta clock encoding (Config.DeltaClocks) under a sparse-writer workload (4 active senders): the delta header is O(active writers), not O(N) — slightly worse at N=4, where every member writes and every clock entry changes per cast")
+	t.Notes = append(t.Notes, "ctrl B/pkt columns compare the full clock on every cast (refresh period 1) with the delta-encoded stamp chain (refresh period 32) under a sparse-writer workload (4 active senders): the delta header is O(active writers), not O(N) — slightly worse at N=4, where every member writes and every clock entry changes per cast")
 	return t
 }
 

@@ -62,7 +62,7 @@ func assertStabilityDrained(t *testing.T, g *testGroup, want int) {
 
 func TestBatchedAcksDrainStabilityCausalDelta(t *testing.T) {
 	g := newTestGroup(t, 4, 11, transport.LinkConfig{BaseDelay: time.Millisecond, Jitter: 2 * time.Millisecond},
-		Config{Group: "g", Ordering: Causal, Atomic: true, DeltaClocks: true,
+		Config{Group: "g", Ordering: Causal, Atomic: true,
 			AckInterval: 10 * time.Millisecond, NackDelay: 10 * time.Millisecond})
 	want := runCrashPartitionSchedule(t, g)
 	assertStabilityDrained(t, g, want)
@@ -70,8 +70,20 @@ func TestBatchedAcksDrainStabilityCausalDelta(t *testing.T) {
 
 func TestBatchedAcksDrainStabilityTotalSeqBatched(t *testing.T) {
 	g := newTestGroup(t, 4, 12, transport.LinkConfig{BaseDelay: time.Millisecond, Jitter: 2 * time.Millisecond},
-		Config{Group: "g", Ordering: TotalSeq, Atomic: true, OrderBatch: 8,
+		Config{Group: "g", Ordering: TotalSeq, Atomic: true,
 			AckInterval: 10 * time.Millisecond, NackDelay: 10 * time.Millisecond})
-	want := runCrashPartitionSchedule(t, g)
+	// Fill one order run in a single instant, so the schedule below
+	// starts behind a size flush as well as timer flushes: the
+	// sequencer's own casts loop back with no delay and are all assigned
+	// before the flush timer can fire.
+	g.net.SetLink(0, 0, transport.LinkConfig{})
+	for i := 0; i < orderRunMax; i++ {
+		g.members[0].Multicast(fmt.Sprintf("burst-%d", i), 8)
+	}
+	g.k.RunUntil(orderFlushDelay / 2)
+	if sent := g.members[0].CtrlMsgs.Value(); sent != uint64(len(g.members)-1) {
+		t.Fatalf("sequencer sent %d control messages before the flush timer, want one full run to each peer", sent)
+	}
+	want := orderRunMax + runCrashPartitionSchedule(t, g)
 	assertStabilityDrained(t, g, want)
 }

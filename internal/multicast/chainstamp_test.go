@@ -1,0 +1,196 @@
+package multicast
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"catocs/internal/transport"
+	"catocs/internal/vclock"
+)
+
+// The full-clock protocol survives as the oracle for the stamp chain:
+// whatever a cast's wire copy carries, the stamp a receiver hands the
+// ordering layer must be the full clock its sender held. missWorld
+// checks that on every delivery, and parkedCount after every callback.
+
+// TestChainStampMatchesFullClock runs both stamped orderings on seeded
+// loss + dup + jitter worlds at every refresh period from 1 (a full
+// clock on every cast) to the atomic default, through a view change and
+// through a ResumeChains rejoin; then, on a lossless FIFO link where
+// no chain can break, requires the period to be invisible: the same
+// deliveries at the same instants at every member.
+func TestChainStampMatchesFullClock(t *testing.T) {
+	periods := []int{1, 2, 8, 32}
+	scenarios := []struct {
+		name    string
+		seedOff int64
+		run     func(*missWorld)
+	}{
+		{"viewchange", 0, (*missWorld).runViewChange},
+		{"rejoin", 7, (*missWorld).runRejoin},
+	}
+	for _, ord := range []Ordering{Causal, TotalCausal} {
+		for _, n := range []int{3, 8, 32} {
+			seed := int64(1000*n) + int64(ord)
+			for _, period := range periods {
+				for _, sc := range scenarios {
+					t.Run(fmt.Sprintf("%v/n%d/period%d/%s", ord, n, period, sc.name), func(t *testing.T) {
+						t.Parallel()
+						w := newMissWorld(t, lossyLink, ord, period, n, seed+sc.seedOff)
+						sc.run(w)
+						if period > 1 && w.parks == 0 {
+							t.Fatal("no check ever saw a parked arrival: the chain was never broken")
+						}
+					})
+				}
+			}
+			t.Run(fmt.Sprintf("%v/n%d/lossless-fifo", ord, n), func(t *testing.T) {
+				t.Parallel()
+				var base *missWorld
+				for _, period := range periods {
+					w := newMissWorld(t, transport.LinkConfig{BaseDelay: time.Millisecond}, ord, period, n, seed)
+					casts := w.script(40)
+					w.k.RunUntil(600 * time.Millisecond)
+					if w.parks != 0 {
+						t.Fatalf("period %d: an arrival parked on a lossless FIFO link", period)
+					}
+					if base == nil {
+						base = w
+					}
+					for r := range w.got {
+						if len(w.got[r]) != casts {
+							t.Fatalf("period %d: rank %d delivered %d of %d", period, r, len(w.got[r]), casts)
+						}
+						if !slices.Equal(w.got[r], base.got[r]) || !slices.Equal(w.at[r], base.at[r]) {
+							t.Fatalf("period %d: rank %d's deliveries differ from period %d's", period, r, periods[0])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestNonAtomicReorderStaysLive pins the default refresh period of a
+// group with no recovery path. Jitter reorders a sender's casts; with
+// a full clock on every cast the holdback queue sorts that out, and
+// everything is delivered.
+func TestNonAtomicReorderStaysLive(t *testing.T) {
+	const n, per = 4, 48
+	run := func(cfg Config) *testGroup {
+		g := newTestGroup(t, n, 9, transport.LinkConfig{BaseDelay: time.Millisecond, Jitter: 8 * time.Millisecond}, cfg)
+		for s := 0; s < n; s++ {
+			for i := 0; i < per; i++ {
+				g.k.At(time.Duration(i)*2*time.Millisecond, func() {
+					g.members[s].Multicast(fmt.Sprintf("s%d-%d", s, i), 8)
+				})
+			}
+		}
+		g.k.Run()
+		return g
+	}
+	t.Run("default", func(t *testing.T) {
+		run(Config{Group: "g", Ordering: Causal}).assertAllDelivered(t, n*per)
+	})
+	t.Run("period32", func(t *testing.T) {
+		// The known wedge: a full-clock copy that overtakes its delta
+		// predecessors re-anchors the chain past them, and the late
+		// arrivals drop as duplicates with nothing to recover them.
+		t.Skip("a period > 1 without Atomic wedges on reordering links: see ROADMAP.md item 1, \"re-anchor discards arrived messages\"")
+		run(Config{Group: "g", Ordering: Causal, VCRefreshEvery: 32}).assertAllDelivered(t, n*per)
+	})
+}
+
+// TestOrderRunEqualsSingles feeds the same assignments to identical
+// members as whole runs, as arbitrary splits of those runs, and as
+// single OrderMsgs — clean, and with duplicated, overlapping, reordered
+// and out-of-window positions mixed in. A run is only an encoding:
+// every form must leave the same order window, frontier and deliveries.
+func TestOrderRunEqualsSingles(t *testing.T) {
+	const n, total = 4, 24
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	// Position g holds ids[g-1]: senders interleaved, each in sequence.
+	ids := make([]MsgID, total)
+	for i := range ids {
+		ids[i] = MsgID{Sender: vclock.ProcessID(i % n), Seq: uint64(i/n + 1)}
+	}
+	type run struct {
+		first uint64
+		ids   []MsgID
+	}
+	at := func(from, to int) run { return run{uint64(from), ids[from-1 : to]} }
+	scenarios := map[string][]run{
+		"clean":       {at(1, total)},
+		"duplicated":  {at(1, 10), at(1, 10), at(11, total), at(11, total)},
+		"overlapping": {at(1, 12), at(8, 20), at(15, total)},
+		"reordered":   {at(9, total), at(4, 12), at(1, 5)},
+		// A position beyond the window is dropped, but its id counts as
+		// known from then on: a hostile frame can shadow real
+		// assignments until the order-NACK path repairs them. Runs and
+		// singles must at least agree on it.
+		"out-of-window": {{maxOrderWindow + 2, ids[5:8]}, at(1, total)},
+		// A run that claims ids already assigned elsewhere.
+		"conflicting": {at(1, 12), {10, ids[0:6]}, at(13, total)},
+	}
+	type state struct {
+		delivered     []MsgID
+		win           []MsgID
+		nextGlobal    uint64
+		orderBase     uint64
+		maxGlobalSeen uint64
+	}
+	// feed hands the scenario to a fresh member, each run cut into
+	// messages of at most chunk assignments (0: whole; 1: OrderMsgs).
+	feed := func(runs []run, chunk int) state {
+		var st state
+		m := NewMember(nullNet{}, nodes, 1, Config{Group: "o", Ordering: TotalSeq}, func(d Delivered) {
+			st.delivered = append(st.delivered, d.ID)
+		})
+		// Data for all but the last four positions: delivery stops there
+		// and the tail stays in the window for comparison.
+		for _, id := range ids[:total-4] {
+			m.Handle(nodes[id.Sender], &DataMsg{Group: "o", Sender: id.Sender, Seq: id.Seq})
+		}
+		for _, r := range runs {
+			step := chunk
+			if step == 0 {
+				step = len(r.ids)
+			}
+			for i := 0; i < len(r.ids); i += step {
+				g, part := r.first+uint64(i), r.ids[i:min(i+step, len(r.ids))]
+				if chunk == 1 {
+					m.Handle(nodes[0], &OrderMsg{Group: "o", GlobalSeq: g, ID: part[0]})
+				} else {
+					m.Handle(nodes[0], &OrderBatchMsg{Group: "o", FirstGlobal: g, IDs: part})
+				}
+			}
+		}
+		st.win = append(st.win, m.orderWin[m.orderHead:]...)
+		st.nextGlobal, st.orderBase, st.maxGlobalSeen = m.nextGlobal, m.orderBase, m.maxGlobalSeen
+		return st
+	}
+	equal := func(a, b state) bool {
+		return slices.Equal(a.delivered, b.delivered) && slices.Equal(a.win, b.win) &&
+			a.nextGlobal == b.nextGlobal && a.orderBase == b.orderBase && a.maxGlobalSeen == b.maxGlobalSeen
+	}
+	for name, runs := range scenarios {
+		singles := feed(runs, 1)
+		for _, chunk := range []int{0, 2, 3, 7} {
+			if got := feed(runs, chunk); !equal(got, singles) {
+				t.Errorf("%s in runs of %d: %+v\nas singles: %+v", name, chunk, got, singles)
+			}
+		}
+		if name != "out-of-window" && name != "conflicting" {
+			// The well-formed scenarios also have one right answer.
+			if !slices.Equal(singles.delivered, ids[:total-4]) || !slices.Equal(singles.win, ids[total-4:]) ||
+				singles.nextGlobal != total-3 || singles.maxGlobalSeen != total {
+				t.Errorf("%s: %+v, want positions 1..%d delivered in assignment order and the rest windowed", name, singles, total-4)
+			}
+		}
+	}
+}

@@ -128,7 +128,7 @@ func FuzzDeltaVCWireDecode(f *testing.F) {
 // reconstruction.
 func TestDeltaChainOutOfOrderParks(t *testing.T) {
 	g := newTestGroup(t, 3, 1, transport.LinkConfig{BaseDelay: time.Millisecond},
-		Config{Group: "g", Ordering: Causal, DeltaClocks: true, VCRefreshEvery: 100})
+		Config{Group: "g", Ordering: Causal, VCRefreshEvery: 100})
 	// Sender 0 casts three times; drop the second at member 2 by
 	// partitioning it away, then heal and cast again.
 	g.members[0].Multicast("a", 8)

@@ -111,25 +111,20 @@ type Config struct {
 	// before the Suspect policy accuses the stability laggard. Zero
 	// defaults to 250ms.
 	StallTimeout time.Duration
-	// DeltaClocks transmits causal stamps (Causal and TotalCausal) as
-	// deltas against the sender's previous cast instead of full vector
-	// clocks, with a periodic full-clock refresh for resync. Header
-	// cost drops from O(group size) to O(concurrent writers) and the
-	// deliverability check runs sparse. Retransmissions always carry
-	// the full clock, so NACK recovery never depends on chain state.
-	DeltaClocks bool
-	// VCRefreshEvery is the full-clock refresh period in delta mode:
-	// every k'th cast from a sender carries the full clock. Zero
-	// defaults to 32.
+	// VCRefreshEvery is the refresh period of the causal stamp chain
+	// (Causal and TotalCausal): every k'th cast from a sender carries
+	// its full vector clock, the casts between carry only the entries
+	// that changed since the sender's previous cast, and receivers
+	// rebuild the full stamp along the sender's sequence chain. Header
+	// cost between refreshes drops from O(group size) to O(concurrent
+	// writers). Zero resolves to 32 when Atomic and to 1 otherwise;
+	// period 1 is the plain full-clock protocol (every cast a refresh,
+	// no delta ever built). A chain is only decodable with a recovery
+	// path behind it — retransmissions always carry the full clock — so
+	// a period above 1 without Atomic is valid only on lossless FIFO
+	// links: there, one reordered or lost cast wedges its sender's
+	// chain for good.
 	VCRefreshEvery int
-	// OrderBatch batches the sequencer's ordering announcements
-	// (TotalSeq and TotalCausal): up to this many assignments ride one
-	// OrderBatchMsg, flushed on size or after OrderFlushDelay. Values
-	// below 2 disable batching (one OrderMsg per cast).
-	OrderBatch int
-	// OrderFlushDelay bounds how long an ordering announcement may wait
-	// for its batch to fill. Zero defaults to 1ms.
-	OrderFlushDelay time.Duration
 }
 
 func (c Config) ackInterval() time.Duration {
@@ -153,24 +148,30 @@ func (c Config) stallTimeout() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (c Config) vcRefreshEvery() int {
-	if c.VCRefreshEvery > 0 {
-		return c.VCRefreshEvery
+// Order-announcement runs (TotalSeq and TotalCausal sequencer): up to
+// orderRunMax assignments ride one OrderBatchMsg, flushed when the run
+// is full or orderFlushDelay after its first assignment.
+const (
+	orderRunMax     = 64
+	orderFlushDelay = time.Millisecond
+)
+
+// vcRefreshEvery resolves the stamp chain's refresh period (see
+// Config.VCRefreshEvery).
+func (c Config) vcRefreshEvery() uint64 {
+	switch {
+	case c.VCRefreshEvery > 0:
+		return uint64(c.VCRefreshEvery)
+	case c.Atomic:
+		return 32
+	default:
+		return 1
 	}
-	return 32
 }
 
-func (c Config) orderFlushDelay() time.Duration {
-	if c.OrderFlushDelay > 0 {
-		return c.OrderFlushDelay
-	}
-	return time.Millisecond
-}
-
-// deltaMode reports whether this configuration transmits delta-encoded
-// causal stamps (only the clock-carrying orderings can).
-func (c Config) deltaMode() bool {
-	return c.DeltaClocks && (c.Ordering == Causal || c.Ordering == TotalCausal)
+// stamped reports whether casts carry a causal stamp.
+func (c Config) stamped() bool {
+	return c.Ordering == Causal || c.Ordering == TotalCausal
 }
 
 // Delivered describes one message handed to the application.
@@ -233,19 +234,25 @@ type Member struct {
 	pendQ     []map[uint64]*DataMsg
 	pendCount int
 
-	// Delta-clock state (Config.DeltaClocks). Send side: lastSentVC is
-	// the clock of this member's previous cast (the delta base) and
-	// deltaBuf is the reusable diff scratch. Receive side, per sender:
-	// reconVC/reconSeq are the reconstruction chain (the sender's clock
-	// at its last in-chain cast), and parked holds delta-stamped
-	// arrivals whose chain predecessor has not arrived yet — they
-	// rejoin the normal path once the chain catches up, or are
+	// Causal stamp chain (stamped orderings; see DESIGN.md). Send side:
+	// deltaBase is the clock of this member's previous cast (the delta
+	// base) and deltaBuf is the reusable diff scratch. Receive side, per
+	// sender: reconVC/reconSeq are the reconstruction chain (the
+	// sender's clock at its last in-chain cast), and parked holds
+	// delta-stamped arrivals whose chain predecessor has not arrived yet
+	// — they rejoin the normal path once the chain catches up, or are
 	// recovered as full-clock retransmissions through the NACK path.
-	deltaBase vclock.VC
-	deltaBuf  []vclock.DeltaEntry
-	reconVC   []vclock.VC
-	reconSeq  []uint64
-	parked    []map[uint64]*DataMsg
+	// parkedCount is Σ len(parked[s]): parked arrivals are held back as
+	// surely as queued ones, and PendingCount reports both. fullThrough
+	// (ResumeChains) is the last sequence number that must carry the
+	// full clock whatever the period says.
+	deltaBase   vclock.VC
+	deltaBuf    []vclock.DeltaEntry
+	reconVC     []vclock.VC
+	reconSeq    []uint64
+	parked      []map[uint64]*DataMsg
+	parkedCount int
+	fullThrough uint64
 
 	// TotalSeq / TotalCausal state.
 	seqCounter uint64  // sequencer only: next global seq to assign
@@ -267,9 +274,8 @@ type Member struct {
 	// pendQ: only each sender's next sequence can be sequenceable.
 	seqQ         []map[uint64]*DataMsg
 	seqDelivered vclock.VC
-	// Order-announcement batch (Config.OrderBatch, sequencer only):
-	// assignments accumulate into one contiguous run and flush on size
-	// or timer.
+	// Order-announcement run (sequencer only): assignments accumulate
+	// into one contiguous run and flush on size or timer.
 	obFirst uint64  // global position of obIDs[0]
 	obIDs   []MsgID // pending announcements, contiguous from obFirst
 	obArmed bool    // flush timer scheduled
@@ -396,8 +402,8 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 		m.seqQ = newShardQ(len(nodes))
 		m.seqDelivered = vclock.New(len(nodes))
 	}
-	if cfg.deltaMode() {
-		m.initDeltaState()
+	if cfg.stamped() {
+		m.initChainState()
 	}
 	if cfg.Atomic {
 		m.stab = stability.New(len(nodes))
@@ -455,15 +461,17 @@ func newShardQ(n int) []map[uint64]*DataMsg {
 	return q
 }
 
-// initDeltaState (re)builds the delta-clock send and receive state for
-// the current view size.
-func (m *Member) initDeltaState() {
+// initChainState (re)builds the stamp chain's send and receive state
+// for the current view size.
+func (m *Member) initChainState() {
 	n := len(m.nodes)
 	m.deltaBase = vclock.New(n)
 	m.deltaBuf = m.deltaBuf[:0]
 	m.reconVC = make([]vclock.VC, n)
 	m.reconSeq = make([]uint64, n)
 	m.parked = newShardQ(n)
+	m.parkedCount = 0
+	m.fullThrough = 0
 }
 
 // Rank returns this member's rank in the current view.
@@ -506,15 +514,17 @@ func (m *Member) stabilityClock() vclock.VC {
 	return m.delivered
 }
 
-// PendingCount returns the current holdback/delay-queue occupancy.
+// PendingCount returns the current holdback/delay-queue occupancy:
+// every arrived message not yet delivered, whether it waits on the
+// ordering rule or (parked) on its sender's stamp chain.
 func (m *Member) PendingCount() int {
 	switch m.cfg.Ordering {
 	case TotalSeq, TotalCausal:
-		return m.dataCount
+		return m.dataCount + m.parkedCount
 	case TotalAgree:
 		return m.agree.Len()
 	default:
-		return m.pendCount
+		return m.pendCount + m.parkedCount
 	}
 }
 
@@ -636,7 +646,7 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 		Payload:     payload,
 		PayloadSize: size,
 	}
-	if m.cfg.Ordering == Causal || m.cfg.Ordering == TotalCausal {
+	if m.cfg.stamped() {
 		vc := m.delivered.Clone()
 		vc.Set(m.rank, m.sendSeq)
 		msg.VC = vc
@@ -670,20 +680,20 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 		}
 	}
 	wireMsg := msg
-	if m.cfg.deltaMode() {
-		// Periodic full refresh re-anchors receiver chains; every other
-		// cast travels as a delta against this member's previous cast.
-		// The stability buffer above holds the full-clock original, so
-		// retransmissions never depend on a receiver's chain state.
-		refresh := (m.sendSeq-1)%uint64(m.cfg.vcRefreshEvery()) == 0
-		if !refresh {
+	if m.cfg.stamped() {
+		// Every refresh-period'th cast carries the full clock and
+		// re-anchors receiver chains; every other cast travels as a delta
+		// against this member's previous cast. The stability buffer above
+		// holds the full-clock original, so retransmissions never depend
+		// on a receiver's chain state.
+		if (m.sendSeq-1)%m.cfg.vcRefreshEvery() != 0 && m.sendSeq > m.fullThrough {
 			m.deltaBuf = msg.VC.DiffFrom(m.deltaBase, m.deltaBuf[:0])
 			cp := *msg
 			cp.VC = nil
 			cp.VCDelta = append([]vclock.DeltaEntry(nil), m.deltaBuf...)
 			wireMsg = &cp
 		}
-		copy(m.deltaBase, msg.VC)
+		m.deltaBase = msg.VC // stamps are never mutated once cast
 	}
 	m.sendAll(wireMsg)
 	return msg.ID()
@@ -827,31 +837,30 @@ func (m *Member) staleInc(msg *DataMsg) bool {
 // Incarnation returns this member's own incarnation number.
 func (m *Member) Incarnation() uint32 { return m.inc }
 
-// onData routes an arriving data message. In delta-clock mode the full
+// onData routes an arriving data message. A stamped message's full
 // causal stamp is first reconstructed along the sender's sequence
 // chain; messages whose chain predecessor has not arrived yet park
 // until it does (or until the NACK path retransmits them full-clock).
 func (m *Member) onData(msg *DataMsg) {
-	if m.reconVC != nil {
-		msg = m.reconstruct(msg)
-		if msg == nil {
-			return
-		}
-		s := msg.Sender
+	if !m.cfg.stamped() {
 		m.onDataMain(msg)
-		m.drainParked(s)
 		return
 	}
+	if msg = m.reconstruct(msg); msg == nil {
+		return
+	}
+	s := msg.Sender
 	m.onDataMain(msg)
+	m.drainParked(s)
 }
 
-// reconstruct recovers a message's full causal stamp in delta mode.
-// Full-clock copies (refreshes and retransmissions) pass through,
-// re-anchoring the sender's chain when they advance it; delta-stamped
-// copies extend the chain when contiguous, park when early, and drop
-// when the chain has already moved past them (the NACK path recovers
-// those as full-clock retransmissions). Returns nil when the message
-// cannot enter the ordering layer yet.
+// reconstruct recovers a message's full causal stamp. Full-clock
+// copies (refreshes and retransmissions) pass through, re-anchoring the
+// sender's chain when they advance it; delta-stamped copies extend the
+// chain when contiguous, park when early, and drop when the chain has
+// already moved past them (the NACK path recovers those as full-clock
+// retransmissions). Returns nil when the message cannot enter the
+// ordering layer yet.
 func (m *Member) reconstruct(in *DataMsg) *DataMsg {
 	s := in.Sender
 	if in.VC != nil {
@@ -862,8 +871,10 @@ func (m *Member) reconstruct(in *DataMsg) *DataMsg {
 				for seq := range m.parked[s] {
 					if seq <= in.Seq {
 						delete(m.parked[s], seq)
+						m.parkedCount--
 					}
 				}
+				m.updateHoldbackGauge()
 			}
 			m.reconVC[s] = in.VC // never mutated in place
 			m.reconSeq[s] = in.Seq
@@ -891,7 +902,11 @@ func (m *Member) reconstruct(in *DataMsg) *DataMsg {
 		m.reconSeq[s] = in.Seq
 		return &out
 	default:
-		m.parked[s][in.Seq] = in
+		shard := m.parked[s]
+		before := len(shard)
+		shard[in.Seq] = in // a duplicate arrival overwrites its twin
+		m.parkedCount += len(shard) - before
+		m.updateHoldbackGauge()
 		return nil
 	}
 }
@@ -905,6 +920,8 @@ func (m *Member) drainParked(s vclock.ProcessID) {
 			return
 		}
 		delete(m.parked[s], in.Seq)
+		m.parkedCount--
+		m.updateHoldbackGauge()
 		if rec := m.reconstruct(in); rec != nil {
 			m.onDataMain(rec)
 		}
@@ -1027,31 +1044,19 @@ func (m *Member) assignOrder(id MsgID) {
 	if m.seqCounter > m.maxGlobalSeen {
 		m.maxGlobalSeen = m.seqCounter
 	}
-	if m.cfg.OrderBatch >= 2 {
-		// Batched announcements: assignments accumulate into one
-		// contiguous run (seqCounter only ever increments, so the run
-		// stays contiguous) and flush on size or timer. One frame per K
-		// casts instead of one per cast is what lifts a fixed
-		// sequencer's ceiling on a real transport.
-		if len(m.obIDs) == 0 {
-			m.obFirst = m.seqCounter
-		}
-		m.obIDs = append(m.obIDs, id)
-		if len(m.obIDs) >= m.cfg.OrderBatch {
-			m.flushOrders()
-		} else if !m.obArmed {
-			m.obArmed = true
-			m.net.After(m.cfg.orderFlushDelay(), m.flushOrders)
-		}
-		return
+	// Announce in runs: assignments accumulate into one contiguous run
+	// (seqCounter only ever increments, so the run stays contiguous) and
+	// flush on size or timer. One frame per run instead of one per cast
+	// is what lifts a fixed sequencer's ceiling on a real transport.
+	if len(m.obIDs) == 0 {
+		m.obFirst = m.seqCounter
 	}
-	om := &OrderMsg{Group: m.cfg.Group, Epoch: m.epoch, GlobalSeq: m.seqCounter, ID: id}
-	for r := range m.nodes {
-		if vclock.ProcessID(r) == m.rank {
-			continue
-		}
-		m.CtrlMsgs.Inc()
-		m.send(vclock.ProcessID(r), om)
+	m.obIDs = append(m.obIDs, id)
+	if len(m.obIDs) >= orderRunMax {
+		m.flushOrders()
+	} else if !m.obArmed {
+		m.obArmed = true
+		m.net.After(orderFlushDelay, m.flushOrders)
 	}
 }
 
@@ -1162,7 +1167,7 @@ func (m *Member) flushOrders() {
 	}
 }
 
-// onOrderBatch records a batched run of sequencer assignments.
+// onOrderBatch records a run of sequencer assignments.
 func (m *Member) onOrderBatch(ob *OrderBatchMsg) {
 	for i, id := range ob.IDs {
 		g := ob.FirstGlobal + uint64(i)

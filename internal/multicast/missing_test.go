@@ -12,8 +12,10 @@ import (
 	"catocs/internal/vclock"
 )
 
-// missWorld is one seeded lossy group whose members are checked against
-// referenceMissingSet after every handler and timer callback.
+// missWorld is one seeded group whose members are checked against the
+// reference models after every handler and timer callback: the gap
+// index against referenceMissingSet, and every delivered causal stamp
+// against the full clock its sender held when it cast.
 type missWorld struct {
 	t       *testing.T
 	k       *sim.Kernel
@@ -21,8 +23,24 @@ type missWorld struct {
 	nodes   []transport.NodeID
 	cfg     Config
 	members []*Member
-	got     [][]any // payloads delivered per rank, across lives
-	gaps    int     // checks that saw a non-empty missing set
+	got     [][]any           // payloads delivered per rank, across lives
+	at      [][]time.Duration // the instant of each delivery in got
+	gaps    int               // checks that saw a non-empty missing set
+	parks   int               // checks that saw a parked arrival
+	// stamps is the stamp oracle: the sender-side full clock of every
+	// transmission of a cast, keyed by epoch and id. A ResumeChains
+	// replay re-stamps a sequence number, so an id can have two.
+	stamps map[stampKey][]vclock.VC
+}
+
+type stampKey struct {
+	epoch uint64
+	id    MsgID
+}
+
+// lossyLink reorders, drops and duplicates.
+var lossyLink = transport.LinkConfig{
+	BaseDelay: time.Millisecond, Jitter: 6 * time.Millisecond, LossProb: 0.08, DupProb: 0.05,
 }
 
 // checkedNet decorates the network for one member so the equivalence
@@ -40,6 +58,35 @@ func (c *checkedNet) Register(id transport.NodeID, h transport.Handler) {
 	})
 }
 
+// Send records the stamp oracle. A member's own casts reach the network
+// as *DataMsg only from multicastNow (retransmissions travel wrapped),
+// at the instant the stamp was taken: the delivered clock with the
+// sender's own entry at the cast's sequence number — the definition of
+// the CBCAST stamp, whatever encoding the wire copy carries.
+func (c *checkedNet) Send(from, to transport.NodeID, payload any) {
+	w, m := c.w, c.m
+	var d *DataMsg
+	switch p := payload.(type) {
+	case *DataMsg:
+		d = p
+		if w.cfg.stamped() && to == w.nodes[0] { // once per cast: sendAll starts at rank 0
+			want := m.delivered.Clone()
+			want.Set(m.rank, d.Seq)
+			key := stampKey{d.Epoch, d.ID()}
+			w.stamps[key] = append(w.stamps[key], want)
+		}
+	case *RetransMsg:
+		d = p.Data
+		if w.cfg.stamped() && d.VC == nil {
+			w.t.Fatalf("t=%v rank %d: retransmission of %v without its full clock", w.k.Now(), m.rank, d.ID())
+		}
+	}
+	if d != nil && d.VCDelta != nil && w.cfg.vcRefreshEvery() == 1 {
+		w.t.Fatalf("t=%v rank %d: period 1 put a delta stamp on the wire for %v", w.k.Now(), m.rank, d.ID())
+	}
+	c.Network.Send(from, to, payload)
+}
+
 func (c *checkedNet) After(d time.Duration, f func()) {
 	c.Network.After(d, func() {
 		f()
@@ -47,19 +94,21 @@ func (c *checkedNet) After(d time.Duration, f func()) {
 	})
 }
 
-func newMissWorld(t *testing.T, ord Ordering, delta bool, n int, seed int64) *missWorld {
+// newMissWorld builds an atomic group of n on link; refresh is the
+// stamp chain's period (ignored by the unstamped orderings).
+func newMissWorld(t *testing.T, link transport.LinkConfig, ord Ordering, refresh, n int, seed int64) *missWorld {
 	k := sim.NewKernel(seed)
 	k.SetEventLimit(50_000_000)
 	w := &missWorld{
 		t: t, k: k,
-		net: transport.NewSimNet(k, transport.LinkConfig{
-			BaseDelay: time.Millisecond, Jitter: 6 * time.Millisecond, LossProb: 0.08, DupProb: 0.05,
-		}),
+		net:   transport.NewSimNet(k, link),
 		nodes: make([]transport.NodeID, n),
-		cfg: Config{Group: "miss", Ordering: ord, Atomic: true, DeltaClocks: delta, VCRefreshEvery: 8,
+		cfg: Config{Group: "miss", Ordering: ord, Atomic: true, VCRefreshEvery: refresh,
 			AckInterval: 10 * time.Millisecond, NackDelay: 10 * time.Millisecond},
 		members: make([]*Member, n),
 		got:     make([][]any, n),
+		at:      make([][]time.Duration, n),
+		stamps:  make(map[stampKey][]vclock.VC),
 	}
 	for i := range w.nodes {
 		w.nodes[i] = transport.NodeID(i)
@@ -75,15 +124,34 @@ func (w *missWorld) spawn(r int) *Member {
 	cn := &checkedNet{Network: w.net, w: w}
 	cn.m = NewMember(cn, w.nodes, vclock.ProcessID(r), w.cfg, func(d Delivered) {
 		w.got[r] = append(w.got[r], d.Payload)
+		w.at[r] = append(w.at[r], d.At)
+		if !w.cfg.stamped() {
+			return
+		}
+		sent := w.stamps[stampKey{cn.m.epoch, d.ID}]
+		if !slices.ContainsFunc(sent, d.VC.Equal) {
+			w.t.Fatalf("t=%v rank %d: delivered %v stamped %v, sender stamped %v", w.k.Now(), r, d.ID, d.VC, sent)
+		}
 	})
 	w.members[r] = cn.m
 	return cn.m
 }
 
 // check asserts that the incremental gap index agrees with the
-// from-scratch oracle, and the invariants hasMissing's count rests on.
+// from-scratch oracle, the invariants hasMissing's count rests on, and
+// that parkedCount counts exactly the parked arrivals.
 func (w *missWorld) check(m *Member) {
 	t := w.t
+	parked := 0
+	for _, shard := range m.parked {
+		parked += len(shard)
+	}
+	if m.parkedCount != parked {
+		t.Fatalf("t=%v rank %d epoch %d: parkedCount = %d with %d parked", w.k.Now(), m.rank, m.epoch, m.parkedCount, parked)
+	}
+	if parked > 0 {
+		w.parks++
+	}
 	want := m.referenceMissingSet()
 	var got []MsgID
 	m.eachMissing(func(id MsgID) bool {
@@ -237,7 +305,7 @@ func (w *missWorld) rejoin(crashAt, backAt time.Duration) {
 	w.k.At(backAt, func() {
 		w.net.Recover(w.nodes[r])
 		m := w.spawn(r)
-		m.ResumeChains(stable, ack, frontier)
+		m.ResumeChains(stable, len(suffix), ack, frontier)
 		w.check(m)
 		for _, p := range suffix {
 			m.Multicast(p, 32)
@@ -246,70 +314,84 @@ func (w *missWorld) rejoin(crashAt, backAt time.Duration) {
 	})
 }
 
+// runViewChange drives the scripted casts through a mid-run view change
+// that excises the last rank, and requires the survivors to agree.
+func (w *missWorld) runViewChange() {
+	t, n := w.t, len(w.nodes)
+	w.script(30)
+	w.viewChange(60 * time.Millisecond)
+	w.k.RunUntil(600 * time.Millisecond)
+	base := w.exactlyOnce(0)
+	for r := 0; r < n-1; r++ {
+		set := w.exactlyOnce(r)
+		if len(set) != len(base) {
+			t.Fatalf("survivor %d delivered %d payloads, survivor 0 delivered %d", r, len(set), len(base))
+		}
+		for p := range base {
+			if !set[p] {
+				t.Fatalf("survivor %d missed %v", r, p)
+			}
+		}
+		if m := w.members[r]; m.Epoch() != 1 || m.PendingCount() != 0 {
+			t.Fatalf("survivor %d ended in epoch %d holding %d", r, m.Epoch(), m.PendingCount())
+		}
+	}
+	if w.gaps == 0 {
+		t.Fatal("no check ever saw a gap: the schedule exercised nothing")
+	}
+}
+
+// runRejoin drives the scripted casts through a crash and ResumeChains
+// rejoin of the last rank, and requires everything cast to be
+// everywhere.
+func (w *missWorld) runRejoin() {
+	t, n := w.t, len(w.nodes)
+	casts := w.script(30)
+	w.rejoin(50*time.Millisecond, 90*time.Millisecond)
+	w.k.RunUntil(600 * time.Millisecond)
+	// Casts the script skipped while the rank was down never
+	// happened; everything that was cast must be everywhere.
+	everywhere := w.exactlyOnce(n - 1)
+	if len(everywhere) > casts || len(everywhere) < casts-30 {
+		t.Fatalf("rejoined rank delivered %d payloads of at most %d cast", len(everywhere), casts)
+	}
+	for r := 0; r < n; r++ {
+		if set := w.exactlyOnce(r); len(set) != len(everywhere) {
+			t.Fatalf("rank %d delivered %d payloads, rejoined rank delivered %d", r, len(set), len(everywhere))
+		}
+	}
+	if w.gaps == 0 {
+		t.Fatal("no check ever saw a gap: the schedule exercised nothing")
+	}
+}
+
 // TestMissingSetMatchesReference drives seeded drop/dup/reorder
-// schedules through every atomic ordering and clock encoding and holds
-// the incremental gap index to the from-scratch oracle after every
+// schedules through every atomic ordering, with the stamp chain at
+// period 1 (a full clock on every cast) and at period 8, and holds the
+// incremental gap index to the from-scratch oracle after every
 // callback, through a view change and through a ResumeChains rejoin.
 func TestMissingSetMatchesReference(t *testing.T) {
 	configs := []struct {
-		name  string
-		ord   Ordering
-		delta bool
+		name    string
+		ord     Ordering
+		refresh int
 	}{
-		{"fifo", FIFO, false},
-		{"causal", Causal, false},
-		{"causal-delta", Causal, true},
-		{"total-seq", TotalSeq, false},
-		{"total-causal", TotalCausal, false},
+		{"fifo", FIFO, 0},
+		{"causal", Causal, 1},
+		{"causal-delta", Causal, 8},
+		{"total-seq", TotalSeq, 0},
+		{"total-causal", TotalCausal, 1},
 	}
 	for _, c := range configs {
 		for _, n := range []int{3, 8, 32} {
 			seed := int64(100*n) + int64(c.ord)
 			t.Run(fmt.Sprintf("%s/n%d/viewchange", c.name, n), func(t *testing.T) {
 				t.Parallel()
-				w := newMissWorld(t, c.ord, c.delta, n, seed)
-				w.script(30)
-				w.viewChange(60 * time.Millisecond)
-				w.k.RunUntil(600 * time.Millisecond)
-				base := w.exactlyOnce(0)
-				for r := 0; r < n-1; r++ {
-					set := w.exactlyOnce(r)
-					if len(set) != len(base) {
-						t.Fatalf("survivor %d delivered %d payloads, survivor 0 delivered %d", r, len(set), len(base))
-					}
-					for p := range base {
-						if !set[p] {
-							t.Fatalf("survivor %d missed %v", r, p)
-						}
-					}
-					if m := w.members[r]; m.Epoch() != 1 || m.PendingCount() != 0 {
-						t.Fatalf("survivor %d ended in epoch %d holding %d", r, m.Epoch(), m.PendingCount())
-					}
-				}
-				if w.gaps == 0 {
-					t.Fatal("no check ever saw a gap: the schedule exercised nothing")
-				}
+				newMissWorld(t, lossyLink, c.ord, c.refresh, n, seed).runViewChange()
 			})
 			t.Run(fmt.Sprintf("%s/n%d/rejoin", c.name, n), func(t *testing.T) {
 				t.Parallel()
-				w := newMissWorld(t, c.ord, c.delta, n, seed+7)
-				casts := w.script(30)
-				w.rejoin(50*time.Millisecond, 90*time.Millisecond)
-				w.k.RunUntil(600 * time.Millisecond)
-				// Casts the script skipped while the rank was down never
-				// happened; everything that was cast must be everywhere.
-				everywhere := w.exactlyOnce(n - 1)
-				if len(everywhere) > casts || len(everywhere) < casts-30 {
-					t.Fatalf("rejoined rank delivered %d payloads of at most %d cast", len(everywhere), casts)
-				}
-				for r := 0; r < n; r++ {
-					if set := w.exactlyOnce(r); len(set) != len(everywhere) {
-						t.Fatalf("rank %d delivered %d payloads, rejoined rank delivered %d", r, len(set), len(everywhere))
-					}
-				}
-				if w.gaps == 0 {
-					t.Fatal("no check ever saw a gap: the schedule exercised nothing")
-				}
+				newMissWorld(t, lossyLink, c.ord, c.refresh, n, seed+7).runRejoin()
 			})
 		}
 	}

@@ -51,10 +51,11 @@ type DataMsg struct {
 	Sender vclock.ProcessID
 	Seq    uint64    // per-sender sequence, 1-based
 	VC     vclock.VC // causal dependency stamp; VC[Sender] == Seq
-	// VCDelta is the delta-encoded causal stamp (Config.DeltaClocks):
-	// the entries of the sender's clock that changed since its previous
-	// cast. A transmitted copy carries either VC (a periodic full
-	// refresh, and every retransmission) or VCDelta, never both;
+	// VCDelta is the delta-encoded causal stamp: the entries of the
+	// sender's clock that changed since its previous cast. A transmitted
+	// copy carries either VC (a full-clock refresh, every
+	// Config.VCRefreshEvery'th cast, and every retransmission) or
+	// VCDelta, never both;
 	// receivers reconstruct the full clock along each sender's sequence
 	// chain and keep the delta for the sparse deliverability check.
 	VCDelta []vclock.DeltaEntry
@@ -111,8 +112,9 @@ func (m *DataMsg) ApproxSize() int {
 // linearly in group size, the scaling cost scalecast removes.
 func (m *DataMsg) ControlSize() int { return m.ApproxSize() - m.PayloadSize }
 
-// OrderMsg is the fixed sequencer's ordering announcement: global
-// position GlobalSeq is assigned to message ID.
+// OrderMsg announces one sequencer assignment: global position
+// GlobalSeq is assigned to message ID. The sequencer announces in runs
+// (OrderBatchMsg); this is the reply format of order-NACK recovery.
 type OrderMsg struct {
 	Group     string
 	Epoch     uint64
@@ -123,11 +125,11 @@ type OrderMsg struct {
 // ApproxSize implements transport.Sizer.
 func (m *OrderMsg) ApproxSize() int { return 48 }
 
-// OrderBatchMsg is the sequencer's batched ordering announcement
-// (Config.OrderBatch): IDs[i] is assigned global position
-// FirstGlobal+i. Batching amortizes the per-frame cost that caps a
-// fixed sequencer's throughput — one announcement frame per K casts
-// instead of one per cast.
+// OrderBatchMsg is the sequencer's ordering announcement, a run of
+// consecutive assignments: IDs[i] is assigned global position
+// FirstGlobal+i. Runs amortize the per-frame cost that caps a fixed
+// sequencer's throughput — one announcement frame per run instead of
+// one per cast.
 type OrderBatchMsg struct {
 	Group       string
 	Epoch       uint64

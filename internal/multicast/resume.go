@@ -54,15 +54,22 @@ func (m *Member) CheckpointChains() (ack []uint64, totalFrontier uint64) {
 //     tracked as WAL-logging the assignment log.
 //
 // All frontiers only move forward; a stale checkpoint merely widens
-// the re-requested gap. Delta-clock stamps need no special handling:
-// the send side's delta base restarts at zero, so pre-refresh deltas
-// list every nonzero component — and since clocks only grow, applying
-// those absolute components reconstructs the full stamp at receivers
-// whose chains predate the crash.
-func (m *Member) ResumeChains(sendSeq uint64, ack []uint64, totalFrontier uint64) {
+// the re-requested gap.
+//
+// replay is how many casts the caller re-multicasts next (the WAL's
+// unstable suffix). They get their old sequence numbers but fresh,
+// larger stamps, and a survivor whose stamp chain is anchored on the
+// previous life's copy drops the new copy as a duplicate — so a delta
+// against a replayed cast would decode against the wrong base there and
+// understate the stamp. The member therefore casts full clocks through
+// the replay and on the first cast past it, the first sequence number
+// no survivor's chain can have reached: that copy re-anchors every
+// chain in this life, and deltas resume behind it.
+func (m *Member) ResumeChains(sendSeq uint64, replay int, ack []uint64, totalFrontier uint64) {
 	if sendSeq > m.sendSeq {
 		m.sendSeq = sendSeq
 	}
+	m.fullThrough = m.sendSeq + uint64(replay) + 1
 	for r, v := range ack {
 		if r >= m.delivered.Len() {
 			break

@@ -75,8 +75,11 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 				delete(m.pendQ[msg.Sender], msg.Seq)
 				m.pendCount--
 			}
-			if m.parked != nil {
-				delete(m.parked[msg.Sender], msg.Seq)
+			if m.parked != nil { // nil for unstamped orderings
+				if _, parked := m.parked[msg.Sender][msg.Seq]; parked {
+					delete(m.parked[msg.Sender], msg.Seq)
+					m.parkedCount--
+				}
 			}
 			// A fill this member never received still has to keep
 			// known >= delivered, which hasMissing's count rests on.
@@ -133,8 +136,8 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	m.delivered = vclock.New(len(nodes))
 	m.pendQ = newShardQ(len(nodes))
 	m.pendCount = 0
-	if m.cfg.deltaMode() {
-		m.initDeltaState()
+	if m.cfg.stamped() {
+		m.initChainState()
 	}
 	m.HoldbackGauge.Set(0)
 	m.seqCounter = 0

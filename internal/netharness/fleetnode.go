@@ -18,17 +18,14 @@ import (
 // the chaos harness uses for it: "cbcast" is atomic causal broadcast,
 // "abcast" the causally-consistent fixed-sequencer total order, both
 // with stability tracking and loss recovery on — a real network drops
-// real packets. Both run the hot-path optimizations a real deployment
-// would: delta-encoded causal stamps, and (abcast) batched sequencer
-// ordering announcements.
+// real packets.
 func SubstrateConfig(substrate string) (multicast.Config, error) {
-	cfg := multicast.Config{Group: "fleet", Atomic: true, DeltaClocks: true}
+	cfg := multicast.Config{Group: "fleet", Atomic: true}
 	switch substrate {
 	case "cbcast":
 		cfg.Ordering = multicast.Causal
 	case "abcast":
 		cfg.Ordering = multicast.TotalCausal
-		cfg.OrderBatch = 64
 	default:
 		return cfg, fmt.Errorf("netharness: unknown substrate %q (want cbcast|abcast)", substrate)
 	}
@@ -172,7 +169,7 @@ func StartFleetNode(cfg NodeConfig) (*FleetNode, error) {
 			// unstable suffix — it gets its pre-crash sequence numbers
 			// back, so survivors dedup or deliver per copy as needed.
 			stable := cfg.Log.CastCount() - uint64(len(cfg.Recovered.Casts))
-			f.Member.ResumeChains(stable, cfg.Recovered.AckClock, cfg.Recovered.TotalFrontier)
+			f.Member.ResumeChains(stable, len(cfg.Recovered.Casts), cfg.Recovered.AckClock, cfg.Recovered.TotalFrontier)
 			for _, p := range cfg.Recovered.Casts {
 				f.replayed++
 				f.Member.Multicast(p, len(p))
