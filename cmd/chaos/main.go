@@ -31,7 +31,7 @@
 //	    -script "@30ms crash 2; @200ms recover 2; @350ms join 8"
 //
 // Exit status is 1 if any oracle found a violation, so the command
-// slots into CI (make chaos-smoke, make churn-smoke).
+// slots into CI (make smoke).
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Command loadgen drives simulated clients through the pubsub bus
 // against a running fleet of cmd/node processes and reports sustained
 // throughput, delivery-latency quantiles and wire overhead as one JSON
-// line (benchsnap-compatible: pipe through `benchsnap -kind loadgen`).
+// line (netharness.LoadReport).
 //
 // Each -workers entry becomes one worker shard with its own TCP
 // transport and dispatch goroutine; -clients and -rate are split

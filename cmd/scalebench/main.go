@@ -9,7 +9,7 @@
 //
 //	scalebench [-exp buffer|false-causality|header|viewchange|partition|totalorder|
 //	            traffic|join|durability|namesvc|scalecast|latbreak|mgcast|all]
-//	           [-sizes 4,8,16,32] [-msgs 40] [-loss 0.05] [-seed 1] [-json]
+//	           [-sizes 4,8,16,32] [-msgs 40] [-loss 0.05] [-seed 1]
 //	           [-ks 1,2,4,8] [-trace out.trace.json]
 //	           [-serve :8080] [-linger 5m] [-profile cpu|heap]
 //
@@ -20,10 +20,9 @@
 // the whole invocation, independent of -serve.
 //
 // The scalecast sweep (-exp scalecast) compares vector-clock CBCAST
-// against the constant-metadata flood substrate head-to-head; with
-// -json it emits one JSON line per (substrate, N) for plotting, e.g.
+// against the constant-metadata flood substrate head-to-head, e.g.
 //
-//	scalebench -exp scalecast -sizes 8,32,128,512 -json
+//	scalebench -exp scalecast -sizes 8,32,128,512
 //
 // The latency-breakdown sweep (-exp latbreak) decomposes delivery
 // latency into network delay vs ordering holdback for CBCAST, ABCAST,
@@ -31,14 +30,14 @@
 // traces of the whole sweep as Chrome trace-event JSON, loadable in
 // chrome://tracing or Perfetto:
 //
-//	scalebench -exp latbreak -json -trace latbreak.trace.json
+//	scalebench -exp latbreak -trace latbreak.trace.json
 //
 // The multi-group sweep (-exp mgcast) compares Skeen-style genuine
 // multicast against the one-big-group ABCAST fallback across k
 // destination groups per cast (default sizes 8,32,128; -ks sets the k
-// sweep); -json emits one JSON line per (substrate, N, k):
+// sweep):
 //
-//	scalebench -exp mgcast -sizes 8,32,128 -ks 1,2,4,8 -json
+//	scalebench -exp mgcast -sizes 8,32,128 -ks 1,2,4,8
 package main
 
 import (
@@ -69,7 +68,6 @@ func parseSizes(s string) []int {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: buffer, false-causality, header, viewchange, partition, totalorder, traffic, join, durability, namesvc, scalecast, latbreak, mgcast, all")
-	jsonOut := flag.Bool("json", false, "emit JSON lines instead of tables (scalecast/latbreak/mgcast sweeps)")
 	ksFlag := flag.String("ks", "1,2,4,8", "comma-separated destination-group counts per cast (mgcast sweep)")
 	sizesFlag := flag.String("sizes", "4,8,16,24", "comma-separated group sizes")
 	msgs := flag.Int("msgs", 40, "messages per sender")
@@ -153,15 +151,8 @@ func main() {
 		case "namesvc":
 			fmt.Println(experiments.TableE14(sizes, *msgs, *seed).Render())
 		case "scalecast":
-			// Head-to-head causal-broadcast metadata sweep; -json emits
-			// one JSON line per (substrate, N) for plotting pipelines.
-			if *jsonOut {
-				for _, pt := range experiments.RunE16Sweep(sizes, 4, *seed) {
-					fmt.Println(pt.JSON())
-				}
-			} else {
-				fmt.Println(experiments.TableE16(sizes, 4, *seed).Render())
-			}
+			// Head-to-head causal-broadcast metadata sweep.
+			fmt.Println(experiments.TableE16(sizes, 4, *seed).Render())
 		case "latbreak":
 			// Ordering-latency breakdown (E17). The issue's reference
 			// sweep is N ∈ {8,32,128}; an explicit -sizes overrides it.
@@ -184,13 +175,7 @@ func main() {
 					}
 				}
 			}
-			if *jsonOut {
-				for _, pt := range pts {
-					fmt.Println(pt.JSON())
-				}
-			} else {
-				fmt.Println(experiments.TableE17From(pts).Render())
-			}
+			fmt.Println(experiments.TableE17From(pts).Render())
 			if chrome != nil {
 				f, err := os.Create(*traceOut)
 				if err != nil {
@@ -220,14 +205,7 @@ func main() {
 				}
 				ks = append(ks, v)
 			}
-			pts := experiments.RunE20Sweep(mgSizes, ks, *msgs, *seed)
-			if *jsonOut {
-				for _, pt := range pts {
-					fmt.Println(pt.JSON())
-				}
-			} else {
-				fmt.Println(experiments.TableE20From(pts).Render())
-			}
+			fmt.Println(experiments.TableE20From(experiments.RunE20Sweep(mgSizes, ks, *msgs, *seed)).Render())
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)

@@ -54,8 +54,7 @@ type E16Point struct {
 	Deliveries    uint64 `json:"deliveries"`
 }
 
-// JSON renders the point as one JSON line for machine consumers
-// (cmd/scalebench, bench_test.go).
+// JSON renders the point as one JSON line for machine consumers.
 func (p E16Point) JSON() string {
 	b, _ := json.Marshal(p)
 	return string(b)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"time"
 
 	"catocs/internal/multicast"
@@ -30,34 +29,28 @@ import (
 
 // E17Point is one (substrate, N) latency decomposition.
 type E17Point struct {
-	Substrate string `json:"substrate"`
-	N         int    `json:"n"`
+	Substrate string
+	N         int
 	// Deliveries is the application deliveries observed; Decomposed is
 	// how many the trace could split into net + hold (origin-local
 	// deliveries have no wire leg and are excluded).
-	Deliveries uint64 `json:"deliveries"`
-	Decomposed int    `json:"decomposed"`
+	Deliveries uint64
+	Decomposed int
 	// Held counts decomposed deliveries with strictly positive
 	// holdback.
-	Held int `json:"held"`
+	Held int
 	// Network-delay and holdback statistics, seconds.
-	NetMean  float64 `json:"net_mean_s"`
-	NetP99   float64 `json:"net_p99_s"`
-	HoldMean float64 `json:"hold_mean_s"`
-	HoldP99  float64 `json:"hold_p99_s"`
+	NetMean  float64
+	NetP99   float64
+	HoldMean float64
+	HoldP99  float64
 	// TotalMean is the decomposed end-to-end mean (net + hold),
 	// seconds.
-	TotalMean float64 `json:"total_mean_s"`
+	TotalMean float64
 	// HoldShare is holdback's share of total decomposed latency in
 	// [0, 1] — the fraction of delivery delay the ordering discipline
 	// itself imposed.
-	HoldShare float64 `json:"hold_share"`
-}
-
-// JSON renders the point as one JSON line for machine consumers.
-func (p E17Point) JSON() string {
-	b, _ := json.Marshal(p)
-	return string(b)
+	HoldShare float64
 }
 
 // e17Substrates lists the disciplines under comparison, in report

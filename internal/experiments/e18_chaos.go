@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -29,31 +28,25 @@ import (
 
 // E18Point is one (substrate, fault mix) measurement.
 type E18Point struct {
-	Substrate string `json:"substrate"`
-	Mix       string `json:"mix"` // "random" or "partition"
-	Episodes  int    `json:"episodes"`
-	Sent      uint64 `json:"sent"`
-	Delivered uint64 `json:"delivered"`
+	Substrate string
+	Mix       string // "random" or "partition"
+	Episodes  int
+	Sent      uint64
+	Delivered uint64
 	// Injected fault counts.
-	Drops  uint64 `json:"drops"`
-	Dups   uint64 `json:"dups"`
-	Delays uint64 `json:"delays"`
+	Drops  uint64
+	Dups   uint64
+	Delays uint64
 	// Violations across all oracles (the headline: zero).
-	Violations int `json:"violations"`
+	Violations int
 	// Resource growth under faults.
-	HoldbackMax   int64 `json:"holdback_max"`
-	StabHighWater int64 `json:"stab_high_water"`
+	HoldbackMax   int64
+	StabHighWater int64
 	// Availability: worst and mean per-node delivery silence, seconds.
-	UnavailMax  float64 `json:"unavail_max_s"`
-	UnavailMean float64 `json:"unavail_mean_s"`
+	UnavailMax  float64
+	UnavailMean float64
 	// Digest certifies determinism: same seed, same digest.
-	Digest uint64 `json:"digest"`
-}
-
-// JSON renders the point as one JSON line for machine consumers.
-func (p E18Point) JSON() string {
-	b, _ := json.Marshal(p)
-	return string(b)
+	Digest uint64
 }
 
 // e18PartitionOutage is the scripted-partition row's outage length.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -35,38 +34,32 @@ import (
 
 // E19Point is one measured configuration.
 type E19Point struct {
-	Mix    string  `json:"mix"`    // "lag-sweep", "policy", or "chaos"
-	Policy string  `json:"policy"` // overflow policy name
-	LagMs  float64 `json:"lag_ms"` // slow consumer's inbound lag
-	Budget int     `json:"budget"` // group budget, messages (0 = unlimited)
+	Mix    string  // "lag-sweep", "policy", or "chaos"
+	Policy string  // overflow policy name
+	LagMs  float64 // slow consumer's inbound lag
+	Budget int     // group budget, messages (0 = unlimited)
 
-	Sent      uint64 `json:"sent"`      // casts offered by the sender
-	Delivered uint64 `json:"delivered"` // deliveries at the sender's node
+	Sent      uint64 // casts offered by the sender
+	Delivered uint64 // deliveries at the sender's node
 
 	// StabHighWater is the worst in-memory unstable-buffer occupancy
 	// any member saw; the budget bounds it when a policy is active.
-	StabHighWater int64 `json:"stab_high_water"`
-	HoldbackMax   int64 `json:"holdback_max"`
+	StabHighWater int64
+	HoldbackMax   int64
 
-	Shed     uint64 `json:"shed"`     // casts dropped at admission (Shed)
-	Spills   uint64 `json:"spills"`   // messages written to the WAL (Spill)
-	Suspects uint64 `json:"suspects"` // accusations fired (Suspect)
-	Excised  bool   `json:"excised"`  // laggard removed via view change
+	Shed     uint64 // casts dropped at admission (Shed)
+	Spills   uint64 // messages written to the WAL (Spill)
+	Suspects uint64 // accusations fired (Suspect)
+	Excised  bool   // laggard removed via view change
 
 	// CompletionMs is when the sender's node delivered its last
 	// message — Block's throughput collapse shows up here.
-	CompletionMs float64 `json:"completion_ms"`
+	CompletionMs float64
 	// StallP99Ms is the 99th-percentile admission-window stall.
-	StallP99Ms float64 `json:"stall_p99_ms"`
+	StallP99Ms float64
 	// Episodes and Violations describe the chaos batch row.
-	Episodes   int `json:"episodes,omitempty"`
-	Violations int `json:"violations,omitempty"`
-}
-
-// JSON renders the point as one JSON line for machine consumers.
-func (p E19Point) JSON() string {
-	b, _ := json.Marshal(p)
-	return string(b)
+	Episodes   int
+	Violations int
 }
 
 // e19Run executes one slow-consumer episode: rank 0 casts every 2ms

@@ -12,9 +12,8 @@ import (
 // every policy must hold the buffer at the budget, and each policy
 // must pay exactly its advertised price — Block completes late but
 // loses nothing, Shed drops counted casts, Spill rides the WAL,
-// Suspect excises the laggard and drains the survivors. The Makefile's
-// slow-consumer-smoke target runs this test; a regression that lets a
-// slow consumer grow buffers past the budget exits 1 here.
+// Suspect excises the laggard and drains the survivors. A regression
+// that lets a slow consumer grow buffers past the budget fails here.
 func TestE19Smoke(t *testing.T) {
 	const (
 		n      = 5

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"time"
 
 	"catocs/internal/mgcast"
@@ -37,26 +36,20 @@ var e21Substrates = []string{"cbcast", "abcast", "scalecast", "mgcast"}
 
 // E21Point is one (substrate, N, mode) measurement.
 type E21Point struct {
-	Substrate string `json:"substrate"`
-	N         int    `json:"n"`
-	Mode      string `json:"mode"`
+	Substrate string
+	N         int
+	Mode      string
 	// Deliveries proves every arm ran the identical workload.
-	Deliveries uint64 `json:"deliveries"`
+	Deliveries uint64
 	// WallMS is the run's real (not virtual) execution time.
-	WallMS float64 `json:"wall_ms"`
+	WallMS float64
 	// OverheadPct is WallMS relative to the same (substrate, N)'s off
 	// arm, in percent; 0 for the off arm itself.
-	OverheadPct float64 `json:"overhead_pct"`
+	OverheadPct float64
 	// SampledMsgs is how many distinct messages the head decision
 	// admitted; Retained is the events currently in the ring.
-	SampledMsgs uint64 `json:"sampled_msgs"`
-	Retained    int    `json:"retained_events"`
-}
-
-// JSON renders the point as one JSON line for machine consumers.
-func (p E21Point) JSON() string {
-	b, _ := json.Marshal(p)
-	return string(b)
+	SampledMsgs uint64
+	Retained    int
 }
 
 // e21Tracer builds the mode's tracer; nil for "off" (the nil-Tracer

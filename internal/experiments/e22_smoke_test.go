@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestE22Smoke is the net-smoke gate: build the real binaries, stand
+// TestE22Smoke is the real-network gate: build the real binaries, stand
 // up a 3-process fleet per substrate, drive it with loadgen, and
 // require zero ordering-oracle violations on the merged cross-process
 // trace. This is the repo's only test whose subjects are separate OS

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -42,31 +41,25 @@ import (
 
 // E24Point is one (substrate, N) measurement.
 type E24Point struct {
-	Substrate string `json:"substrate"`
-	N         int    `json:"n"`
+	Substrate string
+	N         int
 	// Reconfigs: installed views (multicast) / applied rewires
 	// (scalecast) — 5 for the full schedule when none coalesce.
-	Reconfigs uint64 `json:"reconfigs"`
-	Sent      uint64 `json:"sent"`
-	Applied   uint64 `json:"applied"`
+	Reconfigs uint64
+	Sent      uint64
+	Applied   uint64
 	// Dups: replayed casts absorbed by application-level IDs (the
 	// at-least-once rejoin cost; always 0 for scalecast, which replays
 	// nothing and loses the crashed member's unstable casts instead).
-	Dups       uint64 `json:"dups"`
-	Violations int    `json:"violations"`
+	Dups       uint64
+	Violations int
 	// TransferBytes: donor→joiner snapshot volume.
-	TransferBytes uint64 `json:"transfer_bytes"`
+	TransferBytes uint64
 	// MetaPerReconfig: membership metadata messages per reconfiguration.
-	MetaPerReconfig float64 `json:"meta_per_reconfig"`
-	UnavailMax      float64 `json:"unavail_max_s"`
-	UnavailMean     float64 `json:"unavail_mean_s"`
-	Digest          uint64  `json:"digest"`
-}
-
-// JSON renders the point as one JSON line for machine consumers.
-func (p E24Point) JSON() string {
-	b, _ := json.Marshal(p)
-	return string(b)
+	MetaPerReconfig float64
+	UnavailMax      float64
+	UnavailMean     float64
+	Digest          uint64
 }
 
 // E24Sizes is the published sweep.

@@ -18,9 +18,9 @@ import (
 //
 // The hook is installed process-globally (SetObsHook) because the run
 // functions are called from many entry points (cmd/scalebench,
-// benchmarks, tests) that should not all grow plumbing parameters for
-// an optional concern. Experiments read it at run start; a nil hook
-// costs one pointer check.
+// cmd/experiments, tests) that should not all grow plumbing parameters
+// for an optional concern. Experiments read it at run start; a nil
+// hook costs one pointer check.
 type ObsHook struct {
 	// Registry receives wire counters and mirrored status gauges;
 	// served at /metrics.

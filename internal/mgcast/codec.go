@@ -1,11 +1,11 @@
 package mgcast
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"catocs/internal/vclock"
+	"catocs/internal/wire"
 )
 
 // Wire codec for the four mgcast message types. The in-process
@@ -47,49 +47,43 @@ func Encode(msg any) ([]byte, error) {
 		if len(m.Groups) > maxGroups {
 			return nil, fmt.Errorf("mgcast: %d destination groups exceeds wire limit %d", len(m.Groups), maxGroups)
 		}
-		buf := make([]byte, 0, 64+len(body))
-		buf = append(buf, wireData)
-		buf = appendID(buf, m.ID())
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.SentAt))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.PayloadSize))
-		var flags byte
-		if m.Retrans {
-			flags = 1
+		if len(body) > maxPayload {
+			return nil, fmt.Errorf("mgcast: payload %d bytes exceeds wire limit %d", len(body), maxPayload)
 		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Groups)))
+		w := wire.NewWriter(64 + len(body))
+		w.U8(wireData)
+		writeID(w, m.ID())
+		w.I64(int64(m.SentAt))
+		w.U32(uint32(m.PayloadSize))
+		w.Bool(m.Retrans)
+		w.U16(uint16(len(m.Groups)))
 		for _, g := range m.Groups {
 			if len(g) > maxGroupLen {
 				return nil, fmt.Errorf("mgcast: group name %d bytes exceeds wire limit %d", len(g), maxGroupLen)
 			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(g)))
-			buf = append(buf, g...)
+			w.String(g)
 		}
-		if len(body) > maxPayload {
-			return nil, fmt.Errorf("mgcast: payload %d bytes exceeds wire limit %d", len(body), maxPayload)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = append(buf, body...)
-		return buf, nil
+		w.Bytes32(body)
+		return w.Bytes(), nil
 	case *ProposeMsg:
-		buf := make([]byte, 0, 41)
-		buf = append(buf, wirePropose)
-		buf = appendID(buf, m.ID)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.From))
-		buf = appendStamp(buf, m.Priority)
-		return buf, nil
+		w := wire.NewWriter(41)
+		w.U8(wirePropose)
+		writeID(w, m.ID)
+		w.U64(uint64(m.From))
+		writeStamp(w, m.Priority)
+		return w.Bytes(), nil
 	case *CommitMsg:
-		buf := make([]byte, 0, 33)
-		buf = append(buf, wireCommit)
-		buf = appendID(buf, m.ID)
-		buf = appendStamp(buf, m.Priority)
-		return buf, nil
+		w := wire.NewWriter(33)
+		w.U8(wireCommit)
+		writeID(w, m.ID)
+		writeStamp(w, m.Priority)
+		return w.Bytes(), nil
 	case *AckMsg:
-		buf := make([]byte, 0, 25)
-		buf = append(buf, wireAck)
-		buf = appendID(buf, m.ID)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.From))
-		return buf, nil
+		w := wire.NewWriter(25)
+		w.U8(wireAck)
+		writeID(w, m.ID)
+		w.U64(uint64(m.From))
+		return w.Bytes(), nil
 	}
 	return nil, fmt.Errorf("mgcast: cannot encode %T", msg)
 }
@@ -101,144 +95,76 @@ func Decode(buf []byte) (any, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("mgcast: empty message")
 	}
-	r := reader{buf: buf[1:]}
+	r := wire.NewReader(buf[1:])
 	var msg any
 	switch buf[0] {
 	case wireData:
 		m := &DataMsg{}
-		id := r.id()
+		id := readID(r)
 		m.Sender, m.Seq = id.Sender, id.Seq
-		m.SentAt = time.Duration(r.u64())
-		m.PayloadSize = int(r.u32())
-		switch flags := r.u8(); flags {
+		m.SentAt = time.Duration(r.I64())
+		m.PayloadSize = int(r.U32())
+		switch flags := r.U8(); flags {
 		case 0:
 		case 1:
 			m.Retrans = true
 		default:
 			return nil, fmt.Errorf("mgcast: invalid flags byte 0x%02x", flags)
 		}
-		ng := int(r.u16())
+		ng := int(r.U16())
 		if ng > maxGroups {
 			return nil, fmt.Errorf("mgcast: %d destination groups exceeds wire limit %d", ng, maxGroups)
 		}
 		if ng > 0 {
 			m.Groups = make([]string, 0, min(ng, 64))
 			for i := 0; i < ng; i++ {
-				gl := int(r.u16())
-				if gl > maxGroupLen {
-					return nil, fmt.Errorf("mgcast: group name %d bytes exceeds wire limit %d", gl, maxGroupLen)
-				}
-				m.Groups = append(m.Groups, string(r.bytes(gl)))
+				m.Groups = append(m.Groups, r.String(maxGroupLen))
 			}
 		}
-		pl := int(r.u32())
-		if pl > maxPayload {
-			return nil, fmt.Errorf("mgcast: payload %d bytes exceeds wire limit %d", pl, maxPayload)
-		}
-		if pl > 0 {
-			m.Payload = append([]byte(nil), r.bytes(pl)...)
+		// An empty payload stays a nil interface, not a nil []byte in one.
+		if body := r.Bytes32(maxPayload); body != nil {
+			m.Payload = body
 		}
 		msg = m
 	case wirePropose:
 		m := &ProposeMsg{}
-		m.ID = r.id()
-		m.From = vclock.ProcessID(r.u64())
-		m.Priority = r.stamp()
+		m.ID = readID(r)
+		m.From = vclock.ProcessID(r.U64())
+		m.Priority = readStamp(r)
 		msg = m
 	case wireCommit:
 		m := &CommitMsg{}
-		m.ID = r.id()
-		m.Priority = r.stamp()
+		m.ID = readID(r)
+		m.Priority = readStamp(r)
 		msg = m
 	case wireAck:
 		m := &AckMsg{}
-		m.ID = r.id()
-		m.From = vclock.ProcessID(r.u64())
+		m.ID = readID(r)
+		m.From = vclock.ProcessID(r.U64())
 		msg = m
 	default:
 		return nil, fmt.Errorf("mgcast: unknown wire type 0x%02x", buf[0])
 	}
-	if r.err {
-		return nil, fmt.Errorf("mgcast: truncated %#02x message (%d bytes)", buf[0], len(buf))
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("mgcast: %d trailing bytes after %#02x message", len(r.buf), buf[0])
+	if err := r.Finish(fmt.Sprintf("mgcast %#02x message", buf[0])); err != nil {
+		return nil, err
 	}
 	return msg, nil
 }
 
-func appendID(buf []byte, id MsgID) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(id.Sender))
-	return binary.LittleEndian.AppendUint64(buf, id.Seq)
+func writeID(w *wire.Writer, id MsgID) {
+	w.U64(uint64(id.Sender))
+	w.U64(id.Seq)
 }
 
-func appendStamp(buf []byte, s vclock.Stamp) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, s.Time)
-	return binary.LittleEndian.AppendUint64(buf, uint64(s.Proc))
+func writeStamp(w *wire.Writer, s vclock.Stamp) {
+	w.U64(s.Time)
+	w.U64(uint64(s.Proc))
 }
 
-// reader consumes a wire buffer with sticky error state: once a read
-// runs past the end, every further read yields zero and err stays set.
-type reader struct {
-	buf []byte
-	err bool
+func readID(r *wire.Reader) MsgID {
+	return MsgID{Sender: vclock.ProcessID(r.U64()), Seq: r.U64()}
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err || n < 0 || n > len(r.buf) {
-		r.err = true
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) bytes(n int) []byte { return r.take(n) }
-
-func (r *reader) id() MsgID {
-	return MsgID{Sender: vclock.ProcessID(r.u64()), Seq: r.u64()}
-}
-
-func (r *reader) stamp() vclock.Stamp {
-	return vclock.Stamp{Time: r.u64(), Proc: vclock.ProcessID(r.u64())}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+func readStamp(r *wire.Reader) vclock.Stamp {
+	return vclock.Stamp{Time: r.U64(), Proc: vclock.ProcessID(r.U64())}
 }

@@ -2,6 +2,7 @@ package mgcast
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 	"time"
@@ -115,4 +116,44 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x\n msg %#v", data, re, msg)
 		}
 	})
+}
+
+// TestCodecGoldenBytes pins the external format: one fixed value of
+// each message type and its exact encoding. The bytes were taken from
+// the codec as first written; a change here is a wire-format change.
+func TestCodecGoldenBytes(t *testing.T) {
+	cases := []struct {
+		msg any
+		hex string
+	}{
+		{&DataMsg{Sender: 3, Seq: 17, Groups: []string{"A", "payroll"},
+			SentAt: 1500 * time.Millisecond, Payload: []byte("hello"), PayloadSize: 5, Retrans: true},
+			"0103000000000000001100000000000000002f685900000000050000000102000100410700706179726f6c6c0500000068656c6c6f"},
+		{&ProposeMsg{ID: MsgID{Sender: 1, Seq: 2}, From: 4, Priority: vclock.Stamp{Time: 88, Proc: 4}},
+			"0201000000000000000200000000000000040000000000000058000000000000000400000000000000"},
+		{&CommitMsg{ID: MsgID{Sender: 5, Seq: 1 << 40}, Priority: vclock.Stamp{Time: 1, Proc: 0}},
+			"030500000000000000000000000001000001000000000000000000000000000000"},
+		{&AckMsg{ID: MsgID{Sender: 2, Seq: 3}, From: 7},
+			"04020000000000000003000000000000000700000000000000"},
+	}
+	for _, c := range cases {
+		buf, err := Encode(c.msg)
+		if err != nil {
+			t.Fatalf("Encode(%#v): %v", c.msg, err)
+		}
+		if got := hex.EncodeToString(buf); got != c.hex {
+			t.Errorf("%T encodes to\n got %s\nwant %s", c.msg, got, c.hex)
+		}
+		want, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(want)
+		if err != nil {
+			t.Fatalf("Decode(%s): %v", c.hex, err)
+		}
+		if !reflect.DeepEqual(got, c.msg) {
+			t.Errorf("%s decodes to\n got %#v\nwant %#v", c.hex, got, c.msg)
+		}
+	}
 }

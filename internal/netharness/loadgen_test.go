@@ -23,6 +23,21 @@ func reserveAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// settle polls f until it has delivered want casts or a deadline
+// passes, and returns the last snapshot for the caller to assert on.
+// RunLoad returns when the ingress node's last echo is back; the other
+// members may still be up to one flush tick short of delivering it.
+func settle(f *FleetNode, want uint64) NodeSnapshot {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := f.Snapshot()
+		if snap.Delivered == want || time.Now().After(deadline) {
+			return snap
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestFleetEndToEnd runs the full loop in one process: a 3-node
 // ordered fleet over TCP, one loadgen worker publishing through the
 // bus, echoes measured back. This is the E22 topology at unit-test
@@ -80,7 +95,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			// Every fleet node must have delivered every multicast (the
 			// ingress node's casts reach all members).
 			for _, f := range fleet {
-				snap := f.Snapshot()
+				snap := settle(f, res.Sent)
 				if snap.Delivered != res.Sent {
 					t.Fatalf("node %d delivered %d, want %d", snap.ID, snap.Delivered, res.Sent)
 				}

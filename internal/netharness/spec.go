@@ -73,9 +73,8 @@ func Merge(ms ...map[transport.NodeID]string) map[transport.NodeID]string {
 	return out
 }
 
-// LoadReport is the loadgen's JSON result line: benchsnap-compatible
-// flat metrics so the bench trajectory can track real-network numbers
-// alongside the simulator's.
+// LoadReport is the loadgen's JSON result line: flat real-network
+// metrics, read back by the fleet launcher (E22).
 type LoadReport struct {
 	Substrate  string  `json:"substrate"`
 	Nodes      int     `json:"nodes"`

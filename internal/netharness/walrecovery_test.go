@@ -54,17 +54,6 @@ func TestFleetWALRecovery(t *testing.T) {
 				}
 				return res
 			}
-			settle := func(f *FleetNode, want uint64) NodeSnapshot {
-				t.Helper()
-				deadline := time.Now().Add(5 * time.Second)
-				for {
-					snap := f.Snapshot()
-					if snap.Delivered == want || time.Now().After(deadline) {
-						return snap
-					}
-					time.Sleep(20 * time.Millisecond)
-				}
-			}
 
 			n1 := start(1, nil, wal.RecoveredMember{})
 			defer n1.Close()

@@ -171,9 +171,10 @@ func Unmarshal(kind Kind, buf []byte) (any, error) {
 
 // EncodedSize returns the exact encoded byte count of payload, or
 // ok=false when its type has no codec (or the value fails to encode).
-// tcpnet charges its byte counters with this — real framed bytes, not
-// the ApproxSize estimate — and the Sizer audit tests use it to keep
-// estimates honest.
+// tcpnet does not call it (its byte counters charge the frames it
+// writes); the repo benchmark's trace pass does, to report how far the
+// transport.ApproxSize estimate is from the real encoding
+// (wire.size_model_err_pct).
 func EncodedSize(payload any) (int, bool) {
 	_, buf, err := Marshal(payload)
 	if err != nil {

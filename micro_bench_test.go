@@ -222,6 +222,45 @@ func BenchmarkStoreVersionedPut(b *testing.B) {
 	}
 }
 
+// Micro-benchmarks of the protocol hot paths, for the §3.4 point that
+// CATOCS "imposes overhead on every message transmission and
+// reception".
+
+func BenchmarkMulticastThroughputUnordered(b *testing.B) { benchThroughput(b, Unordered) }
+func BenchmarkMulticastThroughputFIFO(b *testing.B)      { benchThroughput(b, FIFO) }
+func BenchmarkMulticastThroughputCausal(b *testing.B)    { benchThroughput(b, Causal) }
+func BenchmarkMulticastThroughputTotalSeq(b *testing.B)  { benchThroughput(b, TotalSeq) }
+
+// The chain stamp beside the period-1 Causal above: a non-atomic group
+// sends the full clock on every cast unless told otherwise, which is
+// safe here because the bench link is lossless and FIFO.
+func BenchmarkMulticastThroughputCausalDelta(b *testing.B) {
+	benchThroughputCfg(b, GroupConfig{Group: "bench", Ordering: Causal, VCRefreshEvery: 32})
+}
+
+func benchThroughput(b *testing.B, ord Ordering) {
+	benchThroughputCfg(b, GroupConfig{Group: "bench", Ordering: ord})
+}
+
+func benchThroughputCfg(b *testing.B, cfg GroupConfig) {
+	sim := NewSimulation(1, LinkConfig{BaseDelay: time.Millisecond})
+	nodes := []NodeID{0, 1, 2, 3}
+	delivered := 0
+	members := NewGroup(sim.Mux, nodes, cfg,
+		func(ProcessID) DeliverFunc {
+			return func(Delivered) { delivered++ }
+		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		members[i%4].Multicast(i, 16)
+		if i%256 == 255 {
+			sim.Run() // drain periodically to bound queue growth
+		}
+	}
+	sim.Run()
+	b.ReportMetric(float64(delivered)/float64(b.N), "deliveries/msg")
+}
+
 // timerNet is a transport.Network that drops every send and keeps the
 // latest callback scheduled at each delay, so a benchmark can fire one
 // of a member's timers by hand.

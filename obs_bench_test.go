@@ -4,11 +4,11 @@ package catocs
 // tracing only earns its name if the disabled path costs ~nothing and
 // the 1% head-sampled configuration stays within a few percent of
 // tracing off. These benchmarks run the MulticastThroughputCausal
-// workload under three tracer configurations so `make bench` records
-// all three in the BENCH_<n>.json trajectory, where cmd/benchdiff can
-// hold the line release over release. TestObsSamplingBudget asserts
-// the <5% budget directly (opt-in via OBS_BUDGET_CHECK=1 — wall-clock
-// assertions are too noisy for the default test run).
+// workload under three tracer configurations, beside the untraced
+// BenchmarkMulticastThroughputCausal in micro_bench_test.go.
+// TestObsSamplingBudget asserts the <5% budget directly (opt-in via
+// OBS_BUDGET_CHECK=1 — wall-clock assertions are too noisy for the
+// default test run).
 
 import (
 	"flag"
@@ -74,8 +74,9 @@ func BenchmarkMulticastThroughputCausalObs100pct(b *testing.B) {
 // load shifted between the two halves. Wall-clock ratios are still
 // noisy on shared machines — and a given binary can carry a few
 // percent of code-placement/branch-predictor bias that no number of
-// rounds averages away — so the check is opt-in; the recorded
-// BENCH_<n>.json numbers are the durable evidence.
+// rounds averages away — so the check is opt-in; experiment E21 and
+// the repo benchmark's driver.trace_overhead_pct are the durable
+// evidence.
 func TestObsSamplingBudget(t *testing.T) {
 	if os.Getenv("OBS_BUDGET_CHECK") == "" {
 		t.Skip("timing assertion; set OBS_BUDGET_CHECK=1 to run")
