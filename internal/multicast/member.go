@@ -148,13 +148,11 @@ func (c Config) stallTimeout() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// Order-announcement runs (TotalSeq and TotalCausal sequencer): up to
-// orderRunMax assignments ride one OrderBatchMsg, flushed when the run
-// is full or orderFlushDelay after its first assignment.
-const (
-	orderRunMax     = 64
-	orderFlushDelay = time.Millisecond
-)
+// orderRunMax bounds an order-announcement run (TotalSeq and
+// TotalCausal sequencer): up to this many assignments ride one
+// OrderBatchMsg, flushed when the run is full or when the flush task
+// reaches the front of the sequencer's dispatch queue.
+const orderRunMax = 64
 
 // vcRefreshEvery resolves the stamp chain's refresh period (see
 // Config.VCRefreshEvery).
@@ -275,10 +273,12 @@ type Member struct {
 	seqQ         []map[uint64]*DataMsg
 	seqDelivered vclock.VC
 	// Order-announcement run (sequencer only): assignments accumulate
-	// into one contiguous run and flush on size or timer.
+	// into one contiguous run and flush on size or at the back of the
+	// dispatch queue.
 	obFirst uint64  // global position of obIDs[0]
 	obIDs   []MsgID // pending announcements, contiguous from obFirst
-	obArmed bool    // flush timer scheduled
+	obArmed bool    // flush task queued
+	flushFn func()  // m.flushOrders, bound once so arming allocates nothing
 	// Sequencer's assignment log for order retransmission: the id
 	// assigned global position assignedBase+i sits at assignedLog[i]
 	// (positions are handed out contiguously, so a slice replaces the
@@ -1046,8 +1046,11 @@ func (m *Member) assignOrder(id MsgID) {
 	}
 	// Announce in runs: assignments accumulate into one contiguous run
 	// (seqCounter only ever increments, so the run stays contiguous) and
-	// flush on size or timer. One frame per run instead of one per cast
-	// is what lifts a fixed sequencer's ceiling on a real transport.
+	// flush when full or when a zero-delay task, queued behind whatever
+	// the dispatcher already holds, comes up. At light load that is the
+	// same dispatch turn; at saturation a run collects every arrival
+	// already queued. One frame per run instead of one per cast is what
+	// lifts a fixed sequencer's ceiling on a real transport.
 	if len(m.obIDs) == 0 {
 		m.obFirst = m.seqCounter
 	}
@@ -1056,7 +1059,10 @@ func (m *Member) assignOrder(id MsgID) {
 		m.flushOrders()
 	} else if !m.obArmed {
 		m.obArmed = true
-		m.net.After(orderFlushDelay, m.flushOrders)
+		if m.flushFn == nil {
+			m.flushFn = m.flushOrders
+		}
+		m.net.After(0, m.flushFn)
 	}
 }
 
@@ -1149,8 +1155,8 @@ func (m *Member) assignedGlobalOf(id MsgID) (uint64, bool) {
 }
 
 // flushOrders broadcasts the accumulated ordering run. Runs both on
-// batch-full and from the flush timer; a timer firing after a size
-// flush finds the batch empty and is a no-op.
+// batch-full and from the queued flush task; a task firing after a
+// size flush finds the batch empty and is a no-op.
 func (m *Member) flushOrders() {
 	m.obArmed = false
 	if m.closed || len(m.obIDs) == 0 {

@@ -263,6 +263,11 @@ func decOrderMsg(buf []byte) (any, error) {
 	return m, nil
 }
 
+// OrderBatchMsg is the sequencer's per-run frame, so every number in it
+// after the group name is a varint: epochs, positions, ranks and
+// per-sender sequences are small, and a one-assignment run takes well
+// under half its fixed-width bytes. A sender rank goes as its int64 bit
+// pattern, so a (hostile) negative rank still round-trips.
 func encOrderBatchMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*OrderBatchMsg)
 	if len(m.IDs) > wireMaxWant {
@@ -270,11 +275,12 @@ func encOrderBatchMsg(dst []byte, payload any) ([]byte, error) {
 	}
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.U64(m.FirstGlobal)
-	w.U32(uint32(len(m.IDs)))
+	w.Uvarint(m.Epoch)
+	w.Uvarint(m.FirstGlobal)
+	w.Uvarint(uint64(len(m.IDs)))
 	for _, id := range m.IDs {
-		appendMsgID(&w, id)
+		w.Uvarint(uint64(int64(id.Sender)))
+		w.Uvarint(id.Seq)
 	}
 	return w.Bytes(), nil
 }
@@ -283,15 +289,17 @@ func decOrderBatchMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &OrderBatchMsg{
 		Group:       r.String(wireMaxGroup),
-		Epoch:       r.U64(),
-		FirstGlobal: r.U64(),
+		Epoch:       r.Uvarint(),
+		FirstGlobal: r.Uvarint(),
 	}
-	n := int(r.U32())
-	if n > wireMaxWant {
-		r.Take(wireMaxWant * 16)
-	} else {
-		for i := 0; i < n && !r.Err(); i++ {
-			m.IDs = append(m.IDs, readMsgID(r))
+	if n := r.Uvarint(); n > wireMaxWant {
+		r.Take(len(buf) + 1) // poison: Finish rejects the frame
+	} else if n > 0 {
+		// Every id takes at least two bytes, which bounds the
+		// preallocation by the frame rather than by the claimed count.
+		m.IDs = make([]MsgID, 0, min(n, uint64(len(r.Rest())/2)))
+		for i := uint64(0); i < n && !r.Err(); i++ {
+			m.IDs = append(m.IDs, MsgID{Sender: vclock.ProcessID(int64(r.Uvarint())), Seq: r.Uvarint()})
 		}
 	}
 	if err := r.Finish("multicast.OrderBatchMsg"); err != nil {

@@ -2,6 +2,7 @@ package multicast
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -122,4 +123,58 @@ func FuzzWireDecode(f *testing.F) {
 			_ = msg2
 		}
 	})
+}
+
+// TestOrderBatchGoldenBytes pins the varint run format: group name,
+// then epoch, first global position, count and each id's sender and
+// sequence as unsigned LEB128 varints.
+func TestOrderBatchGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		msg *OrderBatchMsg
+		hex string
+	}{
+		{&OrderBatchMsg{Group: "g", Epoch: 2, FirstGlobal: 300, IDs: []MsgID{{Sender: 1, Seq: 7}}},
+			"010067" + "02" + "ac02" + "01" + "0107"},
+		{&OrderBatchMsg{Group: "g", Epoch: 1, FirstGlobal: 129, IDs: []MsgID{{Sender: 0, Seq: 1}, {Sender: 2, Seq: 200}, {Sender: 1, Seq: 16384}}},
+			"010067" + "01" + "8101" + "03" + "0001" + "02c801" + "01808001"},
+	} {
+		kind, buf, err := wire.Marshal(c.msg)
+		if err != nil {
+			t.Fatalf("Marshal(%+v): %v", c.msg, err)
+		}
+		if got := fmt.Sprintf("%x", buf); got != c.hex {
+			t.Fatalf("%d-id run encodes as %s, want %s", len(c.msg.IDs), got, c.hex)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil || !reflect.DeepEqual(out, c.msg) {
+			t.Fatalf("round trip of %+v: %+v, %v", c.msg, out, err)
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := wire.Unmarshal(kind, buf[:cut]); err == nil {
+				t.Fatalf("%d-id run truncated to %d/%d bytes decoded successfully", len(c.msg.IDs), cut, len(buf))
+			}
+		}
+	}
+}
+
+// TestOrderBatchRejectsOversizedCount checks the wireMaxWant guard on
+// both sides of the codec, even when the frame holds enough bytes for
+// the claimed count.
+func TestOrderBatchRejectsOversizedCount(t *testing.T) {
+	big := &OrderBatchMsg{Group: "g", IDs: make([]MsgID, wireMaxWant+1)}
+	if _, _, err := wire.Marshal(big); err == nil {
+		t.Fatalf("Marshal of a %d-id run succeeded", len(big.IDs))
+	}
+	w := wire.NewWriter(0)
+	w.String("g")
+	w.Uvarint(0)
+	w.Uvarint(1)
+	w.Uvarint(wireMaxWant + 1)
+	for i := 0; i <= wireMaxWant; i++ {
+		w.Uvarint(0)
+		w.Uvarint(1)
+	}
+	if _, err := wire.Unmarshal(wire.KindMulticast+8, w.Bytes()); err == nil {
+		t.Fatalf("decode of a run claiming %d ids succeeded", wireMaxWant+1)
+	}
 }

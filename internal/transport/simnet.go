@@ -47,9 +47,13 @@ type SimNet struct {
 	// frees up.
 	service time.Duration
 	busy    map[NodeID]time.Duration
-	stats   Stats
-	perNode map[NodeID]*NodeStats
-	sink    obsSink
+	// inDispatch is set while the handler of node dispatching runs, so
+	// After can find that node's receive queue.
+	dispatching NodeID
+	inDispatch  bool
+	stats       Stats
+	perNode     map[NodeID]*NodeStats
+	sink        obsSink
 	// deliverFn is the single prebuilt kernel callback for in-flight
 	// packets; per-packet state travels in a pooled delivery record, so
 	// the steady-state send path allocates neither a closure nor a
@@ -187,8 +191,19 @@ func (n *SimNet) ResetStats() {
 // Now implements Network.
 func (n *SimNet) Now() time.Duration { return n.k.Now() }
 
-// After implements Network.
-func (n *SimNet) After(d time.Duration, f func()) { n.k.After(d, f) }
+// After implements Network. A zero delay runs f after every event
+// already due at this instant. With a service time configured, a
+// zero-delay f armed from inside a handler also waits for the arrivals
+// already queued at that node's receive processor: it runs at the back
+// of the node's dispatch queue, as it would on tcpnet, not ahead of it.
+func (n *SimNet) After(d time.Duration, f func()) {
+	if d <= 0 && n.inDispatch && n.service > 0 {
+		if b := n.busy[n.dispatching]; b > n.k.Now() {
+			d = b - n.k.Now()
+		}
+	}
+	n.k.After(d, f)
+}
 
 // reachable applies crash and partition filters.
 func (n *SimNet) reachable(from, to NodeID) bool {
@@ -318,5 +333,7 @@ func (n *SimNet) dispatch(h Handler, from, to NodeID, payload any) {
 	n.stats.Delivered++
 	n.stats.Bytes += uint64(ApproxSize(payload))
 	n.sink.onWireRecv(n.k.Now(), to, payload)
+	n.dispatching, n.inDispatch = to, true
 	h(from, payload)
+	n.inDispatch = false
 }

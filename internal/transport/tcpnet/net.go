@@ -367,8 +367,18 @@ func (n *Net) Now() time.Duration { return time.Since(n.epoch) }
 
 // After implements transport.Network. f runs on the dispatcher
 // goroutine, preserving the serial execution context timers share with
-// message handlers on SimNet.
+// message handlers on SimNet. A zero delay queues f directly behind the
+// tasks already in the mailbox; only when the mailbox is full does it
+// take the timer path, since a blocking send from the dispatcher itself
+// would deadlock.
 func (n *Net) After(d time.Duration, f func()) {
+	if d <= 0 {
+		select {
+		case n.mailbox <- task{fn: f}:
+			return
+		default:
+		}
+	}
 	time.AfterFunc(d, func() {
 		select {
 		case n.mailbox <- task{fn: f}:

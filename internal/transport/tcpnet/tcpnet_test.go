@@ -252,6 +252,70 @@ func TestDispatchIsSerial(t *testing.T) {
 	})
 }
 
+// soloNet starts a one-node Net with the given mailbox depth.
+func soloNet(t *testing.T, mailboxDepth int) *tcpnet.Net {
+	t.Helper()
+	addrs := reserveAddrs(t, 1)
+	cfg := fastCfg(addrs[0], []transport.NodeID{0}, map[transport.NodeID]string{0: addrs[0]})
+	cfg.MailboxDepth = mailboxDepth
+	a, err := tcpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return a
+}
+
+// TestAfterZeroWithFullMailbox calls After(0) from the dispatcher while
+// the mailbox is full: a blocking send there would wait on the very
+// goroutine that drains it. The call must return and f must still run.
+func TestAfterZeroWithFullMailbox(t *testing.T) {
+	a := soloNet(t, 1)
+	release, ran := make(chan struct{}), make(chan struct{})
+	var order []string // touched only on the dispatcher
+	a.Inject(func() {
+		<-release
+		a.After(0, func() { order = append(order, "f"); close(ran) })
+		order = append(order, "returned")
+	})
+	// With one slot, this Inject returns only once the dispatcher has
+	// taken the first task, and its filler then occupies the only slot.
+	a.Inject(func() { order = append(order, "filler") })
+	close(release)
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("f never ran: After(0) on the dispatcher deadlocked or lost f")
+	}
+	if got := strings.Join(order, ","); got != "returned,filler,f" {
+		t.Fatalf("dispatch order %s, want returned,filler,f", got)
+	}
+}
+
+// TestAfterZeroRunsBehindQueuedTasks pins the flush contract the
+// sequencer relies on: After(0) runs after every task already queued.
+func TestAfterZeroRunsBehindQueuedTasks(t *testing.T) {
+	a := soloNet(t, 0)
+	release, ran := make(chan struct{}), make(chan struct{})
+	var order []string // touched only on the dispatcher
+	a.Inject(func() {
+		<-release
+		a.After(0, func() { order = append(order, "f"); close(ran) })
+	})
+	for i := 0; i < 3; i++ {
+		a.Inject(func() { order = append(order, fmt.Sprint(i)) })
+	}
+	close(release)
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("After(0) callback never ran")
+	}
+	if got := strings.Join(order, ","); got != "0,1,2,f" {
+		t.Fatalf("dispatch order %s, want 0,1,2,f", got)
+	}
+}
+
 // TestWriteCoalescing floods one peer and checks frames-per-flush
 // exceeded one: the fan-out of small sends must batch into fewer
 // syscalls.

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -489,6 +491,49 @@ func TestSimNetServiceTimeQueueing(t *testing.T) {
 	k.Run()
 	if len(ats) != 1 || ats[0] != k.Now() {
 		t.Fatalf("idle-processor delivery at %v, want %v", ats, k.Now())
+	}
+}
+
+// TestSimNetAfterZeroQueuesBehindReceiveBacklog: a zero-delay callback
+// armed by a handler runs after the arrivals already waiting for that
+// node's receive processor (the back of its dispatch queue), not ahead
+// of them; without a backlog, or outside a handler, it runs at once.
+func TestSimNetAfterZeroQueuesBehindReceiveBacklog(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := NewSimNet(k, LinkConfig{BaseDelay: time.Millisecond})
+	n.SetServiceTime(100 * time.Microsecond)
+	var log []string
+	armed := false
+	n.Register(1, func(_ NodeID, p any) {
+		log = append(log, fmt.Sprint(p))
+		if !armed {
+			armed = true
+			n.After(0, func() { log = append(log, fmt.Sprintf("flush@%v", k.Now())) })
+		}
+	})
+	for i := 0; i < 3; i++ {
+		n.Send(0, 1, i)
+	}
+	k.Run()
+	if got, want := strings.Join(log, ","), "0,1,2,flush@1.3ms"; got != want {
+		t.Fatalf("dispatch order %s, want %s", got, want)
+	}
+	// Idle processor: the callback runs at the arming instant.
+	log, armed = nil, false
+	n.Send(0, 1, "solo")
+	k.Run()
+	if got, want := strings.Join(log, ","), fmt.Sprintf("solo,flush@%v", k.Now()); got != want {
+		t.Fatalf("dispatch order %s, want %s", got, want)
+	}
+	// Outside a handler After(0) ignores the backlog.
+	var at time.Duration
+	n.Send(0, 1, "x")
+	n.Send(0, 1, "y")
+	k.At(k.Now()+time.Millisecond+50*time.Microsecond, func() { n.After(0, func() { at = k.Now() }) })
+	start := k.Now()
+	k.Run()
+	if want := start + time.Millisecond + 50*time.Microsecond; at != want {
+		t.Fatalf("After(0) outside a handler ran at %v, want %v", at, want)
 	}
 }
 

@@ -233,6 +233,10 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 // I64 appends a little-endian int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
+// Uvarint appends v as an unsigned LEB128 varint (1 byte below 128, at
+// most 10).
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
 // String appends a u16 length prefix and the bytes of s.
 func (w *Writer) String(s string) {
 	w.U16(uint16(len(s)))
@@ -329,6 +333,23 @@ func (r *Reader) U64() uint64 {
 
 // I64 consumes a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// Uvarint consumes an unsigned LEB128 varint. Truncated input, an
+// encoding longer than 10 bytes or past 64 bits, and a non-minimal one
+// (a trailing zero byte) all set the sticky error, so each value has
+// exactly one accepted encoding.
+func (r *Reader) Uvarint() uint64 {
+	if r.err {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
+		r.err = true
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
 
 // String consumes a u16-length-prefixed string, guarded by max bytes.
 func (r *Reader) String(max int) string {

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"catocs/internal/wire"
@@ -116,6 +117,49 @@ func TestReaderSticky(t *testing.T) {
 	}
 	if r.Done() {
 		t.Fatal("Done() true on errored reader")
+	}
+}
+
+func TestUvarintRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		v   uint64
+		hex string
+	}{
+		{0, "00"},
+		{127, "7f"},
+		{128, "8001"},
+		{1<<64 - 1, "ffffffffffffffffff01"},
+	} {
+		var w wire.Writer
+		w.Uvarint(c.v)
+		if got := fmt.Sprintf("%x", w.Bytes()); got != c.hex {
+			t.Fatalf("Uvarint(%d) = %s, want %s", c.v, got, c.hex)
+		}
+		r := wire.NewReader(w.Bytes())
+		if got := r.Uvarint(); got != c.v || !r.Done() {
+			t.Fatalf("Uvarint round trip of %d: got %d, done=%v", c.v, got, r.Done())
+		}
+	}
+}
+
+func TestUvarintRejectsMalformed(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"empty", nil},
+		{"truncated", []byte{0x80, 0x80}},
+		{"11-byte overlong", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}},
+		{"10-byte overflow", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+		{"non-minimal", []byte{0x80, 0x00}},
+	} {
+		r := wire.NewReader(c.buf)
+		if got := r.Uvarint(); got != 0 || !r.Err() {
+			t.Fatalf("%s: Uvarint = %d, err=%v; want 0 and a sticky error", c.name, got, r.Err())
+		}
+		if got := r.U8(); got != 0 || !r.Err() {
+			t.Fatalf("%s: read after a rejected varint = %d, want the sticky error", c.name, got)
+		}
 	}
 }
 
