@@ -13,7 +13,8 @@ import (
 // The full-clock protocol survives as the oracle for the stamp chain:
 // whatever a cast's wire copy carries, the stamp a receiver hands the
 // ordering layer must be the full clock its sender held. missWorld
-// checks that on every delivery, and parkedCount after every callback.
+// checks that on every delivery, and parkedCount and the stamps kept
+// ahead of each chain head after every callback.
 
 // TestChainStampMatchesFullClock runs both stamped orderings on seeded
 // loss + dup + jitter worlds at every refresh period from 1 (a full
@@ -63,6 +64,9 @@ func TestChainStampMatchesFullClock(t *testing.T) {
 						if len(w.got[r]) != casts {
 							t.Fatalf("period %d: rank %d delivered %d of %d", period, r, len(w.got[r]), casts)
 						}
+						if w.members[r].ahead != nil {
+							t.Fatalf("period %d: rank %d kept a stamp ahead of a chain head on a lossless FIFO link", period, r)
+						}
 						if !slices.Equal(w.got[r], base.got[r]) || !slices.Equal(w.at[r], base.at[r]) {
 							t.Fatalf("period %d: rank %d's deliveries differ from period %d's", period, r, periods[0])
 						}
@@ -98,9 +102,140 @@ func TestNonAtomicReorderStaysLive(t *testing.T) {
 		// The known wedge: a full-clock copy that overtakes its delta
 		// predecessors re-anchors the chain past them, and the late
 		// arrivals drop as duplicates with nothing to recover them.
-		t.Skip("a period > 1 without Atomic wedges on reordering links: see ROADMAP.md item 1, \"re-anchor discards arrived messages\"")
 		run(Config{Group: "g", Ordering: Causal, VCRefreshEvery: 32}).assertAllDelivered(t, n*per)
 	})
+}
+
+// TestChainDecodesPastOvertakingRefresh feeds one member a sender's
+// casts with a refresh that overtakes its delta predecessors, the
+// shape that used to jump the chain past them: every stamp known must
+// decode the next delta, from the head or from ahead of it, and a
+// delta whose predecessor's stamp is unknown must wait for it.
+func TestChainDecodesPastOvertakingRefresh(t *testing.T) {
+	const n, s, other = 4, 2, 3
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	var got []Delivered
+	m := NewMember(nullNet{}, nodes, 1, Config{Group: "c", Ordering: Causal, Atomic: true, VCRefreshEvery: 8}, func(d Delivered) {
+		if d.ID.Sender == s {
+			got = append(got, d)
+		}
+	})
+	// Sender s's cast q follows casts 1..(q+1)/2 of sender other, so its
+	// deltas alternate between one and two entries.
+	stamp := func(q uint64) vclock.VC {
+		vc := vclock.New(n)
+		vc.Set(s, q)
+		vc.Set(other, (q+1)/2)
+		return vc
+	}
+	for q := uint64(1); q <= 5; q++ {
+		vc := vclock.New(n)
+		vc.Set(other, q)
+		m.Handle(nodes[other], &DataMsg{Group: "c", Sender: other, Seq: q, VC: vc})
+	}
+	full := func(q uint64) *DataMsg { return &DataMsg{Group: "c", Sender: s, Seq: q, VC: stamp(q)} }
+	delta := func(q uint64) *DataMsg {
+		return &DataMsg{Group: "c", Sender: s, Seq: q, VCDelta: stamp(q).DiffFrom(stamp(q-1), nil)}
+	}
+	feed := func(msgs ...*DataMsg) {
+		for _, d := range msgs {
+			m.Handle(nodes[s], d)
+		}
+	}
+
+	feed(full(1), full(9), delta(10))
+	if _, held := m.pendQ[s][10]; !held || m.parkedCount != 0 {
+		t.Fatalf("delta 10 behind refresh 9: held=%v with %d parked; want it decoded from 9's stamp and held back", held, m.parkedCount)
+	}
+	feed(delta(3))
+	if m.parkedCount != 1 {
+		t.Fatalf("delta 3 with 2's stamp unknown: %d parked, want 1", m.parkedCount)
+	}
+	feed(delta(2), delta(4), delta(5), delta(6), delta(7), delta(8))
+	feed(full(5), delta(9)) // duplicates, one of each encoding
+
+	if len(got) != 10 {
+		t.Fatalf("delivered %d of sender %d's 10 casts", len(got), s)
+	}
+	for i, d := range got {
+		q := uint64(i + 1)
+		if d.ID.Seq != q || !d.VC.Equal(stamp(q)) {
+			t.Fatalf("delivery %d: cast %d stamped %v, want cast %d stamped %v", i, d.ID.Seq, d.VC, q, stamp(q))
+		}
+	}
+	if dups := m.Duplicates.Value(); dups != 2 {
+		t.Errorf("Duplicates = %d, want 2", dups)
+	}
+	if m.parkedCount != 0 || aheadCount(m) != 0 {
+		t.Errorf("ended with %d parked and %d stamps ahead of the chain head", m.parkedCount, aheadCount(m))
+	}
+}
+
+// inOrderStream builds rounds of casts, one from each of n senders per
+// round, as a lossless FIFO link delivers them: each stamped with every
+// cast before it, the first from each sender with its full clock and
+// the rest as deltas against that sender's previous cast.
+func inOrderStream(n, rounds int) []*DataMsg {
+	clock := vclock.New(n)
+	prev := make([]vclock.VC, n)
+	var out []*DataMsg
+	for range rounds {
+		for s := range n {
+			p := vclock.ProcessID(s)
+			clock.Set(p, clock.Get(p)+1)
+			d := &DataMsg{Group: "h", Sender: p, Seq: clock.Get(p)}
+			if prev[s] == nil {
+				d.VC = clock.Clone()
+			} else {
+				d.VCDelta = clock.DiffFrom(prev[s], nil)
+			}
+			prev[s] = clock.Clone()
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// inOrderDeltaAllocs is what one in-order delta arrival at an atomic
+// causal member allocated before the chain could hold stamps ahead of
+// its head: the decoded stamp and the receiver's copy of the message
+// (the stability buffer's growth amortizes to under one).
+const inOrderDeltaAllocs = 2
+
+// TestInOrderDeltasStayOnTheHead pins the TCP fleet's hot path: on a
+// lossless FIFO link every delta decodes against its sender's chain
+// head, so in-order traffic from every sender never allocates the store
+// of stamps known ahead of the head, and an in-order delta arrival
+// costs no more than it did before that store existed.
+func TestInOrderDeltasStayOnTheHead(t *testing.T) {
+	const n, rounds, runs = 3, 40, 100
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	delivered := 0
+	m := NewMember(nullNet{}, nodes, 0, Config{Group: "h", Ordering: Causal, Atomic: true}, func(Delivered) { delivered++ })
+	stream := inOrderStream(n, rounds+runs+1)
+	for _, d := range stream[:n*rounds] {
+		m.Handle(nodes[d.Sender], d)
+	}
+	if delivered != n*rounds || m.PendingCount() != 0 || m.ahead != nil {
+		t.Fatalf("delivered %d of %d with %d pending, ahead store allocated: %v", delivered, n*rounds, m.PendingCount(), m.ahead != nil)
+	}
+	next := stream[n*rounds:]
+	avg := testing.AllocsPerRun(runs, func() {
+		m.Handle(nodes[next[0].Sender], next[0])
+		next = next[1:]
+	})
+	if avg != inOrderDeltaAllocs {
+		t.Errorf("an in-order delta arrival allocates %v times, want %d", avg, inOrderDeltaAllocs)
+	}
+	if m.ahead != nil || m.parkedCount != 0 {
+		t.Errorf("in-order deltas allocated the ahead store (%v) or parked %d", m.ahead != nil, m.parkedCount)
+	}
 }
 
 // TestOrderRunEqualsSingles feeds the same assignments to identical

@@ -119,11 +119,11 @@ type Config struct {
 	// cost between refreshes drops from O(group size) to O(concurrent
 	// writers). Zero resolves to 32 when Atomic and to 1 otherwise;
 	// period 1 is the plain full-clock protocol (every cast a refresh,
-	// no delta ever built). A chain is only decodable with a recovery
-	// path behind it — retransmissions always carry the full clock — so
-	// a period above 1 without Atomic is valid only on lossless FIFO
-	// links: there, one reordered or lost cast wedges its sender's
-	// chain for good.
+	// no delta ever built). Reordering never breaks a chain: a delta
+	// waits for its predecessor's stamp, however that stamp arrives. A
+	// lost cast holds its sender's later casts at a receiver under any
+	// period, behind the FIFO gap, until the NACK path (Atomic)
+	// retransmits it with its full clock.
 	VCRefreshEvery int
 }
 
@@ -235,19 +235,24 @@ type Member struct {
 	// Causal stamp chain (stamped orderings; see DESIGN.md). Send side:
 	// deltaBase is the clock of this member's previous cast (the delta
 	// base) and deltaBuf is the reusable diff scratch. Receive side, per
-	// sender: reconVC/reconSeq are the reconstruction chain (the
-	// sender's clock at its last in-chain cast), and parked holds
-	// delta-stamped arrivals whose chain predecessor has not arrived yet
-	// — they rejoin the normal path once the chain catches up, or are
-	// recovered as full-clock retransmissions through the NACK path.
-	// parkedCount is Σ len(parked[s]): parked arrivals are held back as
-	// surely as queued ones, and PendingCount reports both. fullThrough
+	// sender: reconSeq/reconVC are the chain head — every stamp up to
+	// reconSeq is known, reconVC is the last of them (nil when a resumed
+	// checkpoint skipped it) — and ahead holds stamps known past
+	// head+1, from full-clock copies that overtook their predecessors or
+	// from deltas decoded against them; it is allocated on the first
+	// such stamp, so in-order traffic never touches it. parked holds
+	// delta-stamped arrivals whose predecessor's stamp is not known yet
+	// — they decode once it is, or are recovered as full-clock
+	// retransmissions through the NACK path. parkedCount is
+	// Σ len(parked[s]): parked arrivals are held back as surely as
+	// queued ones, and PendingCount reports both. fullThrough
 	// (ResumeChains) is the last sequence number that must carry the
 	// full clock whatever the period says.
 	deltaBase   vclock.VC
 	deltaBuf    []vclock.DeltaEntry
 	reconVC     []vclock.VC
 	reconSeq    []uint64
+	ahead       []map[uint64]vclock.VC
 	parked      []map[uint64]*DataMsg
 	parkedCount int
 	fullThrough uint64
@@ -469,6 +474,7 @@ func (m *Member) initChainState() {
 	m.deltaBuf = m.deltaBuf[:0]
 	m.reconVC = make([]vclock.VC, n)
 	m.reconSeq = make([]uint64, n)
+	m.ahead = nil
 	m.parked = newShardQ(n)
 	m.parkedCount = 0
 	m.fullThrough = 0
@@ -681,11 +687,12 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 	}
 	wireMsg := msg
 	if m.cfg.stamped() {
-		// Every refresh-period'th cast carries the full clock and
-		// re-anchors receiver chains; every other cast travels as a delta
-		// against this member's previous cast. The stability buffer above
-		// holds the full-clock original, so retransmissions never depend
-		// on a receiver's chain state.
+		// Every refresh-period'th cast carries the full clock, from which
+		// a receiver decodes the next delta whatever arrived before it;
+		// every other cast travels as a delta against this member's
+		// previous cast. The stability buffer above holds the full-clock
+		// original, so retransmissions never depend on a receiver's chain
+		// state.
 		if (m.sendSeq-1)%m.cfg.vcRefreshEvery() != 0 && m.sendSeq > m.fullThrough {
 			m.deltaBuf = msg.VC.DiffFrom(m.deltaBase, m.deltaBuf[:0])
 			cp := *msg
@@ -839,8 +846,8 @@ func (m *Member) Incarnation() uint32 { return m.inc }
 
 // onData routes an arriving data message. A stamped message's full
 // causal stamp is first reconstructed along the sender's sequence
-// chain; messages whose chain predecessor has not arrived yet park
-// until it does (or until the NACK path retransmits them full-clock).
+// chain; a delta whose predecessor's stamp is not known yet parks until
+// it is (or until the NACK path retransmits it full-clock).
 func (m *Member) onData(msg *DataMsg) {
 	if !m.cfg.stamped() {
 		m.onDataMain(msg)
@@ -849,82 +856,117 @@ func (m *Member) onData(msg *DataMsg) {
 	if msg = m.reconstruct(msg); msg == nil {
 		return
 	}
-	s := msg.Sender
 	m.onDataMain(msg)
-	m.drainParked(s)
+	m.drainParked(msg.Sender, msg.Seq, msg.VC)
 }
 
-// reconstruct recovers a message's full causal stamp. Full-clock
-// copies (refreshes and retransmissions) pass through, re-anchoring the
-// sender's chain when they advance it; delta-stamped copies extend the
-// chain when contiguous, park when early, and drop when the chain has
-// already moved past them (the NACK path recovers those as full-clock
-// retransmissions). Returns nil when the message cannot enter the
-// ordering layer yet.
+// reconstruct recovers a message's full causal stamp. A full-clock copy
+// (refresh or retransmission) passes through and records its stamp. A
+// delta-stamped copy of cast q decodes against the known stamp of q-1 —
+// the chain head or a stamp ahead of it — parks while that stamp is
+// unknown, and drops as a duplicate once its own stamp is known.
+// Returns nil when the message cannot enter the ordering layer yet.
 func (m *Member) reconstruct(in *DataMsg) *DataMsg {
-	s := in.Sender
+	s, q := in.Sender, in.Seq
+	known := q <= m.reconSeq[s] || m.aheadAt(s, q) != nil
 	if in.VC != nil {
-		if in.Seq > m.reconSeq[s] {
-			if len(m.parked[s]) > 0 {
-				// Entries at or below the new anchor can no longer be
-				// reconstructed locally; NACK recovery owns them now.
-				for seq := range m.parked[s] {
-					if seq <= in.Seq {
-						delete(m.parked[s], seq)
-						m.parkedCount--
-					}
-				}
-				m.updateHoldbackGauge()
-			}
-			m.reconVC[s] = in.VC // never mutated in place
-			m.reconSeq[s] = in.Seq
+		if !known {
+			m.unpark(s, q) // this copy supersedes its parked delta twin
+			m.learn(s, q, in.VC)
 		}
 		return in
 	}
-	switch {
-	case in.Seq <= m.reconSeq[s]:
+	if known {
 		m.Duplicates.Inc()
 		return nil
-	case in.Seq == m.reconSeq[s]+1:
-		base := m.reconVC[s]
-		if base == nil {
-			// No anchor yet: parking is useless because the chain can
-			// only start at a full-clock copy. Drop; NACK recovers.
-			return nil
-		}
-		nv := base.Clone()
-		if !nv.ApplyDelta(in.VCDelta) {
-			return nil // malformed wire delta
-		}
-		out := *in // shallow copy: the transports share one DataMsg across receivers
-		out.VC = nv
-		m.reconVC[s] = nv
-		m.reconSeq[s] = in.Seq
-		return &out
-	default:
+	}
+	base := m.reconVC[s]
+	if q-1 != m.reconSeq[s] {
+		base = m.aheadAt(s, q-1)
+	}
+	if base == nil {
 		shard := m.parked[s]
 		before := len(shard)
-		shard[in.Seq] = in // a duplicate arrival overwrites its twin
+		shard[q] = in // a duplicate arrival overwrites its twin
 		m.parkedCount += len(shard) - before
 		m.updateHoldbackGauge()
 		return nil
 	}
+	return m.decode(in, base)
 }
 
-// drainParked replays parked delta messages that the sender's chain has
-// caught up to.
-func (m *Member) drainParked(s vclock.ProcessID) {
+// decode rebuilds a delta copy's full stamp from base, the stamp of its
+// sender's previous cast, and records it. Nil for a malformed delta.
+func (m *Member) decode(in *DataMsg, base vclock.VC) *DataMsg {
+	nv := base.Clone()
+	if !nv.ApplyDelta(in.VCDelta) {
+		return nil // malformed wire delta
+	}
+	out := *in // shallow copy: the transports share one DataMsg across receivers
+	out.VC = nv
+	m.learn(in.Sender, in.Seq, nv)
+	return &out
+}
+
+// learn records the newly known stamp of cast q from s. The next cast's
+// stamp advances the head, which then walks through the stamps already
+// known ahead of it; any other waits ahead until the head reaches it.
+// Stamps are never mutated once cast, so the chain keeps references.
+func (m *Member) learn(s vclock.ProcessID, q uint64, vc vclock.VC) {
+	if q != m.reconSeq[s]+1 {
+		if m.ahead == nil {
+			m.ahead = make([]map[uint64]vclock.VC, len(m.nodes))
+		}
+		if m.ahead[s] == nil {
+			m.ahead[s] = make(map[uint64]vclock.VC)
+		}
+		m.ahead[s][q] = vc
+		return
+	}
+	m.reconSeq[s], m.reconVC[s] = q, vc
+	if m.ahead == nil {
+		return
+	}
+	for next, ok := m.ahead[s][q+1]; ok; next, ok = m.ahead[s][q+1] {
+		delete(m.ahead[s], q+1)
+		q++
+		m.reconSeq[s], m.reconVC[s] = q, next
+	}
+}
+
+// aheadAt returns the known stamp of cast q from s past the chain head,
+// or nil.
+func (m *Member) aheadAt(s vclock.ProcessID, q uint64) vclock.VC {
+	if m.ahead == nil {
+		return nil
+	}
+	return m.ahead[s][q]
+}
+
+// unpark drops the parked copy of cast q from s, if any.
+func (m *Member) unpark(s vclock.ProcessID, q uint64) {
+	if _, ok := m.parked[s][q]; ok {
+		delete(m.parked[s], q)
+		m.parkedCount--
+		m.updateHoldbackGauge()
+	}
+}
+
+// drainParked decodes the parked deltas that follow cast q of s, whose
+// stamp vc has just become known, for as long as they run contiguously.
+func (m *Member) drainParked(s vclock.ProcessID, q uint64, vc vclock.VC) {
 	for len(m.parked[s]) > 0 {
-		in, ok := m.parked[s][m.reconSeq[s]+1]
+		in, ok := m.parked[s][q+1]
 		if !ok {
 			return
 		}
-		delete(m.parked[s], in.Seq)
-		m.parkedCount--
-		m.updateHoldbackGauge()
-		if rec := m.reconstruct(in); rec != nil {
-			m.onDataMain(rec)
+		m.unpark(s, q+1)
+		rec := m.decode(in, vc)
+		if rec == nil {
+			return
 		}
+		m.onDataMain(rec)
+		q, vc = rec.Seq, rec.VC
 	}
 }
 

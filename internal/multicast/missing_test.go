@@ -138,8 +138,9 @@ func (w *missWorld) spawn(r int) *Member {
 }
 
 // check asserts that the incremental gap index agrees with the
-// from-scratch oracle, the invariants hasMissing's count rests on, and
-// that parkedCount counts exactly the parked arrivals.
+// from-scratch oracle, the invariants hasMissing's count rests on, that
+// parkedCount counts exactly the parked arrivals, and that every stamp
+// known ahead of a chain head is really ahead of it.
 func (w *missWorld) check(m *Member) {
 	t := w.t
 	parked := 0
@@ -151,6 +152,13 @@ func (w *missWorld) check(m *Member) {
 	}
 	if parked > 0 {
 		w.parks++
+	}
+	for s, stamps := range m.ahead {
+		for q := range stamps {
+			if q <= m.reconSeq[s] {
+				t.Fatalf("t=%v rank %d epoch %d: stamp of (%d,%d) kept ahead of chain head %d", w.k.Now(), m.rank, m.epoch, s, q, m.reconSeq[s])
+			}
+		}
 	}
 	want := m.referenceMissingSet()
 	var got []MsgID
@@ -191,6 +199,15 @@ func (w *missWorld) check(m *Member) {
 			}
 		}
 	}
+}
+
+// aheadCount is the number of stamps m knows ahead of its chain heads.
+func aheadCount(m *Member) int {
+	k := 0
+	for _, stamps := range m.ahead {
+		k += len(stamps)
+	}
+	return k
 }
 
 // script schedules per casts from each writer, 4 ms apart; the last
@@ -332,8 +349,8 @@ func (w *missWorld) runViewChange() {
 				t.Fatalf("survivor %d missed %v", r, p)
 			}
 		}
-		if m := w.members[r]; m.Epoch() != 1 || m.PendingCount() != 0 {
-			t.Fatalf("survivor %d ended in epoch %d holding %d", r, m.Epoch(), m.PendingCount())
+		if m := w.members[r]; m.Epoch() != 1 || m.PendingCount() != 0 || aheadCount(m) != 0 {
+			t.Fatalf("survivor %d ended in epoch %d holding %d, %d stamps ahead", r, m.Epoch(), m.PendingCount(), aheadCount(m))
 		}
 	}
 	if w.gaps == 0 {
@@ -358,6 +375,9 @@ func (w *missWorld) runRejoin() {
 	for r := 0; r < n; r++ {
 		if set := w.exactlyOnce(r); len(set) != len(everywhere) {
 			t.Fatalf("rank %d delivered %d payloads, rejoined rank delivered %d", r, len(set), len(everywhere))
+		}
+		if k := aheadCount(w.members[r]); k != 0 {
+			t.Fatalf("rank %d ended with %d stamps ahead of its chain heads", r, k)
 		}
 	}
 	if w.gaps == 0 {

@@ -58,13 +58,13 @@ func (m *Member) CheckpointChains() (ack []uint64, totalFrontier uint64) {
 //
 // replay is how many casts the caller re-multicasts next (the WAL's
 // unstable suffix). They get their old sequence numbers but fresh,
-// larger stamps, and a survivor whose stamp chain is anchored on the
-// previous life's copy drops the new copy as a duplicate — so a delta
-// against a replayed cast would decode against the wrong base there and
-// understate the stamp. The member therefore casts full clocks through
-// the replay and on the first cast past it, the first sequence number
-// no survivor's chain can have reached: that copy re-anchors every
-// chain in this life, and deltas resume behind it.
+// larger stamps, and a survivor that already knows the previous life's
+// stamp for such a number keeps it and drops the new copy as a
+// duplicate — so a delta against a replayed cast would decode against
+// the wrong base there and understate the stamp. The member therefore
+// casts full clocks through the replay and on the first cast past it,
+// the first sequence number no survivor can know a stamp for: deltas
+// resume behind it.
 func (m *Member) ResumeChains(sendSeq uint64, replay int, ack []uint64, totalFrontier uint64) {
 	if sendSeq > m.sendSeq {
 		m.sendSeq = sendSeq
@@ -80,6 +80,16 @@ func (m *Member) ResumeChains(sendSeq uint64, replay int, ack []uint64, totalFro
 	}
 	if m.sendSeq > m.delivered.Get(m.rank) {
 		m.delivered.Set(m.rank, m.sendSeq)
+	}
+	if m.cfg.stamped() {
+		// No cast at or below the checkpoint needs decoding again, so each
+		// stamp chain's head starts there, with its stamp unknown: a delta
+		// for the next cast parks until that cast's full clock arrives.
+		for r, v := range m.delivered {
+			if v > m.reconSeq[r] {
+				m.reconSeq[r], m.reconVC[r] = v, nil
+			}
+		}
 	}
 	// The dedup frontier (aliased as contig for total orderings, and
 	// the source of stability acks) and the known-sent horizon both

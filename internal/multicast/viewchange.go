@@ -76,10 +76,7 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 				m.pendCount--
 			}
 			if m.parked != nil { // nil for unstamped orderings
-				if _, parked := m.parked[msg.Sender][msg.Seq]; parked {
-					delete(m.parked[msg.Sender], msg.Seq)
-					m.parkedCount--
-				}
+				m.unpark(msg.Sender, msg.Seq)
 			}
 			// A fill this member never received still has to keep
 			// known >= delivered, which hasMissing's count rests on.
