@@ -264,6 +264,37 @@ func TestStabilityOracleCatchesPrematureStabilize(t *testing.T) {
 	}
 }
 
+func TestQuiescenceOracle(t *testing.T) {
+	for text, whole := range map[string]bool{
+		"": true,
+		"@40ms part 0,1|2,3; @140ms heal; @60ms crash 3; @180ms recover 3": true,
+		"@10ms crash 3":                                  false,
+		"@10ms part 0,1|2,3":                             false,
+		"@50ms crash 3; @10ms recover 3":                 false, // applied in time order
+		"@10ms part 0,1|2,3; @20ms heal; @30ms part 0|1": false,
+	} {
+		s, err := ParseScript(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Whole() != whole {
+			t.Errorf("Whole(%q) = %v, want %v", text, s.Whole(), whole)
+		}
+	}
+	k := sim.NewKernel(1)
+	k.After(5*time.Millisecond, func() {})
+	if v := CheckQuiescent(k, time.Second); len(v) != 0 {
+		t.Fatalf("a kernel that drained was flagged: %v", v)
+	}
+	// A timer that re-arms itself forever never falls silent.
+	var tick func()
+	tick = func() { k.After(20*time.Millisecond, tick) }
+	k.After(0, tick)
+	if v := CheckQuiescent(k, time.Second); len(v) != 1 || v[0].Oracle != "quiescence" {
+		t.Fatalf("a self-re-arming timer was not flagged: %v", v)
+	}
+}
+
 // --- episodes ---
 
 func TestEpisodeDeterministicDigest(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"time"
 
 	"catocs/internal/flowcontrol"
 	"catocs/internal/obs"
+	"catocs/internal/sim"
 )
 
 // Violation is one invariant breach found by an oracle.
@@ -490,6 +492,23 @@ func CheckBoundedMemory(maxHoldback, stabHighWater int64, budget flowcontrol.Bud
 		})
 	}
 	return out
+}
+
+// CheckQuiescent verifies that a settled group falls silent: with every
+// fault repaired and every message delivered and stable, nothing is
+// left to acknowledge or recover, so once the kernel has run a further
+// span no event may remain scheduled. Applied to the atomic CBCAST and
+// ABCAST episodes whose script leaves the network whole; it runs after
+// the trace is digested, so the span never moves a digest.
+func CheckQuiescent(k *sim.Kernel, span time.Duration) []Violation {
+	k.RunUntil(k.Now() + span)
+	if n := k.Pending(); n > 0 {
+		return []Violation{{
+			Oracle: "quiescence",
+			Detail: fmt.Sprintf("%d events still scheduled at %v, %v after the settle window", n, k.Now(), span),
+		}}
+	}
+	return nil
 }
 
 func sortedNodes[V any](m map[int]V) []int {

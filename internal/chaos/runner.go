@@ -370,8 +370,15 @@ func Run(cfg Config) Result {
 		}
 	}
 	res.Violations = append(res.Violations, checkWALDurability(cfg.Seed)...)
+	if (cfg.Substrate == "cbcast" || cfg.Substrate == "abcast") && cfg.Script.Whole() {
+		res.Violations = append(res.Violations, CheckQuiescent(k, quiesceSpan)...)
+	}
 	return res
 }
+
+// quiesceSpan is how much longer a settled episode runs for the
+// quiescence oracle.
+const quiesceSpan = time.Second
 
 // pickGroups draws k distinct group names from names.
 func pickGroups(rng *rand.Rand, names []string, k int) []string {

@@ -324,6 +324,28 @@ func (s Script) CrashedNodes() []int {
 	return out
 }
 
+// Whole reports whether the schedule ends with the network whole: every
+// crashed node recovered and the last partition healed.
+func (s Script) Whole() bool {
+	ops := append([]Op(nil), s.Ops...)
+	sort.SliceStable(ops, func(a, b int) bool { return ops[a].At < ops[b].At })
+	down := make(map[transport.NodeID]bool)
+	parted := false
+	for _, op := range ops {
+		switch op.Kind {
+		case OpCrash:
+			down[op.Node] = true
+		case OpRecover:
+			delete(down, op.Node)
+		case OpPartition:
+			parted = true
+		case OpHeal:
+			parted = false
+		}
+	}
+	return len(down) == 0 && !parted
+}
+
 // End returns the time of the last scheduled op (0 for an empty
 // script) — runners extend the episode horizon past it so faults get
 // a chance to bite and heal.

@@ -143,7 +143,7 @@ func TableE18(episodes, n, msgsPer int, seed int64) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"random mix: per-episode generated schedules (1 crash, 1 partition, 2 flaky links; outages ≤250ms) over background drop=2% dup=2% delay=5%×5ms links",
-		"oracles: causal order, total-order agreement (abcast), delivery-set agreement, liveness, stability safety (cbcast/abcast), WAL torn-tail recovery",
+		"oracles: causal order, total-order agreement (abcast), delivery-set agreement, liveness, stability safety (cbcast/abcast), quiescence (cbcast/abcast), WAL torn-tail recovery",
 		"partition mix: the last node is isolated for 250ms while the rest send; its 'unavail max' tracks the outage — the §6 point that CATOCS blocks the minority rather than delivering inconsistently",
 		"holdback max / stab hw: worst holdback-queue occupancy and unstable-message high-water — §5's buffer-growth cost made visible under faults",
 		"every failure would shrink to a minimal fault script with a one-line repro (cmd/chaos); none occurred")

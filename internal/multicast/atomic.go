@@ -31,12 +31,16 @@ func (m *Member) observeStability(p vclock.ProcessID, delivered vclock.VC) {
 }
 
 // armAck schedules a delivered-clock broadcast if one is not already
-// scheduled. Acks are event-driven rather than free-running so that a
-// quiescent group schedules no events and the simulation terminates.
+// scheduled. Acks are event-driven rather than free-running, and a
+// settled member answers only unsettled peers and stale clocks (onAck),
+// so a group with nothing unstable and no gaps schedules no events and
+// the simulation terminates.
 func (m *Member) armAck() {
 	if m.ackArmed || m.closed || m.stab == nil {
 		return
 	}
+	m.wakeDetector()
+	m.ackIdle = false
 	m.ackArmed = true
 	m.net.After(m.cfg.ackInterval(), m.fireAck)
 }
@@ -48,7 +52,9 @@ func (m *Member) armAck() {
 // re-advertise is pending — a stable member with an unchanged clock
 // tells the group nothing new. While we are unstable the broadcast
 // always goes out, so recovery from a lost ack never depends on the
-// suppression heuristic.
+// suppression heuristic. The ack says whether we are settled (nothing
+// unstable after merging our own row), which is what lets settled
+// peers leave it unanswered.
 func (m *Member) fireAck() {
 	m.ackArmed = false
 	if m.closed || m.stab == nil {
@@ -62,7 +68,7 @@ func (m *Member) fireAck() {
 	if changed || m.ackForce || m.stab.Unstable() > 0 {
 		m.lastAdvert = sc.Clone()
 		m.ackForce = false
-		ack := &AckMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Delivered: sc.Clone()}
+		ack := &AckMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Settled: m.stab.Unstable() == 0, Delivered: sc.Clone()}
 		for r := range m.nodes {
 			if vclock.ProcessID(r) == m.rank {
 				continue
@@ -82,6 +88,8 @@ func (m *Member) fireAck() {
 	// stopping the ack cycle would orphan them in the WAL forever.
 	if m.stab.Unstable() > 0 || len(m.blocked) > 0 {
 		m.armAck()
+	} else {
+		m.ackIdle = true
 	}
 }
 
@@ -104,12 +112,14 @@ func (m *Member) onAck(a *AckMsg) {
 	// A peer acking a clock behind ours may have lost our last ack (a
 	// drained member stops acking spontaneously); re-advertise so its
 	// stability frontier can advance. Terminates once clocks agree.
-	// Likewise, a peer still acking while we are fully stable is missing
-	// somebody's matrix row — ours, if our last advertisement was the
-	// one that got lost — so force a re-advertise past the suppression
-	// check; it stops the moment the peer stabilizes and quiets down.
+	// Likewise, an unsettled peer acking while we are fully stable is
+	// missing somebody's matrix row — ours, if our last advertisement
+	// was the one that got lost — so force a re-advertise past the
+	// suppression check: one fresh row per unsettled ack. A settled
+	// peer needs nothing from us, and answering it would start a
+	// ping-pong between settled members that never ends.
 	if m.stab != nil {
-		if m.stab.Unstable() == 0 {
+		if !a.Settled && m.stab.Unstable() == 0 {
 			m.ackForce = true
 			m.armAck()
 		}
@@ -139,7 +149,12 @@ func (m *Member) armNack() {
 // missing message's original sender; persistent misses rotate through
 // other members, which works because atomic mode buffers unstable
 // messages everywhere (the property §5 charges the quadratic buffering
-// bill for).
+// bill for). A member missing its own cast (every copy, loopback
+// included, lost) keeps itself in the rotation: it buffered the cast
+// when it sent it, and while the cast is undelivered here it cannot be
+// stable. That copy may be the only one left — the sender was cut off
+// before any other arrived — and a rotation that skipped it would
+// request the cast forever.
 func (m *Member) fireNack() {
 	m.nackArmed = false
 	if m.closed || m.stab == nil {
@@ -157,9 +172,10 @@ func (m *Member) fireNack() {
 		m.nackRetries[id] = retries + 1
 		target := id.Sender
 		if retries >= 2 {
-			// Rotate through other ranks, skipping ourselves.
+			// Rotate through other ranks, skipping ourselves unless the
+			// cast is our own.
 			target = vclock.ProcessID((int(id.Sender) + retries - 1) % len(m.nodes))
-			if target == m.rank {
+			if target == m.rank && id.Sender != m.rank {
 				target = vclock.ProcessID((int(target) + 1) % len(m.nodes))
 			}
 		}

@@ -18,12 +18,18 @@ import (
 // link is never suspected, while a silent peer's phi grows without
 // bound as the gap leaves the observed distribution's support.
 //
-// In this stack the "heartbeats" are the stability acks the atomic
-// protocol already exchanges (fireAck re-arms while any message is
-// unstable, so a congested group keeps acking even when the
-// application is idle — exactly the regime where failure suspicion
-// matters for buffer drainage). The detector therefore costs no extra
-// wire traffic. It is passive and allocation-light: Observe records an
+// In this stack the "heartbeats" are the stability acks and data the
+// atomic protocol already exchanges, so the detector costs no extra
+// wire traffic. fireAck re-arms while any message is unstable, so a
+// congested group keeps acking even when the application is idle —
+// exactly the regime where failure suspicion matters for buffer
+// drainage. A settled group (nothing unstable anywhere) goes silent by
+// design, and silence there is not evidence: when a member's ack cycle
+// comes back from a settled stop, the member calls Start, so the quiet
+// period neither enters a peer's inter-arrival window nor counts
+// towards its phi. The cost is that a peer that crashes during the
+// quiet is suspected only once traffic resumes, measured from then. The
+// detector is passive and allocation-light: Observe records an
 // arrival, Phi/Suspect are pure queries.
 type PhiDetector struct {
 	threshold float64

@@ -84,7 +84,18 @@ func (m *Member) drainBlocked() {
 // messages).
 func (m *Member) observeLiveness(p vclock.ProcessID) {
 	if m.detector != nil && p != m.rank {
+		m.wakeDetector()
 		m.detector.Observe(p, m.net.Now())
+	}
+}
+
+// wakeDetector restarts every peer's silence clock while this member's
+// ack cycle is idle, so the first arrival or re-arm after a settled
+// quiet starts the detector afresh, as a group's start does (see
+// PhiDetector).
+func (m *Member) wakeDetector() {
+	if m.ackIdle && m.detector != nil {
+		m.detector.Start(m.net.Now())
 	}
 }
 

@@ -306,8 +306,12 @@ type Member struct {
 	deliveredIDs *seqSet
 
 	// Atomic mode.
-	stab        *stability.Tracker
-	ackArmed    bool
+	stab     *stability.Tracker
+	ackArmed bool
+	// ackIdle is set when the ack cycle stops because this member is
+	// settled, and cleared when it is re-armed; while it is set the
+	// group may be silent, and silence is not evidence of failure.
+	ackIdle     bool
 	nackArmed   bool
 	nackRetries map[MsgID]int
 	// Ack suppression: lastAdvert is the stability clock as last

@@ -98,7 +98,7 @@ func (c *checkedNet) After(d time.Duration, f func()) {
 // stamp chain's period (ignored by the unstamped orderings).
 func newMissWorld(t *testing.T, link transport.LinkConfig, ord Ordering, refresh, n int, seed int64) *missWorld {
 	k := sim.NewKernel(seed)
-	k.SetEventLimit(50_000_000)
+	k.SetEventLimit(quiesceEventLimit)
 	w := &missWorld{
 		t: t, k: k,
 		net:   transport.NewSimNet(k, link),
@@ -332,12 +332,13 @@ func (w *missWorld) rejoin(crashAt, backAt time.Duration) {
 }
 
 // runViewChange drives the scripted casts through a mid-run view change
-// that excises the last rank, and requires the survivors to agree.
+// that excises the last rank, runs the world until it falls silent, and
+// requires the survivors to agree.
 func (w *missWorld) runViewChange() {
 	t, n := w.t, len(w.nodes)
 	w.script(30)
 	w.viewChange(60 * time.Millisecond)
-	w.k.RunUntil(600 * time.Millisecond)
+	w.k.Run()
 	base := w.exactlyOnce(0)
 	for r := 0; r < n-1; r++ {
 		set := w.exactlyOnce(r)
@@ -359,13 +360,13 @@ func (w *missWorld) runViewChange() {
 }
 
 // runRejoin drives the scripted casts through a crash and ResumeChains
-// rejoin of the last rank, and requires everything cast to be
-// everywhere.
+// rejoin of the last rank, runs the world until it falls silent, and
+// requires everything cast to be everywhere.
 func (w *missWorld) runRejoin() {
 	t, n := w.t, len(w.nodes)
 	casts := w.script(30)
 	w.rejoin(50*time.Millisecond, 90*time.Millisecond)
-	w.k.RunUntil(600 * time.Millisecond)
+	w.k.Run()
 	// Casts the script skipped while the rank was down never
 	// happened; everything that was cast must be everywhere.
 	everywhere := w.exactlyOnce(n - 1)

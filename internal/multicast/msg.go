@@ -170,14 +170,18 @@ func (m *CommitMsg) ApproxSize() int { return 56 }
 // notes: fewer application messages to piggyback on means more
 // explicit stabilization traffic.
 type AckMsg struct {
-	Group     string
-	Epoch     uint64
-	From      vclock.ProcessID
+	Group string
+	Epoch uint64
+	From  vclock.ProcessID
+	// Settled reports that the sender held no unstable message when it
+	// acked: it needs no matrix row from anyone, so a settled receiver
+	// does not answer it (see onAck).
+	Settled   bool
 	Delivered vclock.VC
 }
 
 // ApproxSize implements transport.Sizer.
-func (m *AckMsg) ApproxSize() int { return 24 + 8*len(m.Delivered) }
+func (m *AckMsg) ApproxSize() int { return 25 + 8*len(m.Delivered) }
 
 // NackMsg requests retransmission of specific messages the requester
 // is missing. Sent to a member believed to buffer them (the original

@@ -362,6 +362,7 @@ func encAckMsg(dst []byte, payload any) ([]byte, error) {
 	w.String(m.Group)
 	w.U64(m.Epoch)
 	w.I64(int64(m.From))
+	w.Bool(m.Settled)
 	if err := appendVC(&w, m.Delivered); err != nil {
 		return nil, err
 	}
@@ -371,9 +372,10 @@ func encAckMsg(dst []byte, payload any) ([]byte, error) {
 func decAckMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &AckMsg{
-		Group: r.String(wireMaxGroup),
-		Epoch: r.U64(),
-		From:  vclock.ProcessID(r.I64()),
+		Group:   r.String(wireMaxGroup),
+		Epoch:   r.U64(),
+		From:    vclock.ProcessID(r.I64()),
+		Settled: r.Bool(),
 	}
 	m.Delivered = readVC(r)
 	if err := r.Finish("multicast.AckMsg"); err != nil {

@@ -33,6 +33,7 @@ func sampleMsgs() []any {
 		&ProposeMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 41, Proc: 3}},
 		&CommitMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 44, Proc: 1}},
 		&AckMsg{Group: "g", Epoch: 5, From: 1, Delivered: vclock.VC{9, 9, 2}},
+		&AckMsg{Group: "g", Epoch: 5, From: 2, Settled: true, Delivered: vclock.VC{9, 9, 2}},
 		&NackMsg{Group: "g", Epoch: 5, From: 0, Want: []MsgID{{Sender: 1, Seq: 2}, {Sender: 2, Seq: 8}}},
 		&NackMsg{Group: "g", Epoch: 5, From: 0},
 		&OrderNack{Group: "g", Epoch: 5, From: 2, FromGlobal: 31, Want: []MsgID{{Sender: 0, Seq: 4}}},
@@ -90,11 +91,11 @@ func FuzzWireDecode(f *testing.F) {
 		wire.KindMulticast + 6, wire.KindMulticast + 7,
 	}
 	for _, in := range sampleMsgs() {
-		_, buf, err := wire.Marshal(in)
+		kind, buf, err := wire.Marshal(in)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint16(0), buf)
+		f.Add(uint16(kind-wire.KindMulticast), buf)
 	}
 	f.Add(uint16(3), []byte{0, 0, 1})
 	f.Fuzz(func(t *testing.T, kindSel uint16, buf []byte) {
@@ -153,6 +154,46 @@ func TestOrderBatchGoldenBytes(t *testing.T) {
 			if _, err := wire.Unmarshal(kind, buf[:cut]); err == nil {
 				t.Fatalf("%d-id run truncated to %d/%d bytes decoded successfully", len(c.msg.IDs), cut, len(buf))
 			}
+		}
+	}
+}
+
+// TestAckGoldenBytes pins the ack format: group name, epoch, the
+// sender's rank, the settled flag as one 0/1 byte, and the delivered
+// clock as a u32 count of u64 entries. Any other flag value is rejected,
+// which keeps the byte extensible.
+func TestAckGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		msg *AckMsg
+		hex string
+	}{
+		{&AckMsg{Group: "g", Epoch: 2, From: 3, Delivered: vclock.VC{1, 0}},
+			"010067" + "0200000000000000" + "0300000000000000" + "00" +
+				"02000000" + "0100000000000000" + "0000000000000000"},
+		{&AckMsg{Group: "g", Epoch: 5, From: 1, Settled: true, Delivered: vclock.VC{9, 9, 2}},
+			"010067" + "0500000000000000" + "0100000000000000" + "01" +
+				"03000000" + "0900000000000000" + "0900000000000000" + "0200000000000000"},
+	} {
+		kind, buf, err := wire.Marshal(c.msg)
+		if err != nil {
+			t.Fatalf("Marshal(%+v): %v", c.msg, err)
+		}
+		if got := fmt.Sprintf("%x", buf); got != c.hex {
+			t.Fatalf("settled=%v ack encodes as %s, want %s", c.msg.Settled, got, c.hex)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil || !reflect.DeepEqual(out, c.msg) {
+			t.Fatalf("round trip of %+v: %+v, %v", c.msg, out, err)
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := wire.Unmarshal(kind, buf[:cut]); err == nil {
+				t.Fatalf("settled=%v ack truncated to %d/%d bytes decoded successfully", c.msg.Settled, cut, len(buf))
+			}
+		}
+		bad := append([]byte(nil), buf...)
+		bad[19] = 2 // the flag byte follows 3 bytes of name and 16 of epoch and rank
+		if _, err := wire.Unmarshal(kind, bad); err == nil {
+			t.Fatalf("ack with flag byte 0x02 decoded successfully")
 		}
 	}
 }
