@@ -93,6 +93,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		if fcPolicy == flowcontrol.Suspect {
+			// Episodes run no group.Monitor, so an accusation would reach
+			// nobody and Suspect would quietly behave as Block.
+			fmt.Fprintln(os.Stderr, "chaos: -policy suspect needs a membership layer to act on its accusations, and chaos episodes run none; use block, shed or spill")
+			os.Exit(2)
+		}
 	}
 
 	subs := chaos.Substrates

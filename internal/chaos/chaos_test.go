@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +359,30 @@ func TestShrinkMinimisesFailingScript(t *testing.T) {
 	}
 	if !strings.Contains(min.Script.String(), "crash 3") {
 		t.Fatalf("shrink dropped the culprit: %s", min.Script)
+	}
+	// The shrunk episode fails the way the original did: every oracle it
+	// violates, the original violated too.
+	for _, v := range minRes.Violations {
+		if !slices.ContainsFunc(res.Violations, func(o Violation) bool { return o.Oracle == v.Oracle }) {
+			t.Fatalf("shrunk episode violates %s, which the original did not: %v", v.Oracle, res.Violations)
+		}
+	}
+}
+
+func TestKeepsFailure(t *testing.T) {
+	orig := []Violation{{Oracle: "quiescence"}, {Oracle: "quiescence"}}
+	for _, c := range []struct {
+		trial []Violation
+		want  bool
+	}{
+		{nil, false},
+		{[]Violation{{Oracle: "quiescence"}}, true},
+		{[]Violation{{Oracle: "liveness"}}, false},
+		{[]Violation{{Oracle: "quiescence"}, {Oracle: "liveness"}}, false},
+	} {
+		if got := keepsFailure(orig, c.trial); got != c.want {
+			t.Fatalf("keepsFailure(%v, %v) = %v, want %v", orig, c.trial, got, c.want)
+		}
 	}
 }
 

@@ -481,14 +481,15 @@ func sameView(a, b []transport.NodeID) bool {
 }
 
 // ShrinkChurn minimises a failing churn episode by greedily removing
-// script ops while the episode still violates an oracle. Op drivers
-// are no-op tolerant, so removing one half of a pair leaves the other
-// harmless. Budgeted at ~100 re-runs.
+// script ops while the episode still shows the original failure
+// (keepsFailure). Op drivers are no-op tolerant, so removing one half
+// of a pair leaves the other harmless. Budgeted at ~100 re-runs.
 func ShrinkChurn(cfg ChurnConfig) (ChurnConfig, ChurnResult) {
 	res := RunChurn(cfg)
 	if len(res.Violations) == 0 {
 		return cfg, res
 	}
+	orig := res.Violations
 	budget := 100
 	for {
 		removed := false
@@ -496,7 +497,7 @@ func ShrinkChurn(cfg ChurnConfig) (ChurnConfig, ChurnResult) {
 			trial := cfg
 			trial.Script.Ops = append(append([]Op{}, cfg.Script.Ops[:i]...), cfg.Script.Ops[i+1:]...)
 			budget--
-			if r := RunChurn(trial); len(r.Violations) > 0 {
+			if r := RunChurn(trial); keepsFailure(orig, r.Violations) {
 				cfg, res = trial, r
 				removed = true
 				i--

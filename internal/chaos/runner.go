@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -488,14 +489,16 @@ func unavailability(events []obs.Event, nodes []int) (max, mean time.Duration) {
 }
 
 // Shrink minimises a failing episode: greedily remove script ops (and
-// finally the background fault mix) while the episode still violates
-// an oracle. Returns the minimal config and its result; if cfg does
-// not fail, it is returned unchanged. Budgeted at ~200 re-runs.
+// finally the background fault mix) while the episode still shows the
+// original failure (keepsFailure). Returns the minimal config and its
+// result; if cfg does not fail, it is returned unchanged. Budgeted at
+// ~200 re-runs.
 func Shrink(cfg Config) (Config, Result) {
 	res := Run(cfg)
 	if len(res.Violations) == 0 {
 		return cfg, res
 	}
+	orig := res.Violations
 	budget := 200
 	for {
 		removed := false
@@ -503,7 +506,7 @@ func Shrink(cfg Config) (Config, Result) {
 			trial := cfg
 			trial.Script.Ops = append(append([]Op{}, cfg.Script.Ops[:i]...), cfg.Script.Ops[i+1:]...)
 			budget--
-			if r := Run(trial); len(r.Violations) > 0 {
+			if r := Run(trial); keepsFailure(orig, r.Violations) {
 				cfg, res = trial, r
 				removed = true
 				i--
@@ -516,11 +519,25 @@ func Shrink(cfg Config) (Config, Result) {
 	if budget > 0 && !cfg.Faults.IsZero() {
 		trial := cfg
 		trial.Faults = LinkFault{}
-		if r := Run(trial); len(r.Violations) > 0 {
+		if r := Run(trial); keepsFailure(orig, r.Violations) {
 			cfg, res = trial, r
 		}
 	}
 	return cfg, res
+}
+
+// keepsFailure reports whether a shrink trial still shows the failure
+// being minimised: it violates at least one oracle, and only oracles
+// the original run violated. Any failure at all is not enough — a
+// quiescence failure on a crash→recover script would otherwise shrink
+// to the bare crash, which fails liveness instead.
+func keepsFailure(orig, trial []Violation) bool {
+	for _, v := range trial {
+		if !slices.ContainsFunc(orig, func(o Violation) bool { return o.Oracle == v.Oracle }) {
+			return false
+		}
+	}
+	return len(trial) > 0
 }
 
 // RunnerConfig parameterises a batch of randomized episodes.

@@ -231,7 +231,7 @@ func TableE19(n, casts, episodes int, seed int64) *Table {
 		Title: "Flow control: bounded buffers and graceful degradation under slow consumers (§5)",
 		Claim: "an alive-but-slow consumer grows unbounded buffers that no silence-based detector can see; a budget plus an overflow policy caps memory at a chosen price — throughput (Block), completeness (Shed), stable storage (Spill), or membership (Suspect)",
 		Headers: []string{"mix", "policy", "lag ms", "budget", "sent", "delivered", "stab hw",
-			"shed", "spills", "excised", "completion ms", "stall p99 ms", "violations"},
+			"shed", "spills", "accusations", "excised", "completion ms", "stall p99 ms", "violations"},
 	}
 	var pts []E19Point
 	pts = append(pts, RunE19Lags(n, casts, []time.Duration{
@@ -243,7 +243,7 @@ func TableE19(n, casts, episodes int, seed int64) *Table {
 		t.Rows = append(t.Rows, []string{
 			pt.Mix, pt.Policy, fmtMs(pt.LagMs / 1000), fmtI(pt.Budget),
 			fmtU(pt.Sent), fmtU(pt.Delivered), fmtI(int(pt.StabHighWater)),
-			fmtU(pt.Shed), fmtU(pt.Spills), fmt.Sprint(pt.Excised),
+			fmtU(pt.Shed), fmtU(pt.Spills), fmtU(pt.Suspects), fmt.Sprint(pt.Excised),
 			fmtMs(pt.CompletionMs / 1000), fmtMs(pt.StallP99Ms / 1000), fmtI(pt.Violations),
 		})
 	}
@@ -253,7 +253,7 @@ func TableE19(n, casts, episodes int, seed int64) *Table {
 		"Block: loses nothing but completion stretches — the admission window advances only at the laggard's pace (§5's blocking cost)",
 		"Shed: bounded memory and on-time completion, paid in dropped casts (counted, traced)",
 		"Spill: bounded memory, nothing lost — overflow rides the WAL and reloads on NACK",
-		"Suspect: the admission stall names the laggard from the stability matrix (phi-accrual detection alone cannot — the laggard's acks are timely); the ordinary view change excises it and survivors drain to zero",
+		"Suspect: the admission stall names the laggard from the stability matrix — one accusation, from the stalled sender; the ordinary view change excises it and survivors drain to zero",
 		fmt.Sprintf("chaos: %d randomized slow-consumer episodes (Spill, budget 48) — bounded-memory oracle plus all ordering oracles, zero violations", episodes))
 	return t
 }

@@ -40,11 +40,12 @@ const (
 	// the budget to stable storage (internal/wal), reloading them on
 	// NACK. Memory stays bounded; retransmission pays a reload.
 	Spill
-	// Suspect behaves like Block, but a stall that persists (or an
-	// adaptively detected silent member) triggers the membership
-	// layer's view change to excise the laggard so the stability
-	// frontier advances and buffers drain — the "remove the slow
-	// receiver" arm, CATOCS's failure model applied to a live process.
+	// Suspect behaves like Block, but a stall that persists accuses the
+	// stability laggard, the member whose acks pin the frontier, and the
+	// membership layer's view change excises it so the frontier advances
+	// and buffers drain: the "remove the slow receiver" arm, CATOCS's
+	// failure model applied to a live process. Silent members are left
+	// to the membership layer's heartbeats.
 	Suspect
 )
 

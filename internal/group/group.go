@@ -270,12 +270,13 @@ func (m *Monitor) askLeave() {
 }
 
 // ForceSuspect marks a rank suspected on external evidence — the
-// multicast layer's flow-control detector accusing a laggard that
-// still heartbeats (a member can be alive and yet not delivering,
-// which silence-based detection can never see). The next coordination
-// check runs immediately, so a coordinator starts the flush without
-// waiting for a heartbeat tick. Wire multicast.Config.OnSuspect to
-// this.
+// multicast Suspect policy's admission stall naming the stability
+// laggard, a member that still heartbeats (a member can be alive and
+// yet not delivering, which the heartbeat timeout can never see). The
+// monitor stays the only silence detector; this is the one other
+// accusation. The next coordination check runs immediately, so a
+// coordinator starts the flush without waiting for a heartbeat tick.
+// Wire multicast.Config.OnSuspect to this.
 func (m *Monitor) ForceSuspect(r vclock.ProcessID) {
 	if m.stopped || r == m.member.Rank() || int(r) < 0 || int(r) >= m.member.GroupSize() || m.suspected[r] {
 		return

@@ -6,18 +6,16 @@
 // Counters, histograms, and series are deliberately allocation-light
 // and unsynchronized; the simulation world is single-threaded, and
 // live-transport users wrap access in their own locks (the Locked*
-// variants in locked.go). Gauge and Window are the exception: the live
+// variants in locked.go). Gauge is the exception: the live
 // observability plane (internal/obs/live) reads instantaneous levels
-// and failure-detector windows from an HTTP goroutine while a run is
-// still recording, so both synchronize internally and are safe to read
-// concurrently with writes.
+// from an HTTP goroutine while a run is still recording, so it
+// synchronizes internally and is safe to read concurrently with writes.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -289,93 +287,4 @@ func (s *Series) Peak() float64 {
 		}
 	}
 	return m
-}
-
-// Window is a fixed-capacity sliding window of float64 samples with
-// mean and standard-deviation queries — the inter-arrival model a
-// phi-accrual failure detector maintains per peer. Statistics are
-// recomputed over the (small, bounded) window on demand, which keeps
-// the arithmetic drift-free. Safe for concurrent use: the live
-// observability plane reads phi (and thus the window statistics) from
-// an HTTP goroutine while the detector keeps observing arrivals.
-type Window struct {
-	mu   sync.Mutex
-	buf  []float64
-	cap  int
-	next int
-	full bool
-}
-
-// NewWindow returns a window holding the most recent capacity samples
-// (minimum 2).
-func NewWindow(capacity int) *Window {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &Window{buf: make([]float64, 0, capacity), cap: capacity}
-}
-
-// Push records one sample, evicting the oldest beyond capacity.
-func (w *Window) Push(v float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(w.buf) < w.cap {
-		w.buf = append(w.buf, v)
-		return
-	}
-	w.full = true
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % w.cap
-}
-
-// Count returns the number of samples currently held.
-func (w *Window) Count() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.buf)
-}
-
-// Mean returns the window mean, or 0 when empty.
-func (w *Window) Mean() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.meanLocked()
-}
-
-func (w *Window) meanLocked() float64 {
-	if len(w.buf) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range w.buf {
-		sum += v
-	}
-	return sum / float64(len(w.buf))
-}
-
-// StdDev returns the window's population standard deviation, or 0
-// with fewer than two samples.
-func (w *Window) StdDev() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.buf)
-	if n < 2 {
-		return 0
-	}
-	m := w.meanLocked()
-	var ss float64
-	for _, v := range w.buf {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (w *Window) Reset() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf = w.buf[:0]
-	w.next = 0
-	w.full = false
 }

@@ -183,34 +183,3 @@ func TestHistogramQuantileP100Edge(t *testing.T) {
 		}
 	}
 }
-
-func TestWindowSliding(t *testing.T) {
-	w := NewWindow(3)
-	for _, v := range []float64{10, 20, 30} {
-		w.Push(v)
-	}
-	if w.Count() != 3 || w.Mean() != 20 {
-		t.Fatalf("count=%d mean=%v", w.Count(), w.Mean())
-	}
-	w.Push(40) // evicts 10
-	if w.Count() != 3 || w.Mean() != 30 {
-		t.Fatalf("after slide: count=%d mean=%v, want 3, 30", w.Count(), w.Mean())
-	}
-	if sd := w.StdDev(); sd < 8.1 || sd > 8.2 { // pop stddev of {20,30,40}
-		t.Fatalf("stddev = %v", sd)
-	}
-	w.Reset()
-	if w.Count() != 0 || w.Mean() != 0 || w.StdDev() != 0 {
-		t.Fatal("reset did not clear the window")
-	}
-}
-
-func TestWindowMinimumCapacity(t *testing.T) {
-	w := NewWindow(0)
-	w.Push(1)
-	w.Push(2)
-	w.Push(3)
-	if w.Count() != 2 || w.Mean() != 2.5 {
-		t.Fatalf("count=%d mean=%v, want capacity floor 2", w.Count(), w.Mean())
-	}
-}

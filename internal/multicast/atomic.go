@@ -39,8 +39,6 @@ func (m *Member) armAck() {
 	if m.ackArmed || m.closed || m.stab == nil {
 		return
 	}
-	m.wakeDetector()
-	m.ackIdle = false
 	m.ackArmed = true
 	m.net.After(m.cfg.ackInterval(), m.fireAck)
 }
@@ -79,7 +77,7 @@ func (m *Member) fireAck() {
 	}
 	// The ack cycle doubles as the flow-control clock: evictions from
 	// our own merge may have widened the admission window, and the
-	// Suspect policy's detector is polled here so suspicion needs no
+	// Suspect policy's stall check runs here so it needs no
 	// free-running timer of its own.
 	m.drainBlocked()
 	m.checkSuspicion()
@@ -88,8 +86,6 @@ func (m *Member) fireAck() {
 	// stopping the ack cycle would orphan them in the WAL forever.
 	if m.stab.Unstable() > 0 || len(m.blocked) > 0 {
 		m.armAck()
-	} else {
-		m.ackIdle = true
 	}
 }
 
@@ -98,7 +94,6 @@ func (m *Member) fireAck() {
 // only evidence of a lost message with no causal successor, so it arms
 // the NACK path.
 func (m *Member) onAck(a *AckMsg) {
-	m.observeLiveness(a.From)
 	m.observeStability(a.From, a.Delivered)
 	m.drainBlocked()
 	if m.known != nil {

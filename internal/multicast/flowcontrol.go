@@ -78,56 +78,23 @@ func (m *Member) drainBlocked() {
 	}
 }
 
-// observeLiveness feeds the failure detector with evidence that rank p
-// is alive (an ack or a directly received data message — retransmitted
-// copies do not count, since a third party can replay a dead member's
-// messages).
-func (m *Member) observeLiveness(p vclock.ProcessID) {
-	if m.detector != nil && p != m.rank {
-		m.wakeDetector()
-		m.detector.Observe(p, m.net.Now())
-	}
-}
-
-// wakeDetector restarts every peer's silence clock while this member's
-// ack cycle is idle, so the first arrival or re-arm after a settled
-// quiet starts the detector afresh, as a group's start does (see
-// PhiDetector).
-func (m *Member) wakeDetector() {
-	if m.ackIdle && m.detector != nil {
-		m.detector.Start(m.net.Now())
-	}
-}
-
 // checkSuspicion (Suspect policy, piggybacked on the ack cycle so a
-// quiescent group schedules no extra events) accuses members on two
-// grounds: the accrual detector's phi crossing its threshold — a
-// member that has gone silent — and a persistent admission stall whose
-// stability matrix names a laggard — a member that is alive and acking
-// but not delivering, which silence-based detection can never catch.
+// quiescent group schedules no extra events) accuses the member that
+// pins the stability frontier: when the admission window has stayed
+// blocked past the stall timeout, the stability matrix names the
+// laggard — a member that is alive and acking but not delivering,
+// which silence-based detection can never catch. Silence itself is the
+// membership layer's to detect (group.Monitor's heartbeats), so a
+// settled group's quiet is never evidence here.
 func (m *Member) checkSuspicion() {
-	if m.detector == nil || m.cfg.OnSuspect == nil || m.closed || m.suppressed {
+	if m.suspectedByMe == nil || m.cfg.OnSuspect == nil || m.closed || m.suppressed || len(m.blocked) == 0 {
 		return
 	}
 	now := m.net.Now()
-	for r := range m.nodes {
-		p := vclock.ProcessID(r)
-		if p == m.rank || m.suspectedByMe[p] {
-			continue
-		}
-		if m.detector.Suspect(p, now) {
-			m.fireSuspect(p, fmt.Sprintf("phi=%.1f", m.detector.Phi(p, now)))
-		}
-	}
-	if len(m.blocked) > 0 {
-		stallStart := m.blocked[0].at
-		if m.lastAdmit > stallStart {
-			stallStart = m.lastAdmit
-		}
-		if now-stallStart > m.cfg.stallTimeout() {
-			if lag, ok := m.stab.Laggard(m.rank); ok && !m.suspectedByMe[lag] {
-				m.fireSuspect(lag, fmt.Sprintf("admission stalled %v", now-stallStart))
-			}
+	stallStart := max(m.blocked[0].at, m.lastAdmit)
+	if now-stallStart > m.cfg.stallTimeout() {
+		if lag, _, ok := m.stab.Laggard(m.rank); ok && !m.suspectedByMe[lag] {
+			m.fireSuspect(lag, fmt.Sprintf("admission stalled %v", now-stallStart))
 		}
 	}
 }

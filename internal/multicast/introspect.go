@@ -1,9 +1,10 @@
 package multicast
 
 import (
+	"fmt"
+
 	"catocs/internal/flowcontrol"
 	"catocs/internal/obs"
-	"catocs/internal/vclock"
 )
 
 // WindowState snapshots the member's admission window for the live
@@ -24,7 +25,7 @@ func (m *Member) WindowState() flowcontrol.WindowState {
 
 // ObsStatus implements obs.Introspector: the member's live ordering
 // and buffering state — holdback depth, admission-window occupancy,
-// parked casts, phi-accrual suspicion, WAL spill bytes, view epoch.
+// parked casts, the stability laggard, WAL spill bytes, view epoch.
 // Call from the member's execution context (the sim kernel or the
 // LiveNet dispatcher); the live plane receives published copies.
 func (m *Member) ObsStatus() obs.Status {
@@ -42,21 +43,18 @@ func (m *Member) ObsStatus() obs.Status {
 			fields = append(fields,
 				obs.Num("spill_bytes", float64(sp.Bytes())))
 		}
-	}
-	if m.detector != nil {
-		// The worst phi across peers is the member's suspicion level:
-		// how close the Suspect policy is to excising someone.
-		now := m.net.Now()
-		var phiMax float64
-		for i := range m.nodes {
-			p := vclock.ProcessID(i)
-			if vp := m.detector.Phi(p, now); p != m.rank && vp > phiMax {
-				phiMax = vp
-			}
+		// The stability laggard (§5): the rank whose missing acks pin
+		// the frontier, and the first message it has not acknowledged.
+		// This is what the Suspect policy accuses on a stall. No rank is
+		// excluded: a member may report itself.
+		lag, waits, ok := m.stab.Laggard(-1)
+		waitsFor := fmt.Sprintf("%d:%d", waits.Sender, waits.Seq)
+		if !ok {
+			lag, waitsFor = -1, "-"
 		}
 		fields = append(fields,
-			obs.DistNum("phi_max", phiMax),
-			obs.Num("phi_threshold", m.detector.Threshold()))
+			obs.Num("laggard", float64(lag)),
+			obs.Str("laggard_waits_for", waitsFor))
 	}
 	fields = append(fields, obs.Str("policy", m.cfg.Overflow.String()))
 	return obs.Status{

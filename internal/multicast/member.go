@@ -104,9 +104,6 @@ type Config struct {
 	// wires it to group.Monitor.ForceSuspect so an accusation triggers
 	// the view change that excises the laggard.
 	OnSuspect func(vclock.ProcessID)
-	// PhiThreshold is the accrual failure detector's suspicion
-	// threshold (Suspect policy). Zero defaults to 8.
-	PhiThreshold float64
 	// StallTimeout is how long the admission window may stay blocked
 	// before the Suspect policy accuses the stability laggard. Zero
 	// defaults to 250ms.
@@ -306,12 +303,8 @@ type Member struct {
 	deliveredIDs *seqSet
 
 	// Atomic mode.
-	stab     *stability.Tracker
-	ackArmed bool
-	// ackIdle is set when the ack cycle stops because this member is
-	// settled, and cleared when it is re-armed; while it is set the
-	// group may be silent, and silence is not evidence of failure.
-	ackIdle     bool
+	stab        *stability.Tracker
+	ackArmed    bool
 	nackArmed   bool
 	nackRetries map[MsgID]int
 	// Ack suppression: lastAdvert is the stability clock as last
@@ -343,8 +336,7 @@ type Member struct {
 	// so a steadily draining queue — or one carried across a view
 	// change — is progress, not a stall.
 	lastAdmit     time.Duration
-	detector      *PhiDetector // Suspect policy only
-	suspectedByMe map[vclock.ProcessID]bool
+	suspectedByMe map[vclock.ProcessID]bool // Suspect policy only
 
 	// Instrumentation.
 	Latency        metrics.Histogram // delivery latency (seconds)
@@ -429,8 +421,6 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 			case flowcontrol.Spill:
 				m.stab.SetSpill(wal.NewSpillStore(cfg.SpillDevice))
 			case flowcontrol.Suspect:
-				m.detector = NewPhiDetector(len(nodes), cfg.PhiThreshold)
-				m.detector.Start(net.Now())
 				m.suspectedByMe = make(map[vclock.ProcessID]bool)
 			}
 		}
@@ -764,7 +754,6 @@ func (m *Member) Handle(from transport.NodeID, payload any) {
 		if m.staleInc(msg) {
 			return
 		}
-		m.observeLiveness(msg.Sender)
 		m.onData(msg)
 	case *OrderMsg:
 		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"catocs/internal/flowcontrol"
 	"catocs/internal/sim"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
@@ -121,67 +120,5 @@ func TestOwnCastLostEverywhereQuiesces(t *testing.T) {
 	g.assertAllDelivered(t, 2)
 	if u := g.members[sender].Stability().Unstable(); u != 0 {
 		t.Fatalf("the sender went quiet with %d unstable", u)
-	}
-}
-
-// TestSuspectQuietIsNotSilence idles a Suspect-policy group long enough
-// for every peer's phi to cross the threshold many times over, then
-// resumes traffic. A settled group is silent by design, so the quiet
-// period must not count as silence: the burst that ends it raises no
-// accusation. A peer that crashes during a second quiet must still be
-// accused once traffic resumes. Each burst is one writer casting every
-// 10 ms; a denser stream teaches the detector a gap shorter than the ack
-// interval, and the acks that follow the stream then look like silence —
-// an effect of active traffic that this test does not judge.
-func TestSuspectQuietIsNotSilence(t *testing.T) {
-	const n, per = 5, 50
-	k := sim.NewKernel(3)
-	k.SetEventLimit(quiesceEventLimit)
-	net := transport.NewSimNet(k, transport.LinkConfig{BaseDelay: time.Millisecond, Jitter: time.Millisecond})
-	nodes := make([]transport.NodeID, n)
-	for i := range nodes {
-		nodes[i] = transport.NodeID(i)
-	}
-	var accused []vclock.ProcessID
-	cfg := Config{Group: "s", Ordering: Causal, Atomic: true,
-		Budget: flowcontrol.Budget{MaxMsgs: 64}, Overflow: flowcontrol.Suspect,
-		OnSuspect: func(p vclock.ProcessID) { accused = append(accused, p) }}
-	members := NewGroup(net, nodes, cfg, nil)
-	burst := func(from time.Duration) {
-		for i := range per {
-			k.At(from+time.Duration(i)*10*time.Millisecond, func() { members[0].Multicast(i, 32) })
-		}
-	}
-	burst(0)
-	k.Run()
-	quietFrom := k.Now()
-	if len(accused) != 0 {
-		t.Fatalf("the first burst accused %v", accused)
-	}
-	burst(quietFrom + 8*time.Second)
-	k.Run()
-	if len(accused) != 0 {
-		t.Fatalf("the burst after %v of quiet accused %v", 8*time.Second, accused)
-	}
-	for r, m := range members {
-		if got := m.DeliveredCount.Value(); got != 2*per {
-			t.Fatalf("rank %d delivered %d of %d", r, got, 2*per)
-		}
-	}
-	// A peer that crashes during the quiet is caught once traffic
-	// resumes, by every live member and alone. The group cannot settle
-	// without it, so this phase runs to a deadline.
-	dead := vclock.ProcessID(n - 1)
-	quietFrom = k.Now()
-	k.At(quietFrom+time.Second, func() { net.Crash(nodes[dead]) })
-	burst(quietFrom + 8*time.Second)
-	k.RunUntil(quietFrom + 10*time.Second)
-	if len(accused) != n-1 {
-		t.Fatalf("a peer crashed during the quiet: accusations %v, want one from each of the %d live members", accused, n-1)
-	}
-	for _, p := range accused {
-		if p != dead {
-			t.Fatalf("a peer crashed during the quiet: accusations %v, want only rank %d", accused, dead)
-		}
 	}
 }

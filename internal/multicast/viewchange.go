@@ -173,9 +173,7 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	if m.cfg.Budget.Limited() && m.cfg.Atomic {
 		m.window = m.cfg.Budget.Share(len(nodes))
 	}
-	if m.detector != nil {
-		m.detector.Resize(len(nodes))
-		m.detector.Start(m.net.Now())
+	if m.suspectedByMe != nil { // Suspect policy: accusations are per view
 		m.suspectedByMe = make(map[vclock.ProcessID]bool)
 	}
 	// Casts parked under the old view get a fresh stall clock: the new

@@ -10,7 +10,7 @@ import (
 // Counters and histograms accumulate history; what they cannot answer
 // is "what is this node holding RIGHT NOW" — the paper's hidden costs
 // are levels, not totals: holdback depth, admission-window occupancy,
-// parked casts, phi-accrual suspicion, WAL spill bytes, view epoch.
+// parked casts, the stability laggard, WAL spill bytes, view epoch.
 // Introspector is the one-method interface a component implements to
 // surface those levels; the exposition server snapshots every
 // registered introspector on demand and renders the result.
@@ -31,7 +31,7 @@ type StatusField struct {
 func Num(name string, v float64) StatusField { return StatusField{Name: name, V: v} }
 
 // DistNum builds a numeric status field whose samples are also worth a
-// histogram (holdback depth, occupancy, phi).
+// histogram (holdback depth, occupancy).
 func DistNum(name string, v float64) StatusField {
 	return StatusField{Name: name, V: v, Dist: true}
 }

@@ -9,7 +9,7 @@
 //	/healthz      liveness probe (200 "ok", or the Health callback)
 //	/statusz      latest published obs.Status snapshots — holdback
 //	              depth, admission-window occupancy, parked casts,
-//	              phi values, WAL spill bytes, view epoch
+//	              stability laggard, WAL spill bytes, view epoch
 //	/tracez       last K sampled message lifecycles from a sampled
 //	              obs.Tracer (send→recv→holdback→deliver→stabilize)
 //	/debug/pprof  net/http/pprof profiling endpoints

@@ -360,8 +360,10 @@ func (t *Tracker) Overflowing() bool {
 // boolean is false when no row lags — nothing is unstable, or only the
 // excluded rank is behind. This is the Suspect policy's excision
 // census: under a budget stall it names the member whose ack progress,
-// if excised, frees the most buffered state.
-func (t *Tracker) Laggard(exclude vclock.ProcessID) (vclock.ProcessID, bool) {
+// if excised, frees the most buffered state. waitsFor is the first
+// message the laggard has not acknowledged, from the sender column it
+// trails by the most: the message whose stability it is holding back.
+func (t *Tracker) Laggard(exclude vclock.ProcessID) (lag vclock.ProcessID, waitsFor Key, ok bool) {
 	top := make([]uint64, t.n)
 	for p := 0; p < t.n; p++ {
 		row := t.matrix.Row(vclock.ProcessID(p))
@@ -371,24 +373,28 @@ func (t *Tracker) Laggard(exclude vclock.ProcessID) (vclock.ProcessID, bool) {
 			}
 		}
 	}
-	best := vclock.ProcessID(0)
 	var bestLag uint64
-	found := false
 	for p := 0; p < t.n; p++ {
 		rank := vclock.ProcessID(p)
 		if rank == exclude {
 			continue
 		}
 		row := t.matrix.Row(rank)
-		var lag uint64
+		var behind, worst uint64
+		var col int
 		for s, v := range row {
-			lag += top[s] - v
+			behind += top[s] - v
+			if top[s]-v > worst {
+				worst, col = top[s]-v, s
+			}
 		}
-		if lag > 0 && (!found || lag > bestLag) {
-			best, bestLag, found = rank, lag, true
+		if behind > 0 && (!ok || behind > bestLag) {
+			bestLag, ok = behind, true
+			lag = rank
+			waitsFor = Key{Sender: vclock.ProcessID(col), Seq: row[col] + 1}
 		}
 	}
-	return best, found
+	return lag, waitsFor, ok
 }
 
 // Keys returns the identities of all currently buffered messages

@@ -257,18 +257,23 @@ func TestLaggard(t *testing.T) {
 	tr.ObserveAck(0, vclock.VC{5, 5, 0})
 	tr.ObserveAck(1, vclock.VC{5, 5, 0})
 	tr.ObserveAck(2, vclock.VC{1, 0, 0})
-	lag, ok := tr.Laggard(0)
+	lag, waits, ok := tr.Laggard(0)
 	if !ok || lag != 2 {
 		t.Fatalf("laggard = %v, %v, want rank 2", lag, ok)
 	}
+	// Rank 2 trails sender 1 by 5 and sender 0 by 4: the message it
+	// holds back is sender 1's first, the one it has not acknowledged.
+	if want := (Key{Sender: 1, Seq: 1}); waits != want {
+		t.Fatalf("laggard waits for %+v, want %+v", waits, want)
+	}
 	// Excluding the true laggard still names the next-worst row only
 	// if it actually lags; here rank 1 matches the frontier max.
-	if lag, ok := tr.Laggard(2); ok && lag == 2 {
+	if lag, _, ok := tr.Laggard(2); ok && lag == 2 {
 		t.Fatalf("excluded rank returned: %v", lag)
 	}
 	// No lag at all: nothing to excise.
 	fresh := New(2)
-	if _, ok := fresh.Laggard(0); ok {
+	if _, _, ok := fresh.Laggard(0); ok {
 		t.Fatal("fresh tracker reported a laggard")
 	}
 }
