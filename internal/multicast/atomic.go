@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"slices"
 	"sort"
 
 	"catocs/internal/stability"
@@ -203,13 +204,17 @@ func (m *Member) fireNack() {
 // until visit returns false. The per-sender known frontier holds all
 // the evidence: acks and piggybacked delivered clocks raise it (which
 // catches a lost message with no successors), and so does every held
-// message's own sequence and, under Causal, its dependency stamp
-// (onDataMain). A held message waits only on prefixes that start at
-// delivered+1, so the union of what the holdback queue waits on is the
-// window (delivered, known] minus the queue itself. The total orders
-// deliver across per-sender order, so their window starts at the
-// delivered set's contiguous frontier and skips what was delivered
-// above it.
+// or parked message's own sequence and, under Causal, a held message's
+// dependency stamp (onDataMain). A held message waits only on prefixes
+// that start at delivered+1, so the union of what the holdback queue
+// waits on is the window (delivered, known] minus the queue itself. The
+// total orders deliver across per-sender order, so their window starts
+// at the delivered set's contiguous frontier and skips what was
+// delivered above it. A parked delta is not missing while its
+// predecessor's stamp is outstanding: the retransmission that brings
+// the predecessor decodes it, so asking for it too only buys a
+// duplicate. One parked right above its chain head waits on a stamp
+// ResumeChains skipped, which nothing will bring, and is asked for.
 func (m *Member) eachMissing(visit func(MsgID) bool) {
 	total := m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal
 	for s, hi := range m.known {
@@ -226,6 +231,10 @@ func (m *Member) eachMissing(visit func(MsgID) bool) {
 			} else {
 				_, have = m.pendQ[s][id.Seq]
 			}
+			if !have && m.parkedCount > 0 {
+				_, parked := m.parked[s][id.Seq]
+				have = parked && id.Seq-1 > m.reconSeq[s]
+			}
 			if !have && !visit(id) {
 				return
 			}
@@ -235,10 +244,12 @@ func (m *Member) eachMissing(visit func(MsgID) bool) {
 
 // hasMissing reports whether eachMissing would visit anything. Under
 // FIFO and Causal it only counts: known >= delivered per sender, and
-// every held (s, q) has delivered[s] < q <= known[s], so something is
-// missing exactly when the windows hold more sequences than the queue
-// holds messages. The total orders have no such count (deliveries above
-// the frontier sit in the window too) and stop at the first gap.
+// every held or parked (s, q) has delivered[s] < q <= known[s], so
+// something is missing exactly when the windows hold more sequences than
+// the queue holds messages plus the parked arrivals eachMissing skips —
+// every parked one but those right above their chain head. The total
+// orders have no such count (deliveries above the frontier sit in the
+// window too) and stop at the first gap.
 func (m *Member) hasMissing() bool {
 	if m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal {
 		found := false
@@ -249,7 +260,15 @@ func (m *Member) hasMissing() bool {
 	for s, hi := range m.known {
 		window += hi - m.delivered[s]
 	}
-	return window > uint64(m.pendCount)
+	have := m.pendCount + m.parkedCount
+	if m.parkedCount > 0 {
+		for s, shard := range m.parked {
+			if _, atHead := shard[m.reconSeq[s]+1]; atHead {
+				have--
+			}
+		}
+	}
+	return window > uint64(have)
 }
 
 // fireOrderNack (total modes) asks the sequencer to resend lost order
@@ -289,37 +308,56 @@ func (m *Member) fireOrderNack() {
 	})
 }
 
-// onOrderNack (sequencer) resends assignments from its log. A
-// requested id the sequencer has never assigned means the sequencer
-// itself missed that data (the requester evidently holds it, having
-// named it), so the sequencer asks the requester for a data
-// retransmission — closing the loop when the loss hit the
-// sequencer-bound copy.
+// onOrderNack (sequencer) resends assignments from its log in runs,
+// one OrderBatchMsg per contiguous range of positions, in ascending
+// order: the requester's frontier onward and the positions of the ids
+// it wants that were assigned below it. A requested id the sequencer
+// has never assigned means the sequencer itself missed that data (the
+// requester evidently holds it, having named it), so the sequencer
+// asks the requester for a data retransmission — closing the loop when
+// the loss hit the sequencer-bound copy.
 func (m *Member) onOrderNack(n *OrderNack) {
 	if (m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal) || m.rank != m.cfg.SequencerRank {
 		return
 	}
-	resend := func(global uint64, id MsgID) {
-		m.CtrlMsgs.Inc()
-		m.send(n.From, &OrderMsg{Group: m.cfg.Group, Epoch: m.epoch, GlobalSeq: global, ID: id})
-	}
-	for g := n.FromGlobal; g <= m.seqCounter; g++ {
-		if id, ok := m.assignedIDAt(g); ok {
-			resend(g, id)
-		}
-	}
+	var below []uint64
 	var unknown []MsgID
 	for _, id := range n.Want {
 		g, ok := m.assignedGlobalOf(id)
 		switch {
 		case ok && g < n.FromGlobal:
-			resend(g, id)
+			below = append(below, g)
 		case !ok:
 			if _, arrived := m.dataGet(id); !arrived {
 				unknown = append(unknown, id)
 			}
 		}
 	}
+	slices.Sort(below)
+	var first, last uint64 // the run being built; none while first is 0
+	flush := func() {
+		for ; first != 0 && first <= last; first += wireMaxWant {
+			i, j := first-m.assignedBase, min(last+1, first+wireMaxWant)-m.assignedBase
+			m.CtrlMsgs.Inc()
+			m.send(n.From, &OrderBatchMsg{Group: m.cfg.Group, Epoch: m.epoch, FirstGlobal: first, IDs: m.assignedLog[i:j:j]})
+		}
+		first = 0
+	}
+	extend := func(lo, hi uint64) {
+		if first != 0 && lo <= last+1 {
+			last = max(last, hi)
+			return
+		}
+		flush()
+		first, last = lo, hi
+	}
+	for _, g := range below {
+		extend(g, g)
+	}
+	if end := m.assignedBase + uint64(len(m.assignedLog)); max(n.FromGlobal, m.assignedBase) < end {
+		extend(max(n.FromGlobal, m.assignedBase), end-1)
+	}
+	flush()
 	if len(unknown) > 0 {
 		m.CtrlMsgs.Inc()
 		m.send(n.From, &NackMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Want: unknown})

@@ -240,9 +240,9 @@ func TestInOrderDeltasStayOnTheHead(t *testing.T) {
 
 // TestOrderRunEqualsSingles feeds the same assignments to identical
 // members as whole runs, as arbitrary splits of those runs, and as
-// single OrderMsgs — clean, and with duplicated, overlapping, reordered
-// and out-of-window positions mixed in. A run is only an encoding:
-// every form must leave the same order window, frontier and deliveries.
+// one-id runs — clean, and with duplicated, overlapping, reordered and
+// out-of-window positions mixed in. A run is only an encoding: every
+// form must leave the same order window, frontier and deliveries.
 func TestOrderRunEqualsSingles(t *testing.T) {
 	const n, total = 4, 24
 	nodes := make([]transport.NodeID, n)
@@ -280,7 +280,7 @@ func TestOrderRunEqualsSingles(t *testing.T) {
 		maxGlobalSeen uint64
 	}
 	// feed hands the scenario to a fresh member, each run cut into
-	// messages of at most chunk assignments (0: whole; 1: OrderMsgs).
+	// messages of at most chunk assignments (0: whole; 1: one-id runs).
 	feed := func(runs []run, chunk int) state {
 		var st state
 		m := NewMember(nullNet{}, nodes, 1, Config{Group: "o", Ordering: TotalSeq}, func(d Delivered) {
@@ -298,11 +298,7 @@ func TestOrderRunEqualsSingles(t *testing.T) {
 			}
 			for i := 0; i < len(r.ids); i += step {
 				g, part := r.first+uint64(i), r.ids[i:min(i+step, len(r.ids))]
-				if chunk == 1 {
-					m.Handle(nodes[0], &OrderMsg{Group: "o", GlobalSeq: g, ID: part[0]})
-				} else {
-					m.Handle(nodes[0], &OrderBatchMsg{Group: "o", FirstGlobal: g, IDs: part})
-				}
+				m.Handle(nodes[0], &OrderBatchMsg{Group: "o", FirstGlobal: g, IDs: part})
 			}
 		}
 		st.win = append(st.win, m.orderWin[m.orderHead:]...)

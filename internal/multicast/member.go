@@ -314,7 +314,8 @@ type Member struct {
 	lastAdvert vclock.VC
 	ackForce   bool
 	// known tracks the highest sequence each sender is known to have
-	// multicast, learned from piggybacked delivered clocks and acks.
+	// multicast, learned from arrivals (parked ones included),
+	// piggybacked delivered clocks and acks.
 	// Gaps between delivered and known with nothing pending identify
 	// messages lost with no causal successor to betray them — without
 	// this, a lost final message would never be re-requested.
@@ -755,11 +756,6 @@ func (m *Member) Handle(from transport.NodeID, payload any) {
 			return
 		}
 		m.onData(msg)
-	case *OrderMsg:
-		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
-			return
-		}
-		m.onOrder(msg)
 	case *OrderBatchMsg:
 		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
 			return
@@ -883,6 +879,15 @@ func (m *Member) reconstruct(in *DataMsg) *DataMsg {
 		shard[q] = in // a duplicate arrival overwrites its twin
 		m.parkedCount += len(shard) - before
 		m.updateHoldbackGauge()
+		if m.known != nil {
+			// A parked arrival is evidence that s cast everything up to
+			// q, so the gap below it is noticed now rather than when an
+			// ack or piggybacked clock happens to mention it.
+			if q > m.known[s] {
+				m.known[s] = q
+			}
+			m.armNack()
+		}
 		return nil
 	}
 	return m.decode(in, base)
@@ -1168,15 +1173,6 @@ func (m *Member) dataDel(id MsgID) {
 	}
 }
 
-// assignedIDAt returns the id the sequencer assigned global position g
-// this epoch.
-func (m *Member) assignedIDAt(g uint64) (MsgID, bool) {
-	if g < m.assignedBase || g-m.assignedBase >= uint64(len(m.assignedLog)) {
-		return MsgID{}, false
-	}
-	return m.assignedLog[g-m.assignedBase], true
-}
-
 // assignedGlobalOf finds the global position assigned to id, scanning
 // the log newest-first (order NACKs name recent losses). Recovery-path
 // only: the hot assignment path never looks an id up.
@@ -1313,22 +1309,6 @@ func (m *Member) drainTotal() {
 		m.orderConsume()
 		m.nextGlobal++
 		m.doDeliver(msg)
-	}
-}
-
-// onOrder records a sequencer assignment.
-func (m *Member) onOrder(om *OrderMsg) {
-	if om.GlobalSeq > m.maxGlobalSeen {
-		m.maxGlobalSeen = om.GlobalSeq
-	}
-	if m.orderKnown.Has(om.ID) {
-		return
-	}
-	m.orderKnown.Add(om.ID)
-	m.orderSet(om.GlobalSeq, om.ID)
-	m.drainTotal()
-	if m.cfg.Atomic && (m.dataCount > 0 || m.nextGlobal <= m.maxGlobalSeen) {
-		m.armNack()
 	}
 }
 

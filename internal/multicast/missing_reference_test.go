@@ -7,17 +7,33 @@ import (
 )
 
 // referenceMissingSet is the from-scratch missing set eachMissing
-// replaced, kept verbatim as the oracle: the ids of messages known to
-// exist that this member has neither delivered nor buffered in its
-// holdback queue, deduplicated and sorted. Two sources of evidence feed it: the
+// replaced, kept as the oracle: the ids of messages known to exist that
+// this member has neither delivered nor buffered in its holdback queue,
+// deduplicated and sorted, less the parked deltas whose predecessor's
+// stamp is still outstanding. Two sources of evidence feed it: the
 // dependency stamps of pending (undeliverable) messages, and the
-// per-sender "known sent" frontier learned from acks — the latter
-// catches a lost message with no successors.
+// per-sender "known sent" frontier learned from acks and arrivals — the
+// latter catches a lost message with no successors.
 func (m *Member) referenceMissingSet() []MsgID {
 	seen := make(map[MsgID]bool)
 	var out []MsgID
+	// A parked delta decodes as soon as its predecessor's stamp is known,
+	// so while that stamp is outstanding the predecessor's retransmission
+	// brings both and the delta itself is not wanted. A parked delta whose
+	// predecessor is the chain head with no stamp (ResumeChains skipped
+	// it) can only arrive as a full-clock retransmission and is wanted.
+	awaitsStamp := func(id MsgID) bool {
+		if m.parked == nil {
+			return false
+		}
+		if _, parked := m.parked[id.Sender][id.Seq]; !parked {
+			return false
+		}
+		prev := id.Seq - 1
+		return prev > m.reconSeq[id.Sender] && m.aheadAt(id.Sender, prev) == nil
+	}
 	add := func(id MsgID) {
-		if !seen[id] {
+		if !seen[id] && !awaitsStamp(id) {
 			seen[id] = true
 			out = append(out, id)
 		}

@@ -160,6 +160,19 @@ func (w *missWorld) check(m *Member) {
 			}
 		}
 	}
+	// A parked delta sits above its chain head, and right above it only
+	// when the head's stamp is unknown (a ResumeChains checkpoint): any
+	// other base would have decoded it.
+	for s, shard := range m.parked {
+		for q := range shard {
+			if q <= m.reconSeq[s] || q == m.reconSeq[s]+1 && m.reconVC[s] != nil {
+				t.Fatalf("t=%v rank %d epoch %d: (%d,%d) parked with chain head %d (stamp known: %v)", w.k.Now(), m.rank, m.epoch, s, q, m.reconSeq[s], m.reconVC[s] != nil)
+			}
+			if q > m.known[s] || m.cfg.Ordering == Causal && q <= m.delivered[s] {
+				t.Fatalf("t=%v rank %d epoch %d: (%d,%d) parked outside (delivered %d, known %d]", w.k.Now(), m.rank, m.epoch, s, q, m.delivered[s], m.known[s])
+			}
+		}
+	}
 	want := m.referenceMissingSet()
 	var got []MsgID
 	m.eachMissing(func(id MsgID) bool {
@@ -485,8 +498,8 @@ func TestAssignedGlobalOf(t *testing.T) {
 		if g, ok := m.assignedGlobalOf(id); !ok || g != uint64(i+1) {
 			t.Errorf("assignedGlobalOf(%v) = %d, %v; want %d", id, g, ok, i+1)
 		}
-		if back, ok := m.assignedIDAt(uint64(i + 1)); !ok || back != id {
-			t.Errorf("assignedIDAt(%d) = %v, %v; want %v", i+1, back, ok, id)
+		if back := m.assignedLog[uint64(i+1)-m.assignedBase]; back != id {
+			t.Errorf("assignedLog holds %v at position %d; want %v", back, i+1, id)
 		}
 	}
 	for _, id := range []MsgID{{Sender: 1, Seq: 1_000_003}, {Sender: 1, Seq: 1}, {Sender: 2, Seq: 2}, {Sender: 2, Seq: 9}, {Sender: 0, Seq: 1}, {Sender: 7, Seq: 1}, {Sender: -1, Seq: 1}} {

@@ -112,24 +112,11 @@ func (m *DataMsg) ApproxSize() int {
 // linearly in group size, the scaling cost scalecast removes.
 func (m *DataMsg) ControlSize() int { return m.ApproxSize() - m.PayloadSize }
 
-// OrderMsg announces one sequencer assignment: global position
-// GlobalSeq is assigned to message ID. The sequencer announces in runs
-// (OrderBatchMsg); this is the reply format of order-NACK recovery.
-type OrderMsg struct {
-	Group     string
-	Epoch     uint64
-	GlobalSeq uint64
-	ID        MsgID
-}
-
-// ApproxSize implements transport.Sizer.
-func (m *OrderMsg) ApproxSize() int { return 48 }
-
 // OrderBatchMsg is the sequencer's ordering announcement, a run of
 // consecutive assignments: IDs[i] is assigned global position
 // FirstGlobal+i. Runs amortize the per-frame cost that caps a fixed
 // sequencer's throughput — one announcement frame per run instead of
-// one per cast.
+// one per cast — and order-NACK recovery answers in runs too.
 type OrderBatchMsg struct {
 	Group       string
 	Epoch       uint64
@@ -199,8 +186,8 @@ func (m *NackMsg) ApproxSize() int { return 24 + 16*len(m.Want) }
 
 // OrderNack asks the sequencer to retransmit order assignments: every
 // global position in [FromGlobal, latest], plus the positions of the
-// specific messages in Want (data that arrived but whose OrderMsg was
-// lost).
+// specific messages in Want (data that arrived but whose assignment
+// was lost).
 type OrderNack struct {
 	Group      string
 	Epoch      uint64

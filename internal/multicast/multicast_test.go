@@ -598,7 +598,7 @@ func TestApproxSizes(t *testing.T) {
 	if d.ApproxSize() != 40+100+32 {
 		t.Fatalf("data size = %d", d.ApproxSize())
 	}
-	if (&OrderMsg{}).ApproxSize() <= 0 || (&AckMsg{Delivered: vclock.New(2)}).ApproxSize() != 41 {
+	if (&OrderBatchMsg{IDs: make([]MsgID, 2)}).ApproxSize() != 72 || (&AckMsg{Delivered: vclock.New(2)}).ApproxSize() != 41 {
 		t.Fatal("control sizes wrong")
 	}
 	r := &RetransMsg{Data: d}

@@ -76,7 +76,13 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 				m.pendCount--
 			}
 			if m.parked != nil { // nil for unstamped orderings
-				m.unpark(msg.Sender, msg.Seq)
+				// A fill may overtake parked deltas whose stamps never
+				// arrived; every parked copy at or below it is dead.
+				for q := range m.parked[msg.Sender] {
+					if q <= msg.Seq {
+						m.unpark(msg.Sender, q)
+					}
+				}
 			}
 			// A fill this member never received still has to keep
 			// known >= delivered, which hasMissing's count rests on.

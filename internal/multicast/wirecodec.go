@@ -9,7 +9,7 @@ import (
 	"catocs/internal/wire"
 )
 
-// Wire codec registrations for the nine CBCAST/ABCAST message types,
+// Wire codec registrations for the eight CBCAST/ABCAST message types,
 // so the TCP transport can carry a group across OS processes. The
 // in-process networks never call these; tcpnet calls them on every
 // frame. On the wire a DataMsg payload must be nil or []byte — the
@@ -41,7 +41,8 @@ const (
 
 func init() {
 	wire.RegisterAppend(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg)
-	wire.RegisterAppend(wire.KindMulticast+1, &OrderMsg{}, encOrderMsg, decOrderMsg)
+	// KindMulticast+1 carried single order assignments, now answered in
+	// runs; it stays unassigned so such a frame is rejected, not misread.
 	wire.RegisterAppend(wire.KindMulticast+2, &ProposeMsg{}, encProposeMsg, decProposeMsg)
 	wire.RegisterAppend(wire.KindMulticast+3, &CommitMsg{}, encCommitMsg, decCommitMsg)
 	wire.RegisterAppend(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg)
@@ -234,30 +235,6 @@ func decDataMsg(buf []byte) (any, error) {
 		m.Payload = b
 	}
 	if err := r.Finish("multicast.DataMsg"); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encOrderMsg(dst []byte, payload any) ([]byte, error) {
-	m := payload.(*OrderMsg)
-	w := wire.NewAppendWriter(dst)
-	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.U64(m.GlobalSeq)
-	appendMsgID(&w, m.ID)
-	return w.Bytes(), nil
-}
-
-func decOrderMsg(buf []byte) (any, error) {
-	r := wire.NewReader(buf)
-	m := &OrderMsg{
-		Group:     r.String(wireMaxGroup),
-		Epoch:     r.U64(),
-		GlobalSeq: r.U64(),
-		ID:        readMsgID(r),
-	}
-	if err := r.Finish("multicast.OrderMsg"); err != nil {
 		return nil, err
 	}
 	return m, nil

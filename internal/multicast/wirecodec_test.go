@@ -29,7 +29,7 @@ func sampleMsgs() []any {
 	return []any{
 		data,
 		&DataMsg{Group: "g2", Sender: 0, Seq: 1},
-		&OrderMsg{Group: "g", Epoch: 1, GlobalSeq: 88, ID: MsgID{Sender: 1, Seq: 7}},
+		&OrderBatchMsg{Group: "g", Epoch: 1, FirstGlobal: 88, IDs: []MsgID{{Sender: 1, Seq: 7}, {Sender: 0, Seq: 3}}},
 		&ProposeMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 41, Proc: 3}},
 		&CommitMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 44, Proc: 1}},
 		&AckMsg{Group: "g", Epoch: 5, From: 1, Delivered: vclock.VC{9, 9, 2}},
@@ -86,9 +86,9 @@ func TestWireRejectsNonByteSlicePayload(t *testing.T) {
 // and decode to the same value (canonical form round trip).
 func FuzzWireDecode(f *testing.F) {
 	kinds := []wire.Kind{
-		wire.KindMulticast + 0, wire.KindMulticast + 1, wire.KindMulticast + 2,
-		wire.KindMulticast + 3, wire.KindMulticast + 4, wire.KindMulticast + 5,
-		wire.KindMulticast + 6, wire.KindMulticast + 7,
+		wire.KindMulticast + 0, wire.KindMulticast + 2, wire.KindMulticast + 3,
+		wire.KindMulticast + 4, wire.KindMulticast + 5, wire.KindMulticast + 6,
+		wire.KindMulticast + 7, wire.KindMulticast + 8,
 	}
 	for _, in := range sampleMsgs() {
 		kind, buf, err := wire.Marshal(in)
