@@ -6,6 +6,7 @@ verify: vet build test race smoke
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

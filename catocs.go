@@ -7,8 +7,8 @@
 // The package exposes two toolkits and the machinery to compare them:
 //
 //   - The CATOCS stack: process groups with FIFO, causal
-//     (CBCAST-style), and totally ordered (fixed-sequencer and
-//     Skeen-agreement) multicast; atomic delivery with unstable-message
+//     (CBCAST-style), and totally ordered (fixed-sequencer, plain or
+//     causally consistent) multicast; atomic delivery with unstable-message
 //     buffering, stability tracking, and NACK retransmission; heartbeat
 //     failure detection and virtually synchronous view changes.
 //   - The state-level alternatives the paper advocates: versioned
@@ -139,8 +139,6 @@ const (
 	Causal = multicast.Causal
 	// TotalSeq is total order via a fixed sequencer.
 	TotalSeq = multicast.TotalSeq
-	// TotalAgree is total order via Skeen/ISIS agreement.
-	TotalAgree = multicast.TotalAgree
 	// TotalCausal is sequencer total order that also respects
 	// happens-before.
 	TotalCausal = multicast.TotalCausal

@@ -264,10 +264,23 @@ func TestE15CausalMemoryShape(t *testing.T) {
 	}
 }
 
+// TestAblationTotalShape asserts A1's verdict: agreement costs about
+// twice the sequencer's latency (a propose/commit round against one
+// extra hop) and more control traffic; on this schedule the causally
+// consistent sequencer costs nothing over the plain one.
 func TestAblationTotalShape(t *testing.T) {
 	pt := RunAblationTotal(6, 10, 29)
 	if pt.SeqMeanMs <= 0 || pt.AgreeMeanMs <= 0 {
 		t.Fatalf("latencies not measured: %+v", pt)
+	}
+	if r := pt.AgreeMeanMs / pt.SeqMeanMs; r < 1.5 || r > 2.5 {
+		t.Fatalf("agreement/sequencer latency = %.2f, want within [1.5, 2.5]: %+v", r, pt)
+	}
+	if pt.CausalTotalMs != pt.SeqMeanMs {
+		t.Fatalf("causal-total mean %v ms != sequencer mean %v ms", pt.CausalTotalMs, pt.SeqMeanMs)
+	}
+	if pt.AgreeCtrlMsgs <= pt.SeqCtrlMsgs {
+		t.Fatalf("agreement ctrl msgs %d should exceed the sequencer's %d", pt.AgreeCtrlMsgs, pt.SeqCtrlMsgs)
 	}
 	if pt.SequencerLoadPct <= 100.0/6.0 {
 		t.Fatalf("sequencer load %v%% should exceed a fair share", pt.SequencerLoadPct)

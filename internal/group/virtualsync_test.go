@@ -129,15 +129,3 @@ func TestVirtualSynchronyInvariantUnderChurn(t *testing.T) {
 		}
 	}
 }
-
-func TestAtomicTotalAgreePanics(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := transport.NewSimNet(k, transport.LinkConfig{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Atomic+TotalAgree")
-		}
-	}()
-	multicast.NewMember(net, []transport.NodeID{0, 1}, 0,
-		multicast.Config{Group: "x", Ordering: multicast.TotalAgree, Atomic: true}, nil)
-}

@@ -1,6 +1,7 @@
 package mgcast
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -133,6 +134,52 @@ func TestMultiGroupPairwiseOrder(t *testing.T) {
 	for rank, n := range w.nodes {
 		if n.OutstandingCasts() != 0 || n.PendingCount() != 0 {
 			t.Fatalf("node %d: %d outstanding casts, %d pending after quiesce", rank, n.OutstandingCasts(), n.PendingCount())
+		}
+	}
+}
+
+// TestSingleGroupAgreementOnOrder is Skeen's total-order property on
+// one group spanning every node, the ISIS ABCAST configuration: under
+// arbitrary jitter seeds, with and without loss, every member delivers
+// every cast, and all members deliver them in the identical sequence.
+func TestSingleGroupAgreementOnOrder(t *testing.T) {
+	const n, perSender = 4, 5
+	for _, loss := range []float64{0, 0.1} {
+		var retrans uint64
+		for seed := int64(0); seed < 15; seed++ {
+			link := transport.LinkConfig{Jitter: 25 * time.Millisecond, LossProb: loss}
+			w := newWorld(t, seed, n, link, Config{Groups: map[string][]int{"all": {0, 1, 2, 3}}})
+			for s := 0; s < n; s++ {
+				w.k.At(0, func() {
+					for i := 0; i < perSender; i++ {
+						w.nodes[s].Multicast([]string{"all"}, i, 4)
+					}
+				})
+			}
+			w.k.RunUntil(30 * time.Second)
+
+			seq := make([]string, n)
+			for rank, log := range w.delivered {
+				if len(log) != n*perSender {
+					t.Fatalf("loss %v seed %d: node %d delivered %d of %d", loss, seed, rank, len(log), n*perSender)
+				}
+				ids := make([]MsgID, len(log))
+				for i, d := range log {
+					ids[i] = d.ID
+				}
+				seq[rank] = fmt.Sprint(ids)
+			}
+			for rank := 1; rank < n; rank++ {
+				if seq[rank] != seq[0] {
+					t.Fatalf("loss %v seed %d: nodes 0 and %d disagree:\n%s\nvs\n%s", loss, seed, rank, seq[0], seq[rank])
+				}
+			}
+			for _, nd := range w.nodes {
+				retrans += nd.Retransmits.Value()
+			}
+		}
+		if loss > 0 && retrans == 0 {
+			t.Fatalf("loss %v: no retransmissions, so recovery was never exercised", loss)
 		}
 	}
 }

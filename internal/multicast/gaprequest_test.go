@@ -157,9 +157,9 @@ type recSend struct {
 }
 
 func (*recNet) Register(transport.NodeID, transport.Handler) {}
-func (r *recNet) Send(_, to transport.NodeID, msg any)      { r.sends = append(r.sends, recSend{to, msg}) }
-func (*recNet) Now() time.Duration                          { return 0 }
-func (r *recNet) After(_ time.Duration, f func())           { r.timers = append(r.timers, f) }
+func (r *recNet) Send(_, to transport.NodeID, msg any)       { r.sends = append(r.sends, recSend{to, msg}) }
+func (*recNet) Now() time.Duration                           { return 0 }
+func (r *recNet) After(_ time.Duration, f func())            { r.timers = append(r.timers, f) }
 
 // fire runs the timers pending now (not those they arm).
 func (r *recNet) fire() {

@@ -29,9 +29,6 @@ const (
 	// TotalSeq delivers all messages in one global order assigned by a
 	// fixed sequencer member.
 	TotalSeq
-	// TotalAgree delivers in a global order agreed by the Skeen/ISIS
-	// two-phase priority protocol (no fixed sequencer).
-	TotalAgree
 	// TotalCausal is sequencer-based total order that also respects
 	// happens-before: messages carry causal stamps and the sequencer
 	// assigns positions only in a causally consistent order. This is
@@ -53,8 +50,6 @@ func (o Ordering) String() string {
 		return "causal"
 	case TotalSeq:
 		return "total-seq"
-	case TotalAgree:
-		return "total-agree"
 	case TotalCausal:
 		return "total-causal"
 	default:
@@ -70,9 +65,7 @@ type Config struct {
 	Ordering Ordering
 	// Atomic enables unstable-message buffering, stability tracking via
 	// acks, and NACK-driven retransmission of both data and (for the
-	// sequencer-based total orderings) order assignments. Supported for
-	// FIFO, Causal, TotalSeq, and TotalCausal; TotalAgree assumes
-	// lossless links.
+	// sequencer-based total orderings) order assignments.
 	Atomic bool
 	// AckInterval is the delay before a member broadcasts its delivered
 	// clock after buffering activity (atomic mode). Zero defaults to
@@ -292,11 +285,6 @@ type Member struct {
 	// learned of, for order-gap detection.
 	maxGlobalSeen uint64
 
-	// TotalAgree state.
-	lamport   vclock.Lamport
-	agree     *agreeQueue
-	proposals map[MsgID]*proposalSet
-
 	// deliveredIDs dedups for modes whose delivery can cross per-sender
 	// sequence order (unordered and the total orders); FIFO/causal
 	// dedup on the delivered clock instead.
@@ -372,12 +360,6 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 	if int(rank) < 0 || int(rank) >= len(nodes) {
 		panic(fmt.Sprintf("multicast: rank %d out of range for %d nodes", rank, len(nodes)))
 	}
-	if cfg.Atomic && cfg.Ordering == TotalAgree {
-		// Agreement-mode recovery would need proposal/commit replay,
-		// which this implementation does not provide; failing loudly
-		// beats a group that silently stalls on the first lost packet.
-		panic("multicast: Atomic mode is not supported with TotalAgree (lossless links assumed)")
-	}
 	if int(cfg.SequencerRank) < 0 || int(cfg.SequencerRank) >= len(nodes) {
 		panic(fmt.Sprintf("multicast: sequencer rank %d out of range for %d nodes", cfg.SequencerRank, len(nodes)))
 	}
@@ -393,12 +375,8 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 		nextGlobal:   1,
 		orderBase:    1,
 		dataQ:        newShardQ(len(nodes)),
-		proposals:    make(map[MsgID]*proposalSet),
 		nackRetries:  make(map[MsgID]int),
 		deliveredIDs: newSeqSet(len(nodes)),
-	}
-	if cfg.Ordering == TotalAgree {
-		m.agree = newAgreeQueue()
 	}
 	if cfg.Ordering == TotalCausal && rank == cfg.SequencerRank {
 		m.seqQ = newShardQ(len(nodes))
@@ -522,8 +500,6 @@ func (m *Member) PendingCount() int {
 	switch m.cfg.Ordering {
 	case TotalSeq, TotalCausal:
 		return m.dataCount + m.parkedCount
-	case TotalAgree:
-		return m.agree.Len()
 	default:
 		return m.pendCount + m.parkedCount
 	}
@@ -761,16 +737,6 @@ func (m *Member) Handle(from transport.NodeID, payload any) {
 			return
 		}
 		m.onOrderBatch(msg)
-	case *ProposeMsg:
-		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
-			return
-		}
-		m.onPropose(msg)
-	case *CommitMsg:
-		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
-			return
-		}
-		m.onCommit(msg)
 	case *AckMsg:
 		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
 			return
@@ -1064,8 +1030,6 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		if m.cfg.Atomic && m.dataCount > 0 {
 			m.armNack()
 		}
-	case TotalAgree:
-		m.onAgreeData(msg)
 	}
 }
 

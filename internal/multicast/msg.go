@@ -1,7 +1,7 @@
 // Package multicast implements the CATOCS protocols the paper
 // critiques, from scratch: unordered, FIFO, causal (CBCAST-style
-// vector-clock delay queues), and totally ordered multicast in both
-// fixed-sequencer and ISIS/Skeen agreement modes, with optional atomic
+// vector-clock delay queues), and fixed-sequencer totally ordered
+// multicast (plain and causally consistent), with optional atomic
 // delivery (negative acknowledgements, retransmission from unstable
 // buffers, and matrix-clock stability tracking).
 //
@@ -126,30 +126,6 @@ type OrderBatchMsg struct {
 
 // ApproxSize implements transport.Sizer.
 func (m *OrderBatchMsg) ApproxSize() int { return 40 + 16*len(m.IDs) }
-
-// ProposeMsg is a member's priority proposal in agreement (Skeen) mode,
-// sent back to the originator of message ID.
-type ProposeMsg struct {
-	Group    string
-	Epoch    uint64
-	ID       MsgID
-	Priority vclock.Stamp
-}
-
-// ApproxSize implements transport.Sizer.
-func (m *ProposeMsg) ApproxSize() int { return 56 }
-
-// CommitMsg fixes the final priority of message ID in agreement mode:
-// the maximum of all proposals.
-type CommitMsg struct {
-	Group    string
-	Epoch    uint64
-	ID       MsgID
-	Priority vclock.Stamp
-}
-
-// ApproxSize implements transport.Sizer.
-func (m *CommitMsg) ApproxSize() int { return 56 }
 
 // AckMsg carries a member's delivered vector clock for stability
 // tracking (atomic mode). Sent periodically when traffic alone does not

@@ -208,28 +208,10 @@ func TestTotalSeqAgreementOnOrder(t *testing.T) {
 	}
 }
 
-func TestTotalAgreeAgreementOnOrder(t *testing.T) {
-	g := newTestGroup(t, 5, 11, transport.LinkConfig{Jitter: 15 * time.Millisecond}, Config{Group: "g", Ordering: TotalAgree})
-	const per = 10
-	for s := 0; s < 5; s++ {
-		for i := 0; i < per; i++ {
-			g.members[s].Multicast(fmt.Sprintf("s%d-%d", s, i), 8)
-		}
-	}
-	g.k.Run()
-	g.assertAllDelivered(t, 5*per)
-	base := fmt.Sprint(g.deliveries[0])
-	for r := 1; r < 5; r++ {
-		if fmt.Sprint(g.deliveries[r]) != base {
-			t.Fatalf("agreement order disagreement:\n%v\nvs\n%v", base, g.deliveries[r])
-		}
-	}
-}
-
 func TestTotalOrderPropertyManySeeds(t *testing.T) {
-	// Property: under arbitrary jitter seeds, both total orderings give
-	// every member the identical delivery sequence.
-	for _, ord := range []Ordering{TotalSeq, TotalAgree} {
+	// Property: under arbitrary jitter seeds, both sequencer orderings
+	// give every member the identical delivery sequence.
+	for _, ord := range []Ordering{TotalSeq, TotalCausal} {
 		for seed := int64(0); seed < 15; seed++ {
 			g := newTestGroup(t, 4, seed, transport.LinkConfig{Jitter: 25 * time.Millisecond}, Config{Group: "g", Ordering: ord})
 			for s := 0; s < 4; s++ {
@@ -585,7 +567,7 @@ func TestLatencyMetricsRecorded(t *testing.T) {
 func TestOrderingString(t *testing.T) {
 	for o, want := range map[Ordering]string{
 		Unordered: "unordered", FIFO: "fifo", Causal: "causal",
-		TotalSeq: "total-seq", TotalAgree: "total-agree",
+		TotalSeq: "total-seq", TotalCausal: "total-causal",
 	} {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q", int(o), o.String())

@@ -67,8 +67,6 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 	switch m.cfg.Ordering {
 	case TotalSeq, TotalCausal:
 		m.dataDel(msg.ID())
-	case TotalAgree:
-		delete(m.agree.entries, msg.ID())
 	default:
 		if m.validRank(msg.Sender) {
 			if _, held := m.pendQ[msg.Sender][msg.Seq]; held {
@@ -163,10 +161,6 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	m.maxGlobalSeen = 0
 	m.assignedLog = nil
 	m.assignedBase = 0
-	m.proposals = make(map[MsgID]*proposalSet)
-	if m.cfg.Ordering == TotalAgree {
-		m.agree = newAgreeQueue()
-	}
 	m.deliveredIDs = newSeqSet(len(nodes))
 	m.nackRetries = make(map[MsgID]int)
 	if m.stab != nil {

@@ -42,9 +42,9 @@ const (
 func init() {
 	wire.RegisterAppend(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg)
 	// KindMulticast+1 carried single order assignments, now answered in
-	// runs; it stays unassigned so such a frame is rejected, not misread.
-	wire.RegisterAppend(wire.KindMulticast+2, &ProposeMsg{}, encProposeMsg, decProposeMsg)
-	wire.RegisterAppend(wire.KindMulticast+3, &CommitMsg{}, encCommitMsg, decCommitMsg)
+	// runs; +2 and +3 carried the retired agreement mode's proposals and
+	// commits (agreement order lives in internal/mgcast). All three stay
+	// unassigned so such a frame is rejected, not misread.
 	wire.RegisterAppend(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg)
 	wire.RegisterAppend(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg)
 	wire.RegisterAppend(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack)
@@ -136,15 +136,6 @@ func appendMsgID(w *wire.Writer, id MsgID) {
 
 func readMsgID(r *wire.Reader) MsgID {
 	return MsgID{Sender: vclock.ProcessID(r.I64()), Seq: r.U64()}
-}
-
-func appendStamp(w *wire.Writer, s vclock.Stamp) {
-	w.U64(s.Time)
-	w.I64(int64(s.Proc))
-}
-
-func readStamp(r *wire.Reader) vclock.Stamp {
-	return vclock.Stamp{Time: r.U64(), Proc: vclock.ProcessID(r.I64())}
 }
 
 // encDataMsgBody appends the DataMsg encoding to dst. When a message
@@ -280,54 +271,6 @@ func decOrderBatchMsg(buf []byte) (any, error) {
 		}
 	}
 	if err := r.Finish("multicast.OrderBatchMsg"); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encProposeMsg(dst []byte, payload any) ([]byte, error) {
-	m := payload.(*ProposeMsg)
-	w := wire.NewAppendWriter(dst)
-	w.String(m.Group)
-	w.U64(m.Epoch)
-	appendMsgID(&w, m.ID)
-	appendStamp(&w, m.Priority)
-	return w.Bytes(), nil
-}
-
-func decProposeMsg(buf []byte) (any, error) {
-	r := wire.NewReader(buf)
-	m := &ProposeMsg{
-		Group:    r.String(wireMaxGroup),
-		Epoch:    r.U64(),
-		ID:       readMsgID(r),
-		Priority: readStamp(r),
-	}
-	if err := r.Finish("multicast.ProposeMsg"); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func encCommitMsg(dst []byte, payload any) ([]byte, error) {
-	m := payload.(*CommitMsg)
-	w := wire.NewAppendWriter(dst)
-	w.String(m.Group)
-	w.U64(m.Epoch)
-	appendMsgID(&w, m.ID)
-	appendStamp(&w, m.Priority)
-	return w.Bytes(), nil
-}
-
-func decCommitMsg(buf []byte) (any, error) {
-	r := wire.NewReader(buf)
-	m := &CommitMsg{
-		Group:    r.String(wireMaxGroup),
-		Epoch:    r.U64(),
-		ID:       readMsgID(r),
-		Priority: readStamp(r),
-	}
-	if err := r.Finish("multicast.CommitMsg"); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -2,6 +2,7 @@ package multicast
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -30,8 +31,6 @@ func sampleMsgs() []any {
 		data,
 		&DataMsg{Group: "g2", Sender: 0, Seq: 1},
 		&OrderBatchMsg{Group: "g", Epoch: 1, FirstGlobal: 88, IDs: []MsgID{{Sender: 1, Seq: 7}, {Sender: 0, Seq: 3}}},
-		&ProposeMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 41, Proc: 3}},
-		&CommitMsg{Group: "g", Epoch: 2, ID: MsgID{Sender: 3, Seq: 9}, Priority: vclock.Stamp{Time: 44, Proc: 1}},
 		&AckMsg{Group: "g", Epoch: 5, From: 1, Delivered: vclock.VC{9, 9, 2}},
 		&AckMsg{Group: "g", Epoch: 5, From: 2, Settled: true, Delivered: vclock.VC{9, 9, 2}},
 		&NackMsg{Group: "g", Epoch: 5, From: 0, Want: []MsgID{{Sender: 1, Seq: 2}, {Sender: 2, Seq: 8}}},
@@ -74,6 +73,49 @@ func TestWireRejectsTruncation(t *testing.T) {
 	}
 }
 
+// Well-formed bodies of the retired agreement-mode frames, as the last
+// encoder wrote them: a proposal (KindMulticast+2) for message 3:9 at
+// priority 41.3 and a commit (+3) of it at 44.1, both in group "g",
+// epoch 2.
+const (
+	retiredProposeHex = "01006702000000000000000300000000000000090000000000000029000000000000000300000000000000"
+	retiredCommitHex  = "0100670200000000000000030000000000000009000000000000002c000000000000000100000000000000"
+)
+
+// TestWireRejectsRetiredKinds pins that retired kinds stay unassigned:
+// a stale frame of a deleted message type fails to decode instead of
+// being misread as a live one. +1 carried single order assignments;
+// +2 and +3 the agreement mode's proposals and commits.
+func TestWireRejectsRetiredKinds(t *testing.T) {
+	var bodies [][]byte
+	for _, h := range []string{retiredProposeHex, retiredCommitHex} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
+	}
+	if _, err := wire.Unmarshal(wire.KindMulticast+2, bodies[0]); err == nil {
+		t.Error("retired proposal frame (KindMulticast+2) decoded")
+	}
+	if _, err := wire.Unmarshal(wire.KindMulticast+3, bodies[1]); err == nil {
+		t.Error("retired commit frame (KindMulticast+3) decoded")
+	}
+	bodies = append(bodies, nil)
+	for _, in := range sampleMsgs() {
+		_, buf, err := wire.Marshal(in)
+		if err != nil {
+			t.Fatalf("Marshal(%T): %v", in, err)
+		}
+		bodies = append(bodies, buf)
+	}
+	for _, b := range bodies {
+		if _, err := wire.Unmarshal(wire.KindMulticast+1, b); err == nil {
+			t.Errorf("body %x decoded under KindMulticast+1", b)
+		}
+	}
+}
+
 func TestWireRejectsNonByteSlicePayload(t *testing.T) {
 	m := &DataMsg{Group: "g", Sender: 1, Seq: 1, Payload: "a string"}
 	if _, _, err := wire.Marshal(m); err == nil {
@@ -81,15 +123,12 @@ func TestWireRejectsNonByteSlicePayload(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode attacks every multicast decoder with arbitrary
-// bytes: no input may panic, and any input that decodes must re-encode
-// and decode to the same value (canonical form round trip).
+// FuzzWireDecode attacks every multicast kind, the unassigned +1..+3
+// included, with arbitrary bytes: no input may panic, and any input
+// that decodes must re-encode and decode to the same value (canonical
+// form round trip).
 func FuzzWireDecode(f *testing.F) {
-	kinds := []wire.Kind{
-		wire.KindMulticast + 0, wire.KindMulticast + 2, wire.KindMulticast + 3,
-		wire.KindMulticast + 4, wire.KindMulticast + 5, wire.KindMulticast + 6,
-		wire.KindMulticast + 7, wire.KindMulticast + 8,
-	}
+	const kinds = 9 // KindMulticast+0 .. +8
 	for _, in := range sampleMsgs() {
 		kind, buf, err := wire.Marshal(in)
 		if err != nil {
@@ -97,9 +136,16 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(uint16(kind-wire.KindMulticast), buf)
 	}
+	for i, h := range []string{retiredProposeHex, retiredCommitHex} {
+		buf, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint16(2+i), buf)
+	}
 	f.Add(uint16(3), []byte{0, 0, 1})
 	f.Fuzz(func(t *testing.T, kindSel uint16, buf []byte) {
-		kind := kinds[int(kindSel)%len(kinds)]
+		kind := wire.KindMulticast + wire.Kind(kindSel%kinds)
 		msg, err := wire.Unmarshal(kind, buf)
 		if err != nil {
 			return
