@@ -1,7 +1,6 @@
 package multicast
 
 import (
-	"slices"
 	"sort"
 
 	"catocs/internal/stability"
@@ -278,7 +277,7 @@ func (m *Member) fireOrderNack() {
 	if m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal {
 		return
 	}
-	if m.rank == m.cfg.SequencerRank {
+	if m.seq != nil {
 		return // the sequencer is the source of truth
 	}
 	var want []MsgID
@@ -306,62 +305,6 @@ func (m *Member) fireOrderNack() {
 		Group: m.cfg.Group, Epoch: m.epoch, From: m.rank,
 		FromGlobal: m.nextGlobal, Want: want,
 	})
-}
-
-// onOrderNack (sequencer) resends assignments from its log in runs,
-// one OrderBatchMsg per contiguous range of positions, in ascending
-// order: the requester's frontier onward and the positions of the ids
-// it wants that were assigned below it. A requested id the sequencer
-// has never assigned means the sequencer itself missed that data (the
-// requester evidently holds it, having named it), so the sequencer
-// asks the requester for a data retransmission — closing the loop when
-// the loss hit the sequencer-bound copy.
-func (m *Member) onOrderNack(n *OrderNack) {
-	if (m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal) || m.rank != m.cfg.SequencerRank {
-		return
-	}
-	var below []uint64
-	var unknown []MsgID
-	for _, id := range n.Want {
-		g, ok := m.assignedGlobalOf(id)
-		switch {
-		case ok && g < n.FromGlobal:
-			below = append(below, g)
-		case !ok:
-			if _, arrived := m.dataGet(id); !arrived {
-				unknown = append(unknown, id)
-			}
-		}
-	}
-	slices.Sort(below)
-	var first, last uint64 // the run being built; none while first is 0
-	flush := func() {
-		for ; first != 0 && first <= last; first += wireMaxWant {
-			i, j := first-m.assignedBase, min(last+1, first+wireMaxWant)-m.assignedBase
-			m.CtrlMsgs.Inc()
-			m.send(n.From, &OrderBatchMsg{Group: m.cfg.Group, Epoch: m.epoch, FirstGlobal: first, IDs: m.assignedLog[i:j:j]})
-		}
-		first = 0
-	}
-	extend := func(lo, hi uint64) {
-		if first != 0 && lo <= last+1 {
-			last = max(last, hi)
-			return
-		}
-		flush()
-		first, last = lo, hi
-	}
-	for _, g := range below {
-		extend(g, g)
-	}
-	if end := m.assignedBase + uint64(len(m.assignedLog)); max(n.FromGlobal, m.assignedBase) < end {
-		extend(max(n.FromGlobal, m.assignedBase), end-1)
-	}
-	flush()
-	if len(unknown) > 0 {
-		m.CtrlMsgs.Inc()
-		m.send(n.From, &NackMsg{Group: m.cfg.Group, Epoch: m.epoch, From: m.rank, Want: unknown})
-	}
 }
 
 // onNack retransmits every requested message still in our unstable

@@ -225,7 +225,7 @@ func TestOrderNackAnsweredInRuns(t *testing.T) {
 	ids := make([]MsgID, 21) // ids[g] is assigned position g
 	for g := 1; g <= 20; g++ {
 		ids[g] = MsgID{Sender: vclock.ProcessID(g % 3), Seq: uint64(g)}
-		m.assignOrder(ids[g])
+		m.seq.assignOrder(ids[g])
 	}
 	unseen := MsgID{Sender: 2, Seq: 99}
 	m.Handle(nodes[1], &OrderNack{Group: "o", From: 1, FromGlobal: 15,
@@ -264,7 +264,7 @@ func TestOrderNackAnsweredInRuns(t *testing.T) {
 	// A range longer than one frame may carry is split at the codec's
 	// limit, so every frame still encodes.
 	for g := 21; g <= wireMaxWant+2; g++ {
-		m.assignOrder(MsgID{Sender: 1, Seq: uint64(g)})
+		m.seq.assignOrder(MsgID{Sender: 1, Seq: uint64(g)})
 	}
 	rn.sends = nil
 	m.Handle(nodes[1], &OrderNack{Group: "o", From: 1, FromGlobal: 1})

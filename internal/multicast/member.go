@@ -247,8 +247,9 @@ type Member struct {
 	parkedCount int
 	fullThrough uint64
 
-	// TotalSeq / TotalCausal state.
-	seqCounter uint64  // sequencer only: next global seq to assign
+	// TotalSeq / TotalCausal state. seq is the sequencer (sequencer.go),
+	// nil on every other member.
+	seq        *sequencer
 	orderKnown *seqSet // messages with an assigned position
 	nextGlobal uint64  // next global seq to deliver (1-based)
 	// Known-but-undelivered assignments, a ring-indexed window: slot
@@ -262,25 +263,6 @@ type Member struct {
 	// Arrived-but-undelivered data, sharded per sender like pendQ.
 	dataQ     []map[uint64]*DataMsg
 	dataCount int
-	// TotalCausal sequencer state: the causal delay queue the sequencer
-	// runs so assigned positions extend happens-before. Sharded like
-	// pendQ: only each sender's next sequence can be sequenceable.
-	seqQ         []map[uint64]*DataMsg
-	seqDelivered vclock.VC
-	// Order-announcement run (sequencer only): assignments accumulate
-	// into one contiguous run and flush on size or at the back of the
-	// dispatch queue.
-	obFirst uint64  // global position of obIDs[0]
-	obIDs   []MsgID // pending announcements, contiguous from obFirst
-	obArmed bool    // flush task queued
-	flushFn func()  // m.flushOrders, bound once so arming allocates nothing
-	// Sequencer's assignment log for order retransmission: the id
-	// assigned global position assignedBase+i sits at assignedLog[i]
-	// (positions are handed out contiguously, so a slice replaces the
-	// two per-cast map inserts this once cost). Kept for the epoch; a
-	// production implementation would prune at the stability frontier.
-	assignedLog  []MsgID
-	assignedBase uint64
 	// maxGlobalSeen is the highest global position this member has
 	// learned of, for order-gap detection.
 	maxGlobalSeen uint64
@@ -378,10 +360,7 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 		nackRetries:  make(map[MsgID]int),
 		deliveredIDs: newSeqSet(len(nodes)),
 	}
-	if cfg.Ordering == TotalCausal && rank == cfg.SequencerRank {
-		m.seqQ = newShardQ(len(nodes))
-		m.seqDelivered = vclock.New(len(nodes))
-	}
+	m.seq = newSequencer(m)
 	if cfg.stamped() {
 		m.initChainState()
 	}
@@ -759,7 +738,9 @@ func (m *Member) Handle(from transport.NodeID, payload any) {
 		if msg.Group != m.cfg.Group || msg.Epoch != m.epoch {
 			return
 		}
-		m.onOrderNack(msg)
+		if m.seq != nil {
+			m.seq.onOrderNack(msg)
+		}
 	}
 }
 
@@ -1005,8 +986,8 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		m.dataQ[msg.Sender][msg.Seq] = msg
 		m.dataCount++
 		m.updateHoldbackGauge()
-		if m.rank == m.cfg.SequencerRank && !m.orderKnown.Has(msg.ID()) {
-			m.assignOrder(msg.ID())
+		if m.seq != nil && !m.orderKnown.Has(msg.ID()) {
+			m.seq.assignOrder(msg.ID())
 		}
 		m.drainTotal()
 		m.traceHoldback(msg, "awaiting global order")
@@ -1021,52 +1002,15 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		m.dataQ[msg.Sender][msg.Seq] = msg
 		m.dataCount++
 		m.updateHoldbackGauge()
-		if m.rank == m.cfg.SequencerRank && msg.Seq > m.seqDelivered.Get(msg.Sender) {
-			m.seqQ[msg.Sender][msg.Seq] = msg
-			m.drainSequencer()
+		if m.seq != nil && msg.Seq > m.seq.seqDelivered.Get(msg.Sender) {
+			m.seq.seqQ[msg.Sender][msg.Seq] = msg
+			m.seq.drainSequencer()
 		}
 		m.drainTotal()
 		m.traceHoldback(msg, "awaiting causally consistent global order")
 		if m.cfg.Atomic && m.dataCount > 0 {
 			m.armNack()
 		}
-	}
-}
-
-// assignOrder gives a message the next global position and announces
-// it.
-func (m *Member) assignOrder(id MsgID) {
-	m.seqCounter++
-	if len(m.assignedLog) == 0 {
-		m.assignedBase = m.seqCounter
-	}
-	m.assignedLog = append(m.assignedLog, id)
-	// Apply locally first: the sequencer's own copy must not depend on
-	// the lossy network loopback (it cannot NACK itself).
-	m.orderKnown.Add(id)
-	m.orderSet(m.seqCounter, id)
-	if m.seqCounter > m.maxGlobalSeen {
-		m.maxGlobalSeen = m.seqCounter
-	}
-	// Announce in runs: assignments accumulate into one contiguous run
-	// (seqCounter only ever increments, so the run stays contiguous) and
-	// flush when full or when a zero-delay task, queued behind whatever
-	// the dispatcher already holds, comes up. At light load that is the
-	// same dispatch turn; at saturation a run collects every arrival
-	// already queued. One frame per run instead of one per cast is what
-	// lifts a fixed sequencer's ceiling on a real transport.
-	if len(m.obIDs) == 0 {
-		m.obFirst = m.seqCounter
-	}
-	m.obIDs = append(m.obIDs, id)
-	if len(m.obIDs) >= orderRunMax {
-		m.flushOrders()
-	} else if !m.obArmed {
-		m.obArmed = true
-		if m.flushFn == nil {
-			m.flushFn = m.flushOrders
-		}
-		m.net.After(0, m.flushFn)
 	}
 }
 
@@ -1137,37 +1081,6 @@ func (m *Member) dataDel(id MsgID) {
 	}
 }
 
-// assignedGlobalOf finds the global position assigned to id, scanning
-// the log newest-first (order NACKs name recent losses). Recovery-path
-// only: the hot assignment path never looks an id up.
-func (m *Member) assignedGlobalOf(id MsgID) (uint64, bool) {
-	for i := len(m.assignedLog) - 1; i >= 0; i-- {
-		if m.assignedLog[i] == id {
-			return m.assignedBase + uint64(i), true
-		}
-	}
-	return 0, false
-}
-
-// flushOrders broadcasts the accumulated ordering run. Runs both on
-// batch-full and from the queued flush task; a task firing after a
-// size flush finds the batch empty and is a no-op.
-func (m *Member) flushOrders() {
-	m.obArmed = false
-	if m.closed || len(m.obIDs) == 0 {
-		return
-	}
-	ob := &OrderBatchMsg{Group: m.cfg.Group, Epoch: m.epoch, FirstGlobal: m.obFirst, IDs: m.obIDs}
-	m.obIDs = nil // the message aliases the slice; start a fresh batch
-	for r := range m.nodes {
-		if vclock.ProcessID(r) == m.rank {
-			continue
-		}
-		m.CtrlMsgs.Inc()
-		m.send(vclock.ProcessID(r), ob)
-	}
-}
-
 // onOrderBatch records a run of sequencer assignments.
 func (m *Member) onOrderBatch(ob *OrderBatchMsg) {
 	for i, id := range ob.IDs {
@@ -1184,29 +1097,6 @@ func (m *Member) onOrderBatch(ob *OrderBatchMsg) {
 	m.drainTotal()
 	if m.cfg.Atomic && (m.dataCount > 0 || m.nextGlobal <= m.maxGlobalSeen) {
 		m.armNack()
-	}
-}
-
-// drainSequencer (TotalCausal sequencer only) assigns global positions
-// to pending messages in a causally consistent order: a message is
-// sequenced only when all its causal predecessors have been sequenced,
-// exactly the CBCAST delivery rule applied to the sequencing decision.
-func (m *Member) drainSequencer() {
-	// Same head-probe structure as drainHoldback: only each sender's
-	// next sequence can pass the causal test, and the rank-0 restart
-	// preserves the deterministic assignment order.
-	for s := 0; s < len(m.seqQ); {
-		head := m.seqDelivered.Get(vclock.ProcessID(s)) + 1
-		if msg, ok := m.seqQ[s][head]; ok && m.seqDelivered.Deliverable(msg.VC, msg.Sender) {
-			delete(m.seqQ[s], head)
-			m.seqDelivered.Set(msg.Sender, msg.Seq)
-			if !m.orderKnown.Has(msg.ID()) {
-				m.assignOrder(msg.ID())
-			}
-			s = 0
-			continue
-		}
-		s++
 	}
 }
 

@@ -100,3 +100,14 @@ func (m *Member) referenceMissingSet() []MsgID {
 	})
 	return out
 }
+
+// referenceAssignedGlobalOf is the lookup the sequencer's log index
+// replaced, kept as the oracle: a newest-first scan of the live log.
+func (s *sequencer) referenceAssignedGlobalOf(id MsgID) (uint64, bool) {
+	for i := len(s.assignedLog) - 1; i >= 0; i-- {
+		if s.assignedLog[i] == id {
+			return s.assignedBase + uint64(i), true
+		}
+	}
+	return 0, false
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"catocs/internal/sim"
+	"catocs/internal/stability"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
 )
@@ -31,6 +32,12 @@ type missWorld struct {
 	// transmission of a cast, keyed by epoch and id. A ResumeChains
 	// replay re-stamps a sequence number, so an id can have two.
 	stamps map[stampKey][]vclock.VC
+	// seqLog copies the sequencer's live assignment log (from seqBase)
+	// as the last check saw it, so the next check can tell what the
+	// sequencer popped since; seqWas is the sequencer it belongs to.
+	seqWas  *sequencer
+	seqLog  []MsgID
+	seqBase uint64
 }
 
 type stampKey struct {
@@ -188,6 +195,9 @@ func (w *missWorld) check(m *Member) {
 	if len(want) > 0 {
 		w.gaps++
 	}
+	if m.seq != nil {
+		w.checkSequencer(m)
+	}
 	for id := range m.nackRetries {
 		_, held := m.pendQ[id.Sender][id.Seq]
 		if _, arrived := m.dataGet(id); held || arrived {
@@ -210,6 +220,39 @@ func (w *missWorld) check(m *Member) {
 					t.Fatalf("t=%v rank %d: held (%d,%d) stamp[%d] = %d above known %d", w.k.Now(), m.rank, s, q, p, v, m.known[p])
 				}
 			}
+		}
+	}
+}
+
+// checkSequencer holds the sequencer's log index to the scan it
+// replaced, and checks the prune rule: every id popped since the last
+// check is stable and gone from the index, and no member of the view
+// has a delivery frontier below the log — so no OrderNack it sends can
+// name a popped position.
+func (w *missWorld) checkSequencer(m *Member) {
+	t, s := w.t, m.seq
+	if s != w.seqWas {
+		w.seqWas, w.seqLog, w.seqBase = s, nil, s.assignedBase
+	}
+	for g := w.seqBase; g < s.assignedBase && g-w.seqBase < uint64(len(w.seqLog)); g++ {
+		id := w.seqLog[g-w.seqBase]
+		if !m.stab.Stable(stability.Key{Sender: id.Sender, Seq: id.Seq}) {
+			t.Fatalf("t=%v epoch %d: the sequencer popped %v at %d, which is not stable", w.k.Now(), m.epoch, id, g)
+		}
+		if at, ok := s.assignedGlobalOf(id); ok {
+			t.Fatalf("t=%v epoch %d: %v, popped at %d, is still indexed at %d", w.k.Now(), m.epoch, id, g, at)
+		}
+	}
+	w.seqLog, w.seqBase = append(w.seqLog[:0], s.assignedLog...), s.assignedBase
+	for _, id := range s.assignedLog {
+		g, ok := s.assignedGlobalOf(id)
+		if want, _ := s.referenceAssignedGlobalOf(id); !ok || g != want {
+			t.Fatalf("t=%v epoch %d: index has %v at %d (%v), the log at %d", w.k.Now(), m.epoch, id, g, ok, want)
+		}
+	}
+	for r, o := range w.members {
+		if !o.closed && o.epoch == m.epoch && o.nextGlobal < s.assignedBase {
+			t.Fatalf("t=%v epoch %d: rank %d delivers from %d, below the sequencer's log at %d", w.k.Now(), m.epoch, r, o.nextGlobal, s.assignedBase)
 		}
 	}
 }
@@ -475,40 +518,5 @@ func TestOnAckGapFreeAllocatesNothing(t *testing.T) {
 		if m.nackArmed {
 			t.Errorf("%v: a gap-free ack armed the NACK timer", ord)
 		}
-	}
-}
-
-// TestAssignedGlobalOf pins the sequencer's id -> position lookup
-// against the assignment log it inverts, on the shapes an index
-// replacing the scan will have to survive: TotalSeq assigning a
-// retransmitted early cast after its successors, a sequence space
-// resumed far from 1, ids never assigned or from no member, and a view
-// change.
-func TestAssignedGlobalOf(t *testing.T) {
-	nodes := []transport.NodeID{0, 1, 2}
-	m := NewMember(nullNet{}, nodes, 0, Config{Group: "a", Ordering: TotalSeq}, func(Delivered) {})
-	assigned := []MsgID{
-		{Sender: 1, Seq: 1_000_005}, {Sender: 1, Seq: 1_000_007}, {Sender: 2, Seq: 3},
-		{Sender: 1, Seq: 1_000_002}, {Sender: 2, Seq: 1}, {Sender: 1, Seq: 1_000_006},
-	}
-	for _, id := range assigned {
-		m.assignOrder(id)
-	}
-	for i, id := range assigned {
-		if g, ok := m.assignedGlobalOf(id); !ok || g != uint64(i+1) {
-			t.Errorf("assignedGlobalOf(%v) = %d, %v; want %d", id, g, ok, i+1)
-		}
-		if back := m.assignedLog[uint64(i+1)-m.assignedBase]; back != id {
-			t.Errorf("assignedLog holds %v at position %d; want %v", back, i+1, id)
-		}
-	}
-	for _, id := range []MsgID{{Sender: 1, Seq: 1_000_003}, {Sender: 1, Seq: 1}, {Sender: 2, Seq: 2}, {Sender: 2, Seq: 9}, {Sender: 0, Seq: 1}, {Sender: 7, Seq: 1}, {Sender: -1, Seq: 1}} {
-		if g, ok := m.assignedGlobalOf(id); ok {
-			t.Errorf("assignedGlobalOf(%v) = %d for an id never assigned", id, g)
-		}
-	}
-	m.InstallView(nodes, 0, 1)
-	if _, ok := m.assignedGlobalOf(assigned[0]); ok {
-		t.Error("an assignment survived a view change")
 	}
 }

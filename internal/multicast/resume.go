@@ -109,11 +109,8 @@ func (m *Member) ResumeChains(sendSeq uint64, replay int, ack []uint64, totalFro
 		if totalFrontier > m.maxGlobalSeen {
 			m.maxGlobalSeen = totalFrontier
 		}
-		if m.cfg.Ordering == TotalCausal && m.rank == m.cfg.SequencerRank {
-			if totalFrontier > m.seqCounter {
-				m.seqCounter = totalFrontier
-			}
-			m.seqDelivered.Merge(m.delivered)
+		if m.seq != nil && m.cfg.Ordering == TotalCausal {
+			m.seq.resume(totalFrontier)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 		m.initChainState()
 	}
 	m.HoldbackGauge.Set(0)
-	m.seqCounter = 0
+	m.seq = newSequencer(m)
 	m.orderWin = nil
 	m.orderHead = 0
 	m.orderBase = 1
@@ -149,18 +149,9 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	m.nextGlobal = 1
 	m.dataQ = newShardQ(len(nodes))
 	m.dataCount = 0
-	if m.cfg.Ordering == TotalCausal && rank == m.cfg.SequencerRank {
-		m.seqQ = newShardQ(len(nodes))
-		m.seqDelivered = vclock.New(len(nodes))
-	}
-	m.obFirst = 0
-	m.obIDs = nil
-	m.obArmed = false
 	m.lastAdvert = nil
 	m.ackForce = false
 	m.maxGlobalSeen = 0
-	m.assignedLog = nil
-	m.assignedBase = 0
 	m.deliveredIDs = newSeqSet(len(nodes))
 	m.nackRetries = make(map[MsgID]int)
 	if m.stab != nil {

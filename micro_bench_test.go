@@ -333,3 +333,37 @@ func BenchmarkFireNackBacklog(b *testing.B) {
 		net.timers[backlogNack]() // fireNack re-arms itself while gaps remain
 	}
 }
+
+// BenchmarkOrderNackBacklog is the sequencer of a 32-member atomic
+// TotalSeq group, holding 8 000 unstable assignments from four writers,
+// answering one OrderNack that wants 32 ids: 16 it assigned, spread
+// over the log, and 16 it never saw. The cost is the id -> position
+// lookup, which the never-assigned half drives to its worst case.
+func BenchmarkOrderNackBacklog(b *testing.B) {
+	const n, writers, per = 32, 4, 2000
+	net := timerNet{timers: make(map[time.Duration]func())}
+	nodes := make([]transport.NodeID, n)
+	for i := range nodes {
+		nodes[i] = transport.NodeID(i)
+	}
+	m := multicast.NewMember(net, nodes, 0, multicast.Config{
+		Group: "bench", Ordering: multicast.TotalSeq, Atomic: true,
+	}, func(multicast.Delivered) {})
+	for seq := uint64(1); seq <= per; seq++ {
+		for w := 1; w <= writers; w++ {
+			m.Handle(nodes[w], &multicast.DataMsg{Group: "bench", Sender: vclock.ProcessID(w), Seq: seq, PayloadSize: 64})
+		}
+	}
+	nack := &multicast.OrderNack{Group: "bench", From: 1, FromGlobal: writers*per + 1}
+	for i := uint64(0); i < 16; i++ {
+		w := vclock.ProcessID(1 + i%writers)
+		nack.Want = append(nack.Want,
+			multicast.MsgID{Sender: w, Seq: 1 + i*per/16},
+			multicast.MsgID{Sender: w, Seq: per + 1 + i})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Handle(nodes[1], nack)
+	}
+}
