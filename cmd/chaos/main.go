@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"catocs/internal/chaos"
@@ -102,55 +103,60 @@ func main() {
 	}
 
 	subs := chaos.Substrates
-	if *substrate != "all" {
+	if *churn {
+		subs = []string{"churn"}
+	} else if *substrate != "all" {
+		if !slices.Contains(chaos.Substrates, *substrate) {
+			fmt.Fprintf(os.Stderr, "chaos: unknown substrate %q\n", *substrate)
+			os.Exit(2)
+		}
 		subs = []string{*substrate}
+	}
+	s, err := chaos.ParseScript(*script)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	failed := false
-	if *churn {
-		failed = runChurn(*n, *senders, *msgs, *episodes, *seed, *script, *churnRate, *doRecover, !*noShrink)
-	} else if *script != "" {
-		s, err := chaos.ParseScript(*script)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	for _, sub := range subs {
+		cfg := chaos.Config{
+			Substrate: sub, N: *n, Senders: *senders, MsgsPer: *msgs,
+			Seed: *seed, Script: s,
+			Groups: *groups, K: *k,
+			Budget: fcBudget, Overflow: fcPolicy,
 		}
-		for _, sub := range subs {
-			cfg := chaos.Config{
-				Substrate: sub, N: *n, Senders: *senders, MsgsPer: *msgs,
-				Seed: *seed, Script: s,
-				Groups: *groups, K: *k,
-				Budget: fcBudget, Overflow: fcPolicy,
-			}
-			if !*clean {
-				cfg.Faults = chaos.DefaultFaults
-			}
+		if !*clean && !*churn {
+			cfg.Faults = chaos.DefaultFaults
+		}
+		if *script != "" {
 			res := chaos.Run(cfg)
 			printResult(res)
-			if len(res.Violations) > 0 {
-				failed = true
-			}
+			failed = failed || len(res.Violations) > 0
+			continue
 		}
-	} else {
-		for _, sub := range subs {
-			rc := chaos.RunnerConfig{
-				Substrate: sub, N: *n, Senders: *senders, MsgsPer: *msgs,
-				Episodes: *episodes, Seed: *seed,
-				NoFaults: *clean, Shrink: !*noShrink,
-				Groups: *groups, K: *k,
-				Budget: fcBudget, Overflow: fcPolicy,
-			}
-			rc.Gen.Crashes = *crashes
-			rc.Gen.Partitions = *partitions
-			rc.Gen.FlakyLinks = *flaky
-			rc.Gen.Slows = *slows
-			rc.Gen.MaxLag = *maxLag
-			sum := chaos.RunEpisodes(rc)
-			printSummary(sum)
-			if len(sum.Failures) > 0 {
-				failed = true
-			}
+		rc := chaos.RunnerConfig{
+			Config: cfg, Episodes: *episodes, Shrink: !*noShrink,
+			NoRecover: *churn && !*doRecover,
+			Gen: chaos.GenConfig{
+				Crashes: *crashes, Partitions: *partitions, FlakyLinks: *flaky,
+				Slows: *slows, MaxLag: *maxLag,
+			},
+			// rate scales the default 2 crash + 2 join (1 staying) mix
+			// plus a sub-detection partition and an inbound-lag window
+			// per episode; the stable two-node core bounds how much of
+			// the group may churn.
+			GenChurn: chaos.GenChurnConfig{
+				Crashes:    min(int(*churnRate*2+0.5), *n-2),
+				Joins:      int(*churnRate*2 + 0.5),
+				Partitions: int(*churnRate + 0.5),
+				Slows:      int(*churnRate + 0.5),
+			},
 		}
+		rc.GenChurn.Stayers = (rc.GenChurn.Joins + 1) / 2
+		sum := chaos.RunEpisodes(rc)
+		printSummary(sum)
+		failed = failed || len(sum.Failures) > 0
 	}
 	// Finish the profile before the violation exit: a failing batch is
 	// exactly the run worth profiling.
@@ -162,99 +168,38 @@ func main() {
 	}
 }
 
-// runChurn executes churn mode: one scripted episode when script is
-// non-empty, otherwise a seeded batch of generated schedules. Returns
-// whether any oracle found a violation.
-func runChurn(n, senders, msgs, episodes int, seed int64, script string, rate float64, doRecover, shrink bool) bool {
-	if script != "" {
-		s, err := chaos.ParseScript(script)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		res := chaos.RunChurn(chaos.ChurnConfig{
-			N: n, Senders: senders, MsgsPer: msgs, Seed: seed, Script: s,
-		})
-		printChurnResult(res)
-		return len(res.Violations) > 0
+// counters renders a line's world-specific fields: delivery, fault and
+// buffer counts under the interposer, reconfiguration costs in churn.
+func counters(substrate string, c chaos.Counters) string {
+	if substrate == "churn" {
+		return fmt.Sprintf("applied=%d dups=%d reconfigs=%d meta/reconfig=%.1f transfer=%dB",
+			c.Delivered, c.Dups, c.Epochs, c.MetadataPerEpoch(), c.TransferBytes)
 	}
-	rc := chaos.ChurnRunnerConfig{
-		N: n, Senders: senders, MsgsPer: msgs,
-		Episodes: episodes, Seed: seed, Shrink: shrink,
-		NoRecover: !doRecover,
-	}
-	// rate scales the default 2 crash + 2 join (1 staying) mix plus a
-	// sub-detection partition and an inbound-lag window per episode;
-	// the stable two-node core bounds how much of the group may churn.
-	rc.Gen.Crashes = int(rate*2 + 0.5)
-	rc.Gen.Joins = int(rate*2 + 0.5)
-	rc.Gen.Stayers = (rc.Gen.Joins + 1) / 2
-	rc.Gen.Partitions = int(rate + 0.5)
-	rc.Gen.Slows = int(rate + 0.5)
-	if rc.Gen.Crashes > n-2 {
-		rc.Gen.Crashes = n - 2
-	}
-	sum := chaos.RunChurnEpisodes(rc)
-	printChurnSummary(sum)
-	return len(sum.Failures) > 0
-}
-
-func printChurnResult(r chaos.ChurnResult) {
-	fmt.Printf("churn      seed=%-6d digest=%016x sent=%d skipped=%d applied=%d dups=%d "+
-		"reconfigs=%d meta/reconfig=%.1f transfer=%dB unavail(max=%s mean=%s)\n",
-		r.Seed, r.Digest, r.Sent, r.Skipped, r.Applied, r.Dups,
-		r.Epochs, r.MetadataPerEpoch(), r.TransferBytes, round(r.UnavailMax), round(r.UnavailMean))
-	if len(r.Script.Ops) > 0 {
-		fmt.Printf("  script: %s\n", r.Script)
-	}
-	for _, v := range r.Violations {
-		fmt.Printf("  VIOLATION %s\n", v)
-	}
-	if len(r.Violations) == 0 {
-		fmt.Println("  all churn oracles passed")
-	}
-}
-
-func printChurnSummary(s chaos.ChurnSummary) {
-	fmt.Printf("churn      episodes=%-3d digest=%016x sent=%d skipped=%d applied=%d dups=%d "+
-		"reconfigs=%d meta/reconfig=%.1f transfer=%dB unavail(max=%s mean=%s) violations=%s\n",
-		s.Episodes, s.Digest, s.Sent, s.Skipped, s.Applied, s.Dups,
-		s.Epochs, s.MetadataPerEpoch(), s.TransferBytes, round(s.UnavailMax), round(s.UnavailMean),
-		s.ViolationSummary())
-	for _, f := range s.Failures {
-		fmt.Printf("  FAILING EPISODE seed=%d\n", f.Seed)
-		for _, v := range f.Result.Violations {
-			fmt.Printf("    %s\n", v)
-		}
-		fmt.Printf("    minimal script: %s\n", f.MinConfig.Script)
-		fmt.Printf("    reproduce: %s\n", f.Repro)
-	}
+	return fmt.Sprintf("delivered=%d faults(drop=%d dup=%d delay=%d) holdback-max=%d stab-hw=%d",
+		c.Delivered, c.Faults.Dropped, c.Faults.Duplicated, c.Faults.Delayed, c.MaxHoldback, c.StabHighWater)
 }
 
 func printResult(r chaos.Result) {
-	fmt.Printf("%-10s seed=%-6d digest=%016x sent=%d skipped=%d delivered=%d "+
-		"faults(drop=%d dup=%d delay=%d) holdback-max=%d stab-hw=%d unavail(max=%s mean=%s)\n",
-		r.Substrate, r.Seed, r.Digest, r.Sent, r.Skipped, r.Delivered,
-		r.Faults.Dropped, r.Faults.Duplicated, r.Faults.Delayed,
-		r.MaxHoldback, r.StabHighWater, round(r.UnavailMax), round(r.UnavailMean))
+	fmt.Printf("%-10s seed=%-6d digest=%016x sent=%d skipped=%d %s unavail(max=%s mean=%s)\n",
+		r.Substrate, r.Seed, r.Digest, r.Sent, r.Skipped, counters(r.Substrate, r.Counters),
+		round(r.UnavailMax), round(r.UnavailMean))
 	if len(r.Script.Ops) > 0 {
 		fmt.Printf("  script: %s\n", r.Script)
 	}
 	for _, v := range r.Violations {
 		fmt.Printf("  VIOLATION %s\n", v)
 	}
-	if len(r.Violations) == 0 {
+	if len(r.Violations) == 0 && r.Substrate == "churn" {
+		fmt.Println("  all churn oracles passed")
+	} else if len(r.Violations) == 0 {
 		fmt.Println("  all oracles passed")
 	}
 }
 
 func printSummary(s chaos.Summary) {
-	fmt.Printf("%-10s episodes=%-3d digest=%016x sent=%d skipped=%d delivered=%d "+
-		"faults(drop=%d dup=%d delay=%d) holdback-max=%d stab-hw=%d unavail(max=%s mean=%s) violations=%s\n",
-		s.Substrate, s.Episodes, s.Digest, s.Sent, s.Skipped, s.Delivered,
-		s.Faults.Dropped, s.Faults.Duplicated, s.Faults.Delayed,
-		s.MaxHoldback, s.StabHighWater, round(s.UnavailMax), round(s.UnavailMean),
-		s.ViolationSummary())
+	fmt.Printf("%-10s episodes=%-3d digest=%016x sent=%d skipped=%d %s unavail(max=%s mean=%s) violations=%s\n",
+		s.Substrate, s.Episodes, s.Digest, s.Sent, s.Skipped, counters(s.Substrate, s.Counters),
+		round(s.UnavailMax), round(s.UnavailMean), s.ViolationSummary())
 	for _, f := range s.Failures {
 		fmt.Printf("  FAILING EPISODE seed=%d\n", f.Seed)
 		for _, v := range f.Result.Violations {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"catocs/internal/flowcontrol"
 	"catocs/internal/obs"
 	"catocs/internal/sim"
 	"catocs/internal/transport"
@@ -387,7 +388,10 @@ func TestKeepsFailure(t *testing.T) {
 }
 
 func TestRunEpisodesAggregatesAndReproduces(t *testing.T) {
-	rc := RunnerConfig{Substrate: "scalecast", N: 5, MsgsPer: 12, Episodes: 2, Seed: 9}
+	rc := RunnerConfig{
+		Config:   Config{Substrate: "scalecast", N: 5, MsgsPer: 12, Seed: 9, Faults: DefaultFaults},
+		Episodes: 2,
+	}
 	a := RunEpisodes(rc)
 	b := RunEpisodes(rc)
 	if a.Digest != b.Digest {
@@ -402,6 +406,27 @@ func TestRunEpisodesAggregatesAndReproduces(t *testing.T) {
 	}
 	if a.ViolationSummary() != "none" {
 		t.Fatalf("summary: %s", a.ViolationSummary())
+	}
+}
+
+// The reproduce line must replay the episode that failed. A zero
+// background mix — a clean batch, or a shrink that removed the mix —
+// replays only with -clean, and a buffer budget only with its policy.
+func TestReproReplaysCleanAndBudget(t *testing.T) {
+	cfg := Config{
+		Substrate: "cbcast", N: 5, Senders: 2, MsgsPer: 25, Seed: 42,
+		Budget: flowcontrol.Budget{MaxMsgs: 48}, Overflow: flowcontrol.Spill,
+	}
+	if line := repro(cfg); !strings.HasSuffix(line, " -clean -budget 48 -policy spill") {
+		t.Fatalf("clean spill-budget episode reproduces as %q", line)
+	}
+	cfg.Faults, cfg.Budget, cfg.Overflow = DefaultFaults, flowcontrol.Budget{}, flowcontrol.None
+	if line := repro(cfg); strings.Contains(line, "-clean") || strings.Contains(line, "-budget") {
+		t.Fatalf("default-mix episode reproduces as %q", line)
+	}
+	churn := Config{Substrate: "churn", N: 8, MsgsPer: 30, Seed: 7}
+	if line := repro(churn); !strings.HasPrefix(line, "go run ./cmd/chaos -churn -n 8 ") || strings.Contains(line, "-clean") {
+		t.Fatalf("churn episode reproduces as %q", line)
 	}
 }
 
@@ -485,11 +510,8 @@ func TestDestLivenessOracle(t *testing.T) {
 
 func TestMgcastEpisodesCleanAndDeterministic(t *testing.T) {
 	rc := RunnerConfig{
-		Substrate: "mgcast",
-		N:         8,
-		MsgsPer:   10,
-		Episodes:  4,
-		Seed:      7,
+		Config:   Config{Substrate: "mgcast", N: 8, MsgsPer: 10, Seed: 7, Faults: DefaultFaults},
+		Episodes: 4,
 	}
 	sum := RunEpisodes(rc)
 	if len(sum.Failures) != 0 {

@@ -1,25 +1,22 @@
 package chaos
 
 import (
-	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"catocs/internal/multicast"
 	"catocs/internal/obs"
 	"catocs/internal/scalecast"
-	"catocs/internal/sim"
 	"catocs/internal/state"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
 )
 
-// RunScalecastChurn drives the same churn schedule over the scalecast
-// substrate — the E24 comparison arm. Scalecast has no membership
-// protocol: reconfiguration is an operator-driven Rewire of every
-// member to the new node list, applied here at the op's scheduled
-// time (an omniscient operator — zero detection latency, the best
-// case for scalecast). The consequences the experiment measures:
+// rewireWorld drives the churn schedules over the scalecast substrate —
+// the E24 comparison arm. Scalecast has no membership protocol:
+// reconfiguration is an operator-driven Rewire of every member to the
+// new node list, applied here at the op's scheduled time (an
+// omniscient operator — zero detection latency, the best case for
+// scalecast). The consequences the experiment measures:
 //
 //   - No state transfer. A joiner observes the causal future only;
 //     TransferBytes is structurally zero. Rebuilding state is the
@@ -28,7 +25,7 @@ import (
 //   - No crash recovery. A recovered process re-enters via JoinMember
 //     as an empty replica: its WAL-less pre-crash casts are gone and
 //     its store restarts blank. Store equivalence therefore CANNOT be
-//     an oracle here, and the runner checks none — this arm measures
+//     an oracle here, and the world checks none — this arm measures
 //     cost, not safety (scalecast's own invariants are E16/E18's job).
 //   - Metadata is per-link, not per-view. FlushMsgs reports the sum of
 //     control messages (acks, nacks, barriers, heartbeats) over the
@@ -37,176 +34,103 @@ import (
 //     in steady state.
 //
 // Epochs counts applied reconfigurations, so MetadataPerEpoch divides
-// comparably with RunChurn.
-func RunScalecastChurn(cfg ChurnConfig) ChurnResult {
-	cfg.fillDefaults()
-	if cfg.N < 3 {
-		panic("chaos: RunScalecastChurn needs N ≥ 3")
-	}
-	k := sim.NewKernel(cfg.Seed)
-	k.SetEventLimit(200_000_000)
-	net := transport.NewSimNet(k, transport.LinkConfig{BaseDelay: 1 * time.Millisecond, Jitter: 1 * time.Millisecond})
-	tracer := obs.NewTracer()
-	net.Instrument(tracer, nil, "scalecast")
-	sccfg := scalecast.Config{Group: "churn", Tracer: tracer}
+// comparably with the churn world's.
+type rewireWorld struct {
+	churnBase
+	sccfg     scalecast.Config
+	view      []transport.NodeID
+	members   []*scalecast.Member // every member ever built: a rewire closes departed ones
+	reconfigs uint64
+}
 
-	type scNode struct {
-		id     transport.NodeID
-		app    *state.Store
-		member *scalecast.Member
-		up     bool
-		inc    uint32
-		seq    int
+func newRewireWorld(e *episode) *rewireWorld {
+	w := &rewireWorld{churnBase: newChurnBase(e, "scalecast"), view: slices.Clone(e.nodes)}
+	w.sccfg = scalecast.Config{Group: "churn", Degree: e.cfg.Degree, Tracer: e.tracer}
+	for _, id := range e.nodes {
+		w.newNode(id).up = true
 	}
-	var applied, dups uint64
-	nodesByID := make(map[transport.NodeID]*scNode)
-	deliverFor := func(ns *scNode) multicast.DeliverFunc {
-		return func(d multicast.Delivered) {
-			p, ok := d.Payload.([]byte)
-			if !ok {
-				return
-			}
-			key := string(p)
-			if _, _, ok := ns.app.Get(key); ok {
-				dups++
-				return
-			}
-			ns.app.Put(key, uint64(1))
-			applied++
-		}
-	}
-
-	view := make([]transport.NodeID, cfg.N)
-	initialInts := make([]int, cfg.N)
-	for i := range view {
-		view[i] = transport.NodeID(i)
-		initialInts[i] = i
-		nodesByID[view[i]] = &scNode{id: view[i], app: state.NewStore(), up: true}
-	}
-	var allMembers []*scalecast.Member
-	members := scalecast.NewGroup(net, view, sccfg, func(rank vclock.ProcessID) multicast.DeliverFunc {
-		return deliverFor(nodesByID[transport.NodeID(rank)]) // initial rank == node id
+	w.members = scalecast.NewGroup(w.net, e.nodes, w.sccfg, func(rank vclock.ProcessID) multicast.DeliverFunc {
+		return w.nodes[transport.NodeID(rank)].deliver // initial rank == node id
 	})
-	for i, m := range members {
-		nodesByID[view[i]].member = m
+	for i, m := range w.members {
+		ns := w.nodes[e.nodes[i]]
+		ns.sc = m
+		w.senders = append(w.senders, ns)
 	}
-	allMembers = append(allMembers, members...)
+	return w
+}
 
-	rewireAll := func() {
-		cp := append([]transport.NodeID(nil), view...)
-		for _, m := range allMembers {
-			m.Rewire(cp)
+func (w *rewireWorld) newNode(id transport.NodeID) *churnNode {
+	ns := w.addNode(id, nil)
+	ns.send = func(p []byte) { ns.sc.Multicast(p, len(p)) }
+	return ns
+}
+
+// rewire moves the view to the op's outcome and the operator re-wires
+// every member to it.
+func (w *rewireWorld) rewire(view []transport.NodeID) {
+	w.view = view
+	for _, m := range w.members {
+		m.Rewire(view) // Rewire and JoinMember copy the list
+	}
+	w.reconfigs++
+}
+
+// join enters ns as a fresh scalecast member of the view plus ns.
+func (w *rewireWorld) join(ns *churnNode) {
+	view := append(w.view, ns.id)
+	slices.Sort(view)
+	ns.sc = scalecast.JoinMember(w.net, view, ns.id, w.sccfg, ns.deliver)
+	w.members = append(w.members, ns.sc)
+	w.rewire(view)
+	ns.up = true
+}
+
+func (w *rewireWorld) apply(op Op) {
+	ns := w.nodes[op.Node]
+	without := func(id transport.NodeID) []transport.NodeID {
+		return slices.DeleteFunc(w.view, func(v transport.NodeID) bool { return v == id })
+	}
+	switch op.Kind {
+	case OpCrash:
+		if ns == nil || !ns.up {
+			return
 		}
-	}
-	viewWithout := func(id transport.NodeID) {
-		out := view[:0]
-		for _, v := range view {
-			if v != id {
-				out = append(out, v)
-			}
+		w.net.Crash(ns.id)
+		ns.sc.Close()
+		ns.up = false
+		w.rewire(without(ns.id)) // the operator routes around the dead node
+	case OpRecover:
+		if ns == nil || ns.up {
+			return
 		}
-		view = out
-	}
-	viewWith := func(id transport.NodeID) {
-		view = append(view, id)
-		sort.Slice(view, func(a, b int) bool { return view[a] < view[b] })
-	}
-
-	var reconfigs uint64
-	for _, op := range cfg.Script.Ops {
-		op := op
-		k.At(op.At, func() {
-			ns := nodesByID[op.Node]
-			switch op.Kind {
-			case OpCrash:
-				if ns == nil || !ns.up {
-					return
-				}
-				net.Crash(ns.id)
-				ns.member.Close()
-				ns.up = false
-				viewWithout(ns.id)
-				rewireAll() // the operator routes around the dead node
-				reconfigs++
-			case OpRecover:
-				if ns == nil || ns.up {
-					return
-				}
-				net.Recover(ns.id)
-				// Re-entry is a fresh JoinMember: no WAL, no transfer — the
-				// store restarts empty and pre-crash casts are lost.
-				ns.app = state.NewStore()
-				ns.inc++
-				viewWith(ns.id)
-				ns.member = scalecast.JoinMember(net, append([]transport.NodeID(nil), view...),
-					ns.id, sccfg, deliverFor(ns))
-				allMembers = append(allMembers, ns.member)
-				rewireAll()
-				ns.up = true
-				reconfigs++
-			case OpJoin:
-				if ns != nil {
-					return
-				}
-				ns = &scNode{id: op.Node, app: state.NewStore(), up: true}
-				nodesByID[op.Node] = ns
-				viewWith(ns.id)
-				ns.member = scalecast.JoinMember(net, append([]transport.NodeID(nil), view...),
-					ns.id, sccfg, deliverFor(ns))
-				allMembers = append(allMembers, ns.member)
-				rewireAll()
-				reconfigs++
-			case OpLeave:
-				if ns == nil || !ns.up {
-					return
-				}
-				viewWithout(ns.id)
-				rewireAll() // the departing member is in allMembers: its rewire closes it
-				ns.up = false
-				delete(nodesByID, ns.id)
-				reconfigs++
-			}
-		})
-	}
-
-	var sent, skipped uint64
-	for s := 0; s < cfg.Senders; s++ {
-		ns := nodesByID[transport.NodeID(s)]
-		for i := 0; i < cfg.MsgsPer; i++ {
-			s, i := s, i
-			k.At(time.Duration(i)*cfg.Interval+time.Duration(s)*100*time.Microsecond, func() {
-				if !ns.up {
-					skipped++
-					return
-				}
-				payload := []byte(fmt.Sprintf("o%d.i%d.n%d", s, ns.inc, ns.seq))
-				ns.seq++
-				ns.member.Multicast(payload, len(payload))
-				sent++
-			})
+		w.net.Recover(ns.id)
+		// Re-entry is a fresh JoinMember: no WAL, no transfer — the
+		// store restarts empty and pre-crash casts are lost.
+		ns.app = state.NewStore()
+		ns.inc++
+		w.join(ns)
+	case OpJoin:
+		if ns != nil {
+			return
 		}
+		w.join(w.newNode(op.Node))
+	case OpLeave:
+		if ns == nil || !ns.up {
+			return
+		}
+		w.rewire(without(ns.id)) // the departing member is in members: its rewire closes it
+		ns.up = false
+		delete(w.nodes, ns.id)
+	default:
+		w.netOp(op)
 	}
+}
 
-	horizon := time.Duration(cfg.MsgsPer) * cfg.Interval
-	if end := cfg.Script.End(); end > horizon {
-		horizon = end
-	}
-	k.RunUntil(horizon + cfg.Settle)
-
-	events := tracer.Events()
-	res := ChurnResult{
-		Seed:    cfg.Seed,
-		Script:  cfg.Script,
-		Digest:  DigestEvents(events),
-		Sent:    sent,
-		Skipped: skipped,
-		Applied: applied,
-		Dups:    dups,
-		Epochs:  reconfigs,
-	}
-	for _, m := range allMembers {
+func (w *rewireWorld) finish(_ []obs.Event, res *Result) {
+	res.Delivered, res.Dups = w.applied, w.dups
+	res.Epochs = w.reconfigs
+	for _, m := range w.members {
 		res.FlushMsgs += m.CtrlMsgs.Value()
 	}
-	res.UnavailMax, res.UnavailMean = unavailability(events, initialInts)
-	return res
 }

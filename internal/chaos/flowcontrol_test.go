@@ -96,13 +96,16 @@ func TestSlowConsumerEpisodesBoundedMemory(t *testing.T) {
 		t.Skip("randomized batch")
 	}
 	sum := RunEpisodes(RunnerConfig{
-		Substrate: "cbcast",
-		N:         5,
-		Senders:   2,
-		MsgsPer:   25,
-		Episodes:  25,
-		Seed:      2026,
-		NoFaults:  true,
+		Config: Config{
+			Substrate: "cbcast",
+			N:         5,
+			Senders:   2,
+			MsgsPer:   25,
+			Seed:      2026,
+			Budget:    flowcontrol.Budget{MaxMsgs: 48},
+			Overflow:  flowcontrol.Spill,
+		},
+		Episodes: 25,
 		Gen: GenConfig{
 			Slows:  2,
 			MaxLag: 120 * time.Millisecond,
@@ -111,8 +114,6 @@ func TestSlowConsumerEpisodesBoundedMemory(t *testing.T) {
 			// the pressure.
 			Crashes: 1,
 		},
-		Budget:   flowcontrol.Budget{MaxMsgs: 48},
-		Overflow: flowcontrol.Spill,
 	})
 	if len(sum.Failures) != 0 {
 		t.Fatalf("violations: %s (first: %+v)", sum.ViolationSummary(), sum.Failures[0].Result.Violations)

@@ -24,13 +24,11 @@ const (
 	OpSlow
 	OpFast
 	// OpJoin and OpLeave are membership ops: a fresh node requests
-	// admission; a member departs gracefully. They are interpreted by
-	// the churn runner (churn.go), which drives the group-membership
-	// stack — Apply, which only speaks to the network interposer,
-	// ignores them. In churn episodes OpCrash/OpRecover also gain
-	// membership meaning: crash fail-stops a member (its WAL survives),
-	// recover restarts it from that WAL and rejoins it as the same
-	// identity.
+	// admission; a member departs gracefully. Only the churn worlds
+	// (churn.go) interpret them; the interposer worlds ignore them. In
+	// the churn world OpCrash/OpRecover also gain membership meaning:
+	// crash fail-stops a member (its WAL survives), recover restarts it
+	// from that WAL and rejoins it as the same identity.
 	OpJoin
 	OpLeave
 )
@@ -275,37 +273,6 @@ func parseFault(text string) (LinkFault, error) {
 		}
 	}
 	return f, nil
-}
-
-// Apply schedules every op on the interposer's clock. Call before the
-// simulation (or live traffic) starts so @0 ops land first.
-func (s Script) Apply(ip *Interposer) {
-	for _, op := range s.Ops {
-		op := op
-		ip.After(op.At, func() {
-			switch op.Kind {
-			case OpCrash:
-				ip.Crash(op.Node)
-			case OpRecover:
-				ip.Recover(op.Node)
-			case OpPartition:
-				ip.Partition(op.Islands...)
-			case OpHeal:
-				ip.Heal()
-			case OpLink:
-				ip.SetLink(op.From, op.To, op.Fault)
-			case OpClearLink:
-				ip.ClearLink(op.From, op.To)
-			case OpSlow:
-				ip.Slow(op.Node, op.Lag)
-			case OpFast:
-				ip.Fast(op.Node)
-			case OpJoin, OpLeave:
-				// Membership ops have no network effect; the churn runner
-				// schedules them against the group stack itself.
-			}
-		})
-	}
 }
 
 // CrashedNodes returns the distinct nodes the script crashes at any

@@ -80,8 +80,11 @@ func rangeList(n int) string {
 // keep sending.
 func RunE18(substrate string, episodes, n, msgsPer int, seed int64) []E18Point {
 	sum := chaos.RunEpisodes(chaos.RunnerConfig{
-		Substrate: substrate, N: n, MsgsPer: msgsPer,
-		Episodes: episodes, Seed: seed, Shrink: true,
+		Config: chaos.Config{
+			Substrate: substrate, N: n, MsgsPer: msgsPer,
+			Seed: seed, Faults: chaos.DefaultFaults,
+		},
+		Episodes: episodes, Shrink: true,
 	})
 	violations := 0
 	for _, f := range sum.Failures {

@@ -192,20 +192,21 @@ func RunE19Policies(n, casts int, lag time.Duration, budget flowcontrol.Budget, 
 // episode audited by the bounded-memory oracle.
 func RunE19Chaos(episodes int, budget flowcontrol.Budget, seed int64) E19Point {
 	sum := chaos.RunEpisodes(chaos.RunnerConfig{
-		Substrate: "cbcast",
-		N:         5,
-		Senders:   2,
-		MsgsPer:   25,
-		Episodes:  episodes,
-		Seed:      seed,
-		NoFaults:  true,
+		Config: chaos.Config{
+			Substrate: "cbcast",
+			N:         5,
+			Senders:   2,
+			MsgsPer:   25,
+			Seed:      seed,
+			Budget:    budget,
+			Overflow:  flowcontrol.Spill,
+		},
+		Episodes: episodes,
 		Gen: chaos.GenConfig{
 			Slows:   2,
 			MaxLag:  120 * time.Millisecond,
 			Crashes: 1,
 		},
-		Budget:   budget,
-		Overflow: flowcontrol.Spill,
 	})
 	violations := 0
 	for _, f := range sum.Failures {

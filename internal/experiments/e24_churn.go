@@ -69,21 +69,21 @@ var E24Sizes = []int{32, 128, 512}
 // N² per interval and stability acks N² per cast burst, so the larger
 // groups run slower timers and lighter traffic — the experiment holds
 // the *schedule* fixed, not the load.
-func e24Tuning(n int) (cfg chaos.ChurnConfig, step time.Duration) {
+func e24Tuning(n int) (cfg chaos.Config, step time.Duration) {
 	switch {
 	case n <= 32:
 		step = 100 * time.Millisecond
-		cfg = chaos.ChurnConfig{MsgsPer: 30, Interval: 20 * time.Millisecond, Senders: 4}
+		cfg = chaos.Config{MsgsPer: 30, Interval: 20 * time.Millisecond, Senders: 4}
 	case n <= 128:
 		step = 100 * time.Millisecond
-		cfg = chaos.ChurnConfig{
+		cfg = chaos.Config{
 			MsgsPer: 30, Interval: 50 * time.Millisecond, Senders: 4,
 			Heartbeat: 25 * time.Millisecond, Suspect: 100 * time.Millisecond,
 			AckInterval: 50 * time.Millisecond, NackDelay: 60 * time.Millisecond,
 		}
 	default:
 		step = 1000 * time.Millisecond
-		cfg = chaos.ChurnConfig{
+		cfg = chaos.Config{
 			MsgsPer: 10, Interval: 100 * time.Millisecond, Senders: 2,
 			Heartbeat: 250 * time.Millisecond, Suspect: 1000 * time.Millisecond,
 			AckInterval: 100 * time.Millisecond, NackDelay: 150 * time.Millisecond,
@@ -107,38 +107,37 @@ func e24Script(n int, step time.Duration) chaos.Script {
 	return s
 }
 
+// e24Worlds maps E24's arms to the chaos worlds that run them.
+var e24Worlds = map[string]string{"multicast": "churn", "scalecast": "rewire"}
+
 // RunE24 measures one (substrate, N) cell. Substrate is "multicast"
 // (the atomic cbcast + membership stack) or "scalecast".
 func RunE24(substrate string, n int, seed int64) E24Point {
+	world, ok := e24Worlds[substrate]
+	if !ok {
+		panic("e24: unknown substrate " + substrate)
+	}
 	cfg, step := e24Tuning(n)
-	cfg.Seed = seed
-	cfg.Script = e24Script(n, step)
-	pt := E24Point{Substrate: substrate, N: n}
-	switch substrate {
-	case "multicast":
-		res := chaos.RunChurn(cfg)
-		pt.Reconfigs = res.Epochs
-		pt.Sent, pt.Applied, pt.Dups = res.Sent, res.Applied, res.Dups
-		pt.Violations = len(res.Violations)
-		pt.TransferBytes = res.TransferBytes
-		pt.MetaPerReconfig = res.MetadataPerEpoch()
-		pt.UnavailMax, pt.UnavailMean = res.UnavailMax.Seconds(), res.UnavailMean.Seconds()
-		pt.Digest = res.Digest
-	case "scalecast":
-		res := chaos.RunScalecastChurn(cfg)
+	cfg.Substrate, cfg.Seed, cfg.Script = world, seed, e24Script(n, step)
+	res := chaos.Run(cfg)
+	pt := E24Point{
+		Substrate: substrate, N: n, Reconfigs: res.Epochs,
+		Sent: res.Sent, Applied: res.Delivered, Dups: res.Dups,
+		Violations: len(res.Violations), TransferBytes: res.TransferBytes,
+		MetaPerReconfig: res.MetadataPerEpoch(),
+		UnavailMax:      res.UnavailMax.Seconds(), UnavailMean: res.UnavailMean.Seconds(),
+		Digest: res.Digest,
+	}
+	if substrate == "scalecast" {
+		// Link maintenance costs control traffic even without churn:
+		// charge the rewires only what a churn-free run does not send.
 		control := cfg
 		control.Script = chaos.Script{}
-		base := chaos.RunScalecastChurn(control)
-		pt.Reconfigs = res.Epochs
-		pt.Sent, pt.Applied, pt.Dups = res.Sent, res.Applied, res.Dups
-		pt.TransferBytes = 0
+		base := chaos.Run(control)
+		pt.MetaPerReconfig = 0
 		if res.Epochs > 0 && res.FlushMsgs > base.FlushMsgs {
 			pt.MetaPerReconfig = float64(res.FlushMsgs-base.FlushMsgs) / float64(res.Epochs)
 		}
-		pt.UnavailMax, pt.UnavailMean = res.UnavailMax.Seconds(), res.UnavailMean.Seconds()
-		pt.Digest = res.Digest
-	default:
-		panic("e24: unknown substrate " + substrate)
 	}
 	return pt
 }
