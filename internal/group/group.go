@@ -470,10 +470,14 @@ func (m *Monitor) handle(from transport.NodeID, payload any) {
 		if msg.Epoch != m.member.Epoch() {
 			// A straggler heartbeating from the previous epoch lost its
 			// NewView; re-send it so the view heals (NewView itself
-			// travels the same lossy network as everything else).
+			// travels the same lossy network as everything else). It is
+			// alive, only behind: its heartbeat refreshes the liveness
+			// of its rank in the current view (msg.From is its old-epoch
+			// rank), or every peer would excise it while it catches up.
 			if m.lastView != nil && msg.Epoch == m.lastView.OldEpoch {
-				for _, n := range m.lastView.Nodes {
+				for r, n := range m.lastView.Nodes {
 					if n == from {
+						m.lastHeard[vclock.ProcessID(r)] = m.net.Now()
 						m.Stats.FlushMsgs.Inc()
 						m.net.Send(m.member.Node(), from, m.lastView)
 						break
