@@ -12,9 +12,11 @@
 // the wrapped network; oracles check the guarantees each substrate
 // advertises (causal-order safety, total-order agreement, delivery-set
 // agreement, stability safety, WAL durability) against the causal
-// trace the run recorded; and a Runner executes N seeded episodes per
-// substrate, shrinks any failing fault schedule to a minimal script,
-// and prints the seed so every failure reproduces with one command.
+// trace the run recorded. Run executes one episode of any world — a
+// substrate under the interposer, or membership churn — RunEpisodes a
+// seeded batch, and Shrink cuts any failing schedule to a minimal
+// script, printed with the seed so every failure reproduces with one
+// command.
 //
 // Everything is deterministic under a seed when run over SimNet: the
 // interposer draws from its own seeded PRNG on the simulation's
