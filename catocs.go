@@ -20,7 +20,7 @@
 //
 // Everything runs over a pluggable transport: a deterministic
 // discrete-event simulation (bit-reproducible under a seed, used by
-// every experiment) or a live goroutine network. The experiment
+// every experiment) or real TCP sockets (tcpnet). The experiment
 // harness in internal/experiments reproduces each of the paper's
 // figures and quantitative claims; see DESIGN.md and EXPERIMENTS.md.
 //
@@ -41,7 +41,7 @@
 //	members[0].Multicast("hello", 5)
 //	sim.Kernel.Run()
 //
-// The same group code runs on a live network via NewLiveNet.
+// The same group code runs on real sockets over internal/transport/tcpnet.
 package catocs
 
 import (
@@ -79,13 +79,6 @@ type Mux = transport.Mux
 
 // NewMux wraps a network for multi-protocol nodes.
 func NewMux(net Network) *Mux { return transport.NewMux(net) }
-
-// LiveNet is a goroutine-backed network with wall-clock delays.
-type LiveNet = transport.LiveNet
-
-// NewLiveNet builds a live network with the given default link model
-// and a seed for its jitter/loss draws.
-func NewLiveNet(def LinkConfig, seed int64) *LiveNet { return transport.NewLiveNet(def, seed) }
 
 // Simulation bundles a deterministic kernel, its simulated network,
 // and a mux, the standard harness for experiments and tests.

@@ -28,47 +28,6 @@ func TestFacadeSimulationQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeLiveNetGroup(t *testing.T) {
-	// The same protocol code on real goroutines: a causal group over
-	// LiveNet with reactive traffic must preserve happens-before.
-	net := NewLiveNet(LinkConfig{Jitter: 2 * time.Millisecond}, 1)
-	defer net.Close()
-	nodes := []NodeID{0, 1, 2}
-	var mu sync.Mutex
-	orders := map[ProcessID][]any{}
-	done := make(chan struct{}, 16)
-	var members []*Member
-	members = NewGroup(net, nodes, GroupConfig{Group: "live", Ordering: Causal},
-		func(rank ProcessID) DeliverFunc {
-			return func(d Delivered) {
-				mu.Lock()
-				orders[rank] = append(orders[rank], d.Payload)
-				mu.Unlock()
-				if rank == 1 && d.Payload == "m1" {
-					members[1].Multicast("m2", 2)
-				}
-				done <- struct{}{}
-			}
-		})
-	members[0].Multicast("m1", 2)
-	// Expect 6 deliveries total (2 messages x 3 members).
-	deadline := time.After(5 * time.Second)
-	for i := 0; i < 6; i++ {
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatal("timed out waiting for live deliveries")
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for r, o := range orders {
-		if len(o) != 2 || o[0] != "m1" || o[1] != "m2" {
-			t.Fatalf("rank %d violated causal order on live net: %v", r, o)
-		}
-	}
-}
-
 func TestFacadeStateToolkit(t *testing.T) {
 	s := NewStore()
 	v := s.Put("x", 1)

@@ -10,7 +10,7 @@ import (
 )
 
 var (
-	docCmdRef = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
+	docDirRef = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9_]*)`)
 	// A command followed by its arguments, up to the end of the line,
 	// of the code span, of the shell command or the start of a comment.
 	docCmdLine = regexp.MustCompile("\\bcmd/([a-z][a-z0-9_]*)([^`#|;\n]*)")
@@ -24,8 +24,8 @@ var (
 )
 
 // TestDocsReferenceExistingTargets fails when a document names a
-// command directory, a flag of one, or a Makefile target that does not
-// exist.
+// command or example directory, a flag of a command, or a Makefile
+// target that does not exist.
 func TestDocsReferenceExistingTargets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -47,9 +47,10 @@ func TestDocsReferenceExistingTargets(t *testing.T) {
 		}
 		text := string(raw)
 
-		for _, m := range docCmdRef.FindAllStringSubmatch(text, -1) {
-			if st, err := os.Stat("cmd/" + m[1]); err != nil || !st.IsDir() {
-				t.Errorf("%s names cmd/%s, which does not exist", doc, m[1])
+		for _, m := range docDirRef.FindAllStringSubmatch(text, -1) {
+			dir := m[1] + "/" + m[2]
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				t.Errorf("%s names %s, which does not exist", doc, dir)
 			}
 		}
 		for _, m := range docCmdLine.FindAllStringSubmatch(text, -1) {

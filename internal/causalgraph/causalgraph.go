@@ -18,12 +18,8 @@ import (
 	"catocs/internal/vclock"
 )
 
-// MsgID identifies a message (mirrors multicast.MsgID without the
-// import cycle).
-type MsgID struct {
-	Sender vclock.ProcessID
-	Seq    uint64
-}
+// MsgID identifies a message; multicast.MsgID is the same type.
+type MsgID = vclock.MsgID
 
 // Graph is the active causal graph.
 type Graph struct {

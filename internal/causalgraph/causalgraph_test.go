@@ -10,9 +10,9 @@ func TestChainArcs(t *testing.T) {
 	// A chain m1 -> m2 -> m3 yields 3 arcs under transitive counting:
 	// (1,2), (2,3), (1,3).
 	g := New()
-	g.Add(MsgID{0, 1}, vclock.VC{1, 0, 0})
-	g.Add(MsgID{1, 1}, vclock.VC{1, 1, 0})
-	g.Add(MsgID{2, 1}, vclock.VC{1, 1, 1})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{1, 0, 0})
+	g.Add(MsgID{Sender: 1, Seq: 1}, vclock.VC{1, 1, 0})
+	g.Add(MsgID{Sender: 2, Seq: 1}, vclock.VC{1, 1, 1})
 	nodes, arcs := g.Census()
 	if nodes != 3 || arcs != 3 {
 		t.Fatalf("census = (%d, %d), want (3, 3)", nodes, arcs)
@@ -21,8 +21,8 @@ func TestChainArcs(t *testing.T) {
 
 func TestConcurrentNoArcs(t *testing.T) {
 	g := New()
-	g.Add(MsgID{0, 1}, vclock.VC{1, 0})
-	g.Add(MsgID{1, 1}, vclock.VC{0, 1})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{1, 0})
+	g.Add(MsgID{Sender: 1, Seq: 1}, vclock.VC{0, 1})
 	if _, arcs := g.Census(); arcs != 0 {
 		t.Fatalf("concurrent messages produced %d arcs", arcs)
 	}
@@ -30,9 +30,9 @@ func TestConcurrentNoArcs(t *testing.T) {
 
 func TestPrune(t *testing.T) {
 	g := New()
-	g.Add(MsgID{0, 1}, vclock.VC{1, 0})
-	g.Add(MsgID{0, 2}, vclock.VC{2, 0})
-	g.Add(MsgID{1, 1}, vclock.VC{2, 1})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{1, 0})
+	g.Add(MsgID{Sender: 0, Seq: 2}, vclock.VC{2, 0})
+	g.Add(MsgID{Sender: 1, Seq: 1}, vclock.VC{2, 1})
 	if removed := g.Prune(vclock.VC{1, 0}); removed != 1 {
 		t.Fatalf("pruned %d, want 1", removed)
 	}
@@ -47,8 +47,8 @@ func TestPrune(t *testing.T) {
 
 func TestDuplicateAddIgnored(t *testing.T) {
 	g := New()
-	g.Add(MsgID{0, 1}, vclock.VC{1, 0})
-	g.Add(MsgID{0, 1}, vclock.VC{9, 9})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{1, 0})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{9, 9})
 	if g.Added() != 1 {
 		t.Fatalf("added = %d", g.Added())
 	}
@@ -56,8 +56,8 @@ func TestDuplicateAddIgnored(t *testing.T) {
 
 func TestPeaks(t *testing.T) {
 	g := New()
-	g.Add(MsgID{0, 1}, vclock.VC{1, 0})
-	g.Add(MsgID{0, 2}, vclock.VC{2, 0})
+	g.Add(MsgID{Sender: 0, Seq: 1}, vclock.VC{1, 0})
+	g.Add(MsgID{Sender: 0, Seq: 2}, vclock.VC{2, 0})
 	g.Census()
 	g.Prune(vclock.VC{2, 0})
 	if g.PeakNodes() != 2 {
@@ -76,9 +76,9 @@ func TestStampIsolation(t *testing.T) {
 	// The graph must clone stamps: caller mutation must not corrupt it.
 	g := New()
 	vc := vclock.VC{1, 0}
-	g.Add(MsgID{0, 1}, vc)
+	g.Add(MsgID{Sender: 0, Seq: 1}, vc)
 	vc.Set(0, 99)
-	g.Add(MsgID{0, 2}, vclock.VC{2, 0})
+	g.Add(MsgID{Sender: 0, Seq: 2}, vclock.VC{2, 0})
 	_, arcs := g.Census()
 	if arcs != 1 {
 		t.Fatalf("arcs = %d; caller mutation leaked into graph", arcs)
@@ -93,7 +93,7 @@ func TestQuadraticGrowthShape(t *testing.T) {
 		vc := vclock.New(1)
 		for i := 1; i <= n; i++ {
 			vc.Tick(0)
-			g.Add(MsgID{0, uint64(i)}, vc)
+			g.Add(MsgID{Sender: 0, Seq: uint64(i)}, vc)
 		}
 		_, arcs := g.Census()
 		want := n * (n - 1) / 2

@@ -21,18 +21,13 @@
 // Everything is deterministic under a seed when run over SimNet: the
 // interposer draws from its own seeded PRNG on the simulation's
 // single-threaded dispatch, so two runs with the same seed produce
-// bit-identical event streams (compared by digest). The same
-// interposer also wraps LiveNet — which, as of this package, has full
-// Crash/Partition parity with SimNet — for race-detection runs, where
-// wall-clock timing is nondeterministic but the invariants must still
-// hold.
+// bit-identical event streams (compared by digest).
 package chaos
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"catocs/internal/transport"
@@ -75,9 +70,8 @@ func (f LinkFault) String() string {
 }
 
 // Faultable is the control surface fault schedules drive: a network
-// that can crash nodes and partition itself. SimNet implements it
-// natively; LiveNet gained parity for this package; the Interposer
-// forwards it.
+// that can crash nodes and partition itself. SimNet implements it;
+// the Interposer forwards it.
 type Faultable interface {
 	transport.Network
 	Crash(transport.NodeID)
@@ -90,8 +84,8 @@ type Faultable interface {
 // Slowable is the slow-consumer control surface: a network that can
 // add inbound delivery lag at a node while leaving its outbound
 // traffic timely — the §5 failure mode where a member stays "alive" to
-// every detector yet pins the group's stability buffers. SimNet and
-// LiveNet both implement it; the Interposer forwards it.
+// every detector yet pins the group's stability buffers. SimNet
+// implements it; the Interposer forwards it.
 type Slowable interface {
 	Slow(id transport.NodeID, lag time.Duration)
 	Fast(id transport.NodeID)
@@ -109,14 +103,12 @@ type FaultStats struct {
 // build on it unmodified, and Faultable, forwarding node/partition
 // faults to the underlying network when it supports them.
 //
-// All randomness comes from the interposer's own seeded PRNG. Over
-// SimNet every Send happens on the kernel goroutine, so fault draws
-// are deterministic; over LiveNet the mutex makes them safe, not
-// reproducible (wall-clock interleaving already isn't).
+// All randomness comes from the interposer's own seeded PRNG. Every
+// Send runs in the wrapped network's dispatch context (the kernel
+// goroutine for SimNet), one at a time, so fault draws are
+// deterministic and need no lock.
 type Interposer struct {
-	net transport.Network
-
-	mu    sync.Mutex
+	net   transport.Network
 	rng   *rand.Rand
 	def   LinkFault
 	links map[[2]transport.NodeID]LinkFault
@@ -135,30 +127,22 @@ func NewInterposer(net transport.Network, seed int64) *Interposer {
 // SetDefault installs the fault mix applied to links without a
 // per-link override.
 func (ip *Interposer) SetDefault(f LinkFault) {
-	ip.mu.Lock()
 	ip.def = f
-	ip.mu.Unlock()
 }
 
 // SetLink overrides the fault mix for the directed pair (from, to) —
 // a flaky link.
 func (ip *Interposer) SetLink(from, to transport.NodeID, f LinkFault) {
-	ip.mu.Lock()
 	ip.links[[2]transport.NodeID{from, to}] = f
-	ip.mu.Unlock()
 }
 
 // ClearLink removes a per-link override, restoring the default mix.
 func (ip *Interposer) ClearLink(from, to transport.NodeID) {
-	ip.mu.Lock()
 	delete(ip.links, [2]transport.NodeID{from, to})
-	ip.mu.Unlock()
 }
 
 // Stats returns a snapshot of the injected-fault counters.
 func (ip *Interposer) Stats() FaultStats {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
 	return ip.stats
 }
 
@@ -176,7 +160,6 @@ func (ip *Interposer) After(d time.Duration, f func()) { ip.net.After(d, f) }
 // Send implements transport.Network: roll the link's fault mix, then
 // forward surviving copies to the underlying network.
 func (ip *Interposer) Send(from, to transport.NodeID, payload any) {
-	ip.mu.Lock()
 	f, ok := ip.links[[2]transport.NodeID{from, to}]
 	if !ok {
 		f = ip.def
@@ -196,7 +179,6 @@ func (ip *Interposer) Send(from, to transport.NodeID, payload any) {
 			ip.stats.Delayed++
 		}
 	}
-	ip.mu.Unlock()
 	if drop {
 		return
 	}
@@ -262,13 +244,11 @@ func (ip *Interposer) Fast(id transport.NodeID) {
 	}
 }
 
-// Compile-time checks: both stock networks satisfy the chaos control
-// surface, and the interposer passes as either interface.
+// Compile-time checks: SimNet satisfies the chaos control surface,
+// and the interposer passes as either interface.
 var (
 	_ Faultable = (*transport.SimNet)(nil)
-	_ Faultable = (*transport.LiveNet)(nil)
 	_ Faultable = (*Interposer)(nil)
 	_ Slowable  = (*transport.SimNet)(nil)
-	_ Slowable  = (*transport.LiveNet)(nil)
 	_ Slowable  = (*Interposer)(nil)
 )

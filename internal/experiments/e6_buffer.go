@@ -66,7 +66,7 @@ func RunE6(n, msgs int, interval time.Duration, loss float64, seed int64) E6Poin
 			// one node per message, added at first delivery.
 			return func(d multicast.Delivered) {
 				if d.VC != nil {
-					graph.Add(causalgraph.MsgID{Sender: d.ID.Sender, Seq: d.ID.Seq}, d.VC)
+					graph.Add(d.ID, d.VC)
 				}
 			}
 		})

@@ -647,12 +647,7 @@ func (m *Monitor) onFlushState(s *FlushState) {
 	for id := range union {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Sender != ids[j].Sender {
-			return ids[i].Sender < ids[j].Sender
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	m.fills = make(map[vclock.ProcessID]*FlushFill, len(m.survivors))
 	for _, r := range m.survivors {
 		st := m.states[r]

@@ -1,12 +1,13 @@
 package metrics
 
 // Guarded counterparts of the measurement primitives. The plain types
-// in metrics.go stay unsynchronized on purpose — the simulation world
-// is single-threaded — but LiveNet runs real goroutines: per-node
-// dispatchers, timer callbacks, and driving goroutines all touch the
-// same instruments. These variants are safe for that world: the
-// counter is a bare atomic, the gauge and histogram wrap the plain
-// implementations in a mutex.
+// in metrics.go stay unsynchronized on purpose — every protocol member
+// runs in its network's single dispatch context — but the labeled
+// registry (obs.Registry) is shared across goroutines: tcpnet's
+// dispatcher and per-connection goroutines write it while the live
+// HTTP plane (internal/obs/live) reads it. These variants are safe for
+// that: the counter is a bare atomic, the gauge and histogram wrap the
+// plain implementations in a mutex.
 
 import (
 	"sync"

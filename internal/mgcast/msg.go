@@ -37,7 +37,6 @@
 package mgcast
 
 import (
-	"fmt"
 	"time"
 
 	"catocs/internal/obs"
@@ -46,23 +45,10 @@ import (
 
 // MsgID names a multicast uniquely: the seq'th message originated by a
 // sender node. Ranks are universe-wide node indices, not per-group
-// ranks, so an ID is meaningful to every group it touches.
-type MsgID struct {
-	Sender vclock.ProcessID
-	Seq    uint64
-}
-
-// String renders the id as "sender:seq".
-func (id MsgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq) }
-
-// Less orders ids lexicographically; the coordinator's retransmission
-// scan iterates in this order so simulated runs stay deterministic.
-func (id MsgID) Less(other MsgID) bool {
-	if id.Sender != other.Sender {
-		return id.Sender < other.Sender
-	}
-	return id.Seq < other.Seq
-}
+// ranks, so an ID is meaningful to every group it touches. The
+// coordinator's retransmission scan iterates in Less order so
+// simulated runs stay deterministic.
+type MsgID = vclock.MsgID
 
 // DataMsg is an application multicast on the wire, addressed to a set
 // of destination groups.

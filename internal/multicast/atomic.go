@@ -294,12 +294,7 @@ func (m *Member) fireOrderNack() {
 	if len(want) == 0 && !gap {
 		return
 	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].Sender != want[j].Sender {
-			return want[i].Sender < want[j].Sender
-		}
-		return want[i].Seq < want[j].Seq
-	})
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
 	m.CtrlMsgs.Inc()
 	m.send(m.cfg.SequencerRank, &OrderNack{
 		Group: m.cfg.Group, Epoch: m.epoch, From: m.rank,

@@ -26,8 +26,8 @@ func (m *Member) WindowState() flowcontrol.WindowState {
 // ObsStatus implements obs.Introspector: the member's live ordering
 // and buffering state — holdback depth, admission-window occupancy,
 // parked casts, the stability laggard, WAL spill bytes, view epoch.
-// Call from the member's execution context (the sim kernel or the
-// LiveNet dispatcher); the live plane receives published copies.
+// Call from the member's dispatch context (the sim kernel or the
+// tcpnet dispatcher); the live plane receives published copies.
 func (m *Member) ObsStatus() obs.Status {
 	ws := m.WindowState()
 	fields := []obs.StatusField{

@@ -8,15 +8,15 @@
 // The package is written as a real group-communication library: a
 // Member is one endpoint of a process group bound to a
 // transport.Network, and the same code runs on the deterministic
-// simulated network (all experiments) and on the live goroutine
-// network. The instrumentation the experiments need — delivery
-// latencies, delay-queue occupancy, unstable-buffer occupancy, message
-// censuses — is built in, because the paper's claims (§3.4 false
-// causality, §5 buffering growth) are precisely about these internals.
+// simulated network (all experiments) and on real TCP sockets
+// (internal/transport/tcpnet). The instrumentation the experiments
+// need — delivery latencies, delay-queue occupancy, unstable-buffer
+// occupancy, message censuses — is built in, because the paper's
+// claims (§3.4 false causality, §5 buffering growth) are precisely
+// about these internals.
 package multicast
 
 import (
-	"fmt"
 	"time"
 
 	"catocs/internal/obs"
@@ -26,13 +26,7 @@ import (
 // MsgID names a multicast uniquely within a group: the seq'th message
 // from a sender. IDs survive view changes because ranks are fixed for
 // the life of a member within an epoch.
-type MsgID struct {
-	Sender vclock.ProcessID
-	Seq    uint64
-}
-
-// String renders the id as "sender:seq".
-func (id MsgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq) }
+type MsgID = vclock.MsgID
 
 // DataMsg is an application multicast on the wire. Every ordering mode
 // uses it; the VC field is populated only in causal mode, and Epoch

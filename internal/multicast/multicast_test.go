@@ -587,7 +587,7 @@ func TestApproxSizes(t *testing.T) {
 	if r.ApproxSize() != 16+d.ApproxSize() {
 		t.Fatalf("retrans size = %d", r.ApproxSize())
 	}
-	n := &NackMsg{Want: []MsgID{{0, 1}, {1, 2}}}
+	n := &NackMsg{Want: []MsgID{{Sender: 0, Seq: 1}, {Sender: 1, Seq: 2}}}
 	if n.ApproxSize() != 24+32 {
 		t.Fatalf("nack size = %d", n.ApproxSize())
 	}

@@ -56,7 +56,7 @@ type Status struct {
 
 // Introspector is implemented by components that can snapshot their
 // live state for /statusz. ObsStatus is called from the component's
-// own execution context (the sim kernel, or a member's lock), never
+// own dispatch context (the sim kernel or the tcpnet dispatcher), never
 // concurrently with its mutations — the live server receives published
 // copies, not the Introspector itself.
 type Introspector interface {

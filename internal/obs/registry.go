@@ -27,9 +27,10 @@ func (l Labels) String() string {
 // and histograms keyed by {substrate, node, kind}, created on first
 // use. It subsumes the ad-hoc aggregate/per-node counter structs the
 // transports grew (transport.Stats / NodeStats feed it when a network
-// is instrumented) and is safe on LiveNet, where per-node dispatcher
-// goroutines and timers record concurrently — the instruments are the
-// guarded variants from internal/metrics.
+// is instrumented) and is safe for concurrent use, because the live
+// HTTP plane (internal/obs/live) reads it while tcpnet's dispatcher and
+// connection goroutines write — the instruments are the guarded
+// variants from internal/metrics.
 //
 // A nil Registry is valid and hands out no instruments; callers check
 // the registry pointer once, not each instrument.

@@ -71,8 +71,9 @@ func TestRegistryRender(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers one shared registry from concurrent
-// senders — the LiveNet usage pattern. Run under -race (make race /
-// make verify) this is the satellite's data-race gate.
+// senders — tcpnet's dispatcher and connection goroutines writing while
+// the live plane reads. Run under -race (make race / make verify) this
+// is the registry's data-race gate.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const (

@@ -148,8 +148,8 @@ type Event struct {
 }
 
 // Tracer records lifecycle events for one run. It is safe for
-// concurrent use (LiveNet records from dispatcher and timer
-// goroutines); a nil Tracer is valid and records nothing, so
+// concurrent use (the live HTTP plane reads it while tcpnet's
+// dispatcher and connection goroutines record); a nil Tracer is valid and records nothing, so
 // instrumented code needs only `if t != nil`-free method calls.
 type Tracer struct {
 	mu     sync.Mutex

@@ -130,7 +130,7 @@ func (g *TxGroup) dropUnresponsive(attempted []transport.NodeID, _ transact.Outc
 		}
 		live = append(live, n)
 	}
-	// If crash status is unavailable (live network), keep the list: the
+	// If crash status is unavailable (e.g. tcpnet), keep the list: the
 	// retry will time out again and the caller sees the failure.
 	if ok {
 		g.avail = live

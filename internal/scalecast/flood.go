@@ -239,7 +239,7 @@ func (m *Member) onLinkAck(from transport.NodeID, ack *LinkAck) {
 		l.outAcked = ack.Cum
 	}
 	// Pruned logs may have widened the ingress admission window.
-	m.drainBlockedLocked()
+	m.drainBlocked()
 }
 
 // onLinkNack retransmits the requested range from the send log.
@@ -290,7 +290,8 @@ func (m *Member) armAck() {
 	}
 	m.ackArmed = true
 	m.net.After(m.cfg.ackInterval(), func() {
-		m.locked(m.onAckTimer)
+		m.onAckTimer()
+		m.flush()
 	})
 }
 
@@ -315,7 +316,8 @@ func (m *Member) armNack() {
 	}
 	m.nackArmed = true
 	m.net.After(m.cfg.nackDelay(), func() {
-		m.locked(m.onNackTimer)
+		m.onNackTimer()
+		m.flush()
 	})
 }
 
@@ -355,7 +357,8 @@ func (m *Member) armHeartbeat() {
 	}
 	m.hbArmed = true
 	m.net.After(m.cfg.heartbeat(), func() {
-		m.locked(m.onHeartbeatTimer)
+		m.onHeartbeatTimer()
+		m.flush()
 	})
 }
 

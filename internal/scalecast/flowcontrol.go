@@ -27,24 +27,17 @@ type blockedFlood struct {
 
 // BlockedCount returns the number of casts parked at the ingress
 // window.
-func (m *Member) BlockedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blocked)
-}
+func (m *Member) BlockedCount() int { return len(m.blocked) }
 
 // RetransCount returns the total entries across this member's link
 // retransmission logs — the occupancy the ingress budget bounds.
 func (m *Member) RetransCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	msgs, _ := m.retransLocked()
+	msgs, _ := m.retrans()
 	return msgs
 }
 
-// retransLocked totals the link retransmission logs in messages and
-// bytes. Caller holds the lock.
-func (m *Member) retransLocked() (msgs, bytes int) {
+// retrans totals the link retransmission logs in messages and bytes.
+func (m *Member) retrans() (msgs, bytes int) {
 	for _, l := range m.links {
 		msgs += len(l.outLog)
 		for _, pkt := range l.outLog {
@@ -54,17 +47,17 @@ func (m *Member) retransLocked() (msgs, bytes int) {
 	return msgs, bytes
 }
 
-// admitLocked applies the overflow policy to a new own cast. True
-// means flood now; false means the cast was parked or shed. One cast
-// logs one copy per link, so the projected occupancy grows by the
-// overlay degree, not by one. Caller holds the lock.
-func (m *Member) admitLocked(payload any, size int) bool {
+// admit applies the overflow policy to a new own cast. True means
+// flood now; false means the cast was parked or shed. One cast logs
+// one copy per link, so the projected occupancy grows by the overlay
+// degree, not by one.
+func (m *Member) admit(payload any, size int) bool {
 	b := m.cfg.Budget
 	if !b.Limited() || m.cfg.Overflow == flowcontrol.None {
 		return true
 	}
 	copies := len(m.order)
-	msgs, bytes := m.retransLocked()
+	msgs, bytes := m.retrans()
 	// FIFO within the origin: nothing may overtake a parked cast.
 	if len(m.blocked) == 0 && !b.Exceeded(msgs+copies, bytes+copies*size) {
 		return true
@@ -82,11 +75,10 @@ func (m *Member) admitLocked(payload any, size int) bool {
 	return false
 }
 
-// drainBlockedLocked re-admits parked casts in FIFO order as far as
-// the budget allows; called when link acks prune the retransmission
-// logs. Caller holds the lock (deliveries flush via the caller's
-// flushUnlock).
-func (m *Member) drainBlockedLocked() {
+// drainBlocked re-admits parked casts in FIFO order as far as the
+// budget allows; called when link acks prune the retransmission logs.
+// Their local deliveries flush at the end of the caller's step.
+func (m *Member) drainBlocked() {
 	if m.closed || len(m.blocked) == 0 {
 		return
 	}
@@ -94,12 +86,12 @@ func (m *Member) drainBlockedLocked() {
 	for len(m.blocked) > 0 {
 		b := m.blocked[0]
 		copies := len(m.order)
-		msgs, bytes := m.retransLocked()
+		msgs, bytes := m.retrans()
 		if m.cfg.Budget.Exceeded(msgs+copies, bytes+copies*b.size) {
 			return
 		}
 		m.blocked = m.blocked[1:]
 		m.AdmissionStall.Observe((now - b.at).Seconds())
-		m.multicastLocked(b.payload, b.size)
+		m.originate(b.payload, b.size)
 	}
 }

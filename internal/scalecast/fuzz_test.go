@@ -2,7 +2,6 @@ package scalecast
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -314,63 +313,6 @@ func TestFuzzJoinLeaveInvariants(t *testing.T) {
 				t.Fatalf("seed %d: veteran delivery counts disagree: node %d has %d, expected %d",
 					seed, id, len(deliveries[id]), wantAll)
 			}
-		}
-	}
-}
-
-// TestLiveNetRace exercises scalecast's internal synchronization on
-// real goroutines: LiveNet delivers packets on per-node dispatcher
-// goroutines while ack/nack/heartbeat timers fire on timer goroutines.
-// Run under -race (make verify does) this is the data-race regression
-// test for the member lock.
-func TestLiveNetRace(t *testing.T) {
-	net := transport.NewLiveNet(transport.LinkConfig{Jitter: 2 * time.Millisecond, LossProb: 0.05}, 1)
-	defer net.Close()
-	const n = 8
-	nodes := make([]transport.NodeID, n)
-	for i := range nodes {
-		nodes[i] = transport.NodeID(i)
-	}
-	var mu sync.Mutex
-	counts := make([]int, n)
-	done := make(chan struct{}, 1024)
-	var members []*Member
-	members = NewGroup(net, nodes, Config{Group: "live",
-		AckInterval: 5 * time.Millisecond, NackDelay: 5 * time.Millisecond,
-		Heartbeat: 10 * time.Millisecond},
-		func(rank vclock.ProcessID) multicast.DeliverFunc {
-			return func(d multicast.Delivered) {
-				mu.Lock()
-				counts[rank]++
-				mu.Unlock()
-				// Reactive chains from inside the callback.
-				if s, ok := d.Payload.(string); ok && s == "ping" && rank == 3 {
-					members[rank].Multicast("pong", 4)
-				}
-				done <- struct{}{}
-			}
-		})
-	const base = 20
-	for i := 0; i < base; i++ {
-		members[i%n].Multicast("ping", 4)
-		time.Sleep(time.Millisecond)
-	}
-	// pings fan a pong from rank 3 per ping: (base + base) * n total
-	// deliveries expected; loss is recovered by nack/heartbeat.
-	want := 2 * base * n
-	deadline := time.After(20 * time.Second)
-	for i := 0; i < want; i++ {
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatalf("timed out after %d of %d deliveries", i, want)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for r, c := range counts {
-		if c != 2*base {
-			t.Fatalf("member %d delivered %d, want %d", r, c, 2*base)
 		}
 	}
 }

@@ -9,9 +9,7 @@ import (
 // budget over its link retransmission logs) for the live observability
 // plane.
 func (m *Member) WindowState() flowcontrol.WindowState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	msgs, bytes := m.retransLocked()
+	msgs, bytes := m.retrans()
 	return flowcontrol.WindowState{
 		Node:   int(m.self),
 		Window: m.cfg.Budget,
@@ -25,17 +23,15 @@ func (m *Member) WindowState() flowcontrol.WindowState {
 // ObsStatus implements obs.Introspector: the flood member's live
 // state — link holdback depth, retransmission-buffer occupancy,
 // ingress-window occupancy, parked casts, overlay degree, barrier
-// epoch. The member locks internally, so this is safe from any
-// context, but the live plane still consumes published copies.
+// epoch. Call from the member's dispatch context; the live plane
+// consumes published copies.
 func (m *Member) ObsStatus() obs.Status {
 	ws := m.WindowState()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return obs.Status{
 		Component: "scalecast",
 		Node:      int(m.self),
 		Fields: []obs.StatusField{
-			obs.DistNum("holdback_depth", float64(m.pendingCountLocked())),
+			obs.DistNum("holdback_depth", float64(m.PendingCount())),
 			obs.DistNum("retrans_buffer", float64(ws.Msgs)),
 			obs.DistNum("window_occupancy", ws.Occupancy()),
 			obs.DistNum("parked_casts", float64(ws.Parked)),

@@ -95,10 +95,7 @@ func overlayNeighbors(view []transport.NodeID, self transport.NodeID, degree int
 // re-wired to the same node list for the overlay to converge; a
 // process not yet in the group enters via JoinMember instead.
 func (m *Member) Rewire(newNodes []transport.NodeID) {
-	m.locked(func() { m.rewireLocked(newNodes) })
-}
-
-func (m *Member) rewireLocked(newNodes []transport.NodeID) {
+	defer m.flush()
 	if m.closed {
 		return
 	}

@@ -43,7 +43,6 @@ package scalecast
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"catocs/internal/flowcontrol"
@@ -138,21 +137,19 @@ type originKey struct {
 	seq    uint64
 }
 
-// Member is one endpoint of a scalecast group. Unlike
-// multicast.Member, the member synchronizes internally: over LiveNet
-// its timers fire on timer goroutines while packets arrive on the
-// node's dispatcher goroutine, so every entry point takes the member
-// lock. Delivery callbacks run outside the lock (via a small outbox),
-// so a callback may re-enter Multicast — the reactive idiom the causal
-// tests rely on.
+// Member is one endpoint of a scalecast group. Like multicast.Member
+// it takes no lock: its handler and timers run in the network's single
+// dispatch context (transport.Network). Delivery callbacks run at the
+// end of each protocol step (via a small outbox), so a callback sees
+// the member between steps and may re-enter Multicast — the reactive
+// idiom the causal tests rely on.
 type Member struct {
 	cfg     Config
 	net     transport.Network
-	mu      sync.Mutex
 	nodes   []transport.NodeID // current view, defines the overlay
 	self    transport.NodeID
 	deliver multicast.DeliverFunc
-	outbox  []multicast.Delivered // deliveries pending callback, flushed unlocked
+	outbox  []multicast.Delivered // deliveries pending callback, flushed after each step
 	closed  bool
 
 	originSeq uint64 // my broadcast counter
@@ -267,8 +264,6 @@ func (m *Member) rank() int {
 
 // Rank returns this member's rank in the current view.
 func (m *Member) Rank() vclock.ProcessID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return vclock.ProcessID(m.rank())
 }
 
@@ -277,23 +272,17 @@ func (m *Member) Node() transport.NodeID { return m.self }
 
 // GroupSize returns the current view size.
 func (m *Member) GroupSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.nodes)
 }
 
 // ViewNodes returns a copy of the current view's node list.
 func (m *Member) ViewNodes() []transport.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]transport.NodeID(nil), m.nodes...)
 }
 
 // Neighbors returns the member's current overlay peers in sorted
 // order.
 func (m *Member) Neighbors() []transport.NodeID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]transport.NodeID(nil), m.order...)
 }
 
@@ -301,12 +290,6 @@ func (m *Member) Neighbors() []transport.NodeID {
 // link holdback, reconfiguration buffers, and the defensive per-origin
 // future buffer. The scalecast analogue of the CBCAST delay queue.
 func (m *Member) PendingCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pendingCountLocked()
-}
-
-func (m *Member) pendingCountLocked() int {
 	n := len(m.future)
 	for _, l := range m.links {
 		n += len(l.inHold) + len(l.buffered)
@@ -318,8 +301,6 @@ func (m *Member) pendingCountLocked() int {
 // retransmission across all link send logs — the hybrid buffer whose
 // occupancy E16 compares against CBCAST's stability buffer.
 func (m *Member) RetransBufferCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := 0
 	for _, l := range m.links {
 		n += len(l.outLog)
@@ -329,11 +310,7 @@ func (m *Member) RetransBufferCount() int {
 
 // Close permanently silences the member: no further sends, deliveries,
 // or timer re-arms.
-func (m *Member) Close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-}
+func (m *Member) Close() { m.closed = true }
 
 // barrierCtx renders the member's causal context for trace events: the
 // barrier epoch (link-session counter) is the only ordering state a
@@ -387,7 +364,7 @@ func (m *Member) dropLink(peer transport.NodeID) {
 }
 
 // updateGauge publishes current holdback occupancy.
-func (m *Member) updateGauge() { m.HoldbackGauge.Set(int64(m.pendingCountLocked())) }
+func (m *Member) updateGauge() { m.HoldbackGauge.Set(int64(m.PendingCount())) }
 
 // Multicast broadcasts payload (with an approximate encoded size in
 // bytes) to the group: the message floods the overlay carrying only
@@ -397,23 +374,17 @@ func (m *Member) updateGauge() { m.HoldbackGauge.Set(int64(m.pendingCountLocked(
 // skip values: protocol-internal barrier broadcasts share the
 // sequence space and are never surfaced to the application.
 func (m *Member) Multicast(payload any, size int) multicast.MsgID {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if m.closed || !m.admit(payload, size) {
 		return multicast.MsgID{}
 	}
-	if !m.admitLocked(payload, size) {
-		m.mu.Unlock()
-		return multicast.MsgID{}
-	}
-	id := m.multicastLocked(payload, size)
-	m.flushUnlock()
+	id := m.originate(payload, size)
+	m.flush()
 	return id
 }
 
-// multicastLocked stamps and floods a cast the ingress window has
-// cleared (or that no window governs). Caller holds the lock.
-func (m *Member) multicastLocked(payload any, size int) multicast.MsgID {
+// originate stamps and floods a cast the ingress window has cleared
+// (or that no window governs).
+func (m *Member) originate(payload any, size int) multicast.MsgID {
 	m.originSeq++
 	fm := &FloodMsg{
 		Group:       m.cfg.Group,
@@ -533,33 +504,21 @@ func (m *Member) deliverLocal(fm *FloodMsg) {
 	})
 }
 
-// flushUnlock hands any pending deliveries to the application after
-// releasing the member lock, so a callback may call back in. Must be
-// called with the lock held; returns with it released.
-func (m *Member) flushUnlock() {
+// flush hands the deliveries of the step that just ran to the
+// application. Every entry point (Handle, Multicast, Rewire, the
+// timers) ends with it; the outbox is detached first, so a callback
+// that re-enters Multicast flushes its own delivery before the rest.
+func (m *Member) flush() {
 	out := m.outbox
 	m.outbox = nil
-	cb := m.deliver
-	m.mu.Unlock()
 	for _, d := range out {
-		cb(d)
+		m.deliver(d)
 	}
-}
-
-// locked runs one protocol step under the member lock and then flushes
-// deliveries.
-func (m *Member) locked(f func()) {
-	m.mu.Lock()
-	f()
-	m.flushUnlock()
 }
 
 // Handle is the member's network receive entry point.
 func (m *Member) Handle(from transport.NodeID, payload any) {
-	m.locked(func() { m.handleLocked(from, payload) })
-}
-
-func (m *Member) handleLocked(from transport.NodeID, payload any) {
+	defer m.flush()
 	if m.closed {
 		return
 	}

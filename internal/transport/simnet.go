@@ -91,9 +91,13 @@ func (n *SimNet) Kernel() *sim.Kernel { return n.k }
 // Instrument attaches observability: tracer records per-payload wire
 // events (for payloads implementing obs.Referable), reg accumulates
 // labeled counters keyed by {substrate, node, kind}. Either may be
-// nil; with both nil the hot path pays only nil checks.
+// nil; with both nil the hot path pays only nil checks. An empty
+// substrate label defaults to "sim".
 func (n *SimNet) Instrument(tr *obs.Tracer, reg *obs.Registry, substrate string) {
-	n.sink.instrument(tr, reg, substrate, "sim")
+	if substrate == "" {
+		substrate = "sim"
+	}
+	n.sink = obsSink{tracer: tr, reg: reg, substrate: substrate}
 }
 
 // Register implements Network.

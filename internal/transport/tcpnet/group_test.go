@@ -14,8 +14,10 @@ import (
 // runGroupOverTCP stands up one ordered-multicast member per Net (three
 // "processes" in one test binary, talking over real localhost sockets),
 // has every member multicast k payloads, and returns each member's
-// delivery sequence.
-func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multicast.MsgID {
+// delivery sequence. When reactive, one more round follows: member 0
+// casts "m1" and member 1 casts "m2" from inside its delivery callback
+// for m1, so m2 causally follows m1.
+func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int, reactive bool) [][]multicast.Delivered {
 	t.Helper()
 	const n = 3
 	addrs := reserveAddrs(t, n)
@@ -36,7 +38,7 @@ func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multi
 	}
 
 	var mu sync.Mutex
-	orders := make([][]multicast.MsgID, n)
+	orders := make([][]multicast.Delivered, n)
 	members := make([]*multicast.Member, n)
 	cfg := multicast.Config{Group: "tcp", Ordering: ordering, Atomic: true}
 	for i := range members {
@@ -44,8 +46,13 @@ func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multi
 		members[i] = multicast.NewMember(nets[i], nodes, vclock.ProcessID(rank), cfg,
 			func(d multicast.Delivered) {
 				mu.Lock()
-				orders[rank] = append(orders[rank], d.ID)
+				orders[rank] = append(orders[rank], d)
 				mu.Unlock()
+				// The callback runs on this Net's dispatcher, so the
+				// reaction needs no Inject.
+				if reactive && rank == 1 && string(d.Payload.([]byte)) == "m1" {
+					members[rank].Multicast([]byte("m2"), 2)
+				}
 			})
 	}
 
@@ -57,12 +64,17 @@ func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multi
 		}
 		time.Sleep(time.Millisecond)
 	}
+	want := n * k
+	if reactive {
+		nets[0].Inject(func() { members[0].Multicast([]byte("m1"), 2) })
+		want += 2
+	}
 
 	waitFor(t, 30*time.Second, "every member delivering every multicast", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, o := range orders {
-			if len(o) != n*k {
+			if len(o) != want {
 				return false
 			}
 		}
@@ -70,9 +82,9 @@ func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multi
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	out := make([][]multicast.MsgID, n)
+	out := make([][]multicast.Delivered, n)
 	for i := range orders {
-		out[i] = append([]multicast.MsgID(nil), orders[i]...)
+		out[i] = append([]multicast.Delivered(nil), orders[i]...)
 	}
 	return out
 }
@@ -82,35 +94,43 @@ func runGroupOverTCP(t *testing.T, ordering multicast.Ordering, k int) [][]multi
 // messages in the same order.
 func TestABcastGroupOverTCP(t *testing.T) {
 	const k = 15
-	orders := runGroupOverTCP(t, multicast.TotalCausal, k)
+	orders := runGroupOverTCP(t, multicast.TotalCausal, k, false)
 	for i := 1; i < len(orders); i++ {
 		if len(orders[i]) != len(orders[0]) {
 			t.Fatalf("member %d delivered %d, member 0 delivered %d", i, len(orders[i]), len(orders[0]))
 		}
 		for j := range orders[0] {
-			if orders[i][j] != orders[0][j] {
+			if orders[i][j].ID != orders[0][j].ID {
 				t.Fatalf("total order diverges at %d: member %d saw %v, member 0 saw %v",
-					j, i, orders[i][j], orders[0][j])
+					j, i, orders[i][j].ID, orders[0][j].ID)
 			}
 		}
 	}
 }
 
 // TestCBcastGroupOverTCP runs atomic CBCAST across TCP: every member
-// must deliver every message with per-sender FIFO order intact (the
-// projection of causal order a single test can assert directly).
+// must deliver every message with per-sender FIFO order intact, and
+// the reactive round's m1 before m2 — happens-before across senders,
+// with the reaction cast from inside a delivery callback on real
+// sockets.
 func TestCBcastGroupOverTCP(t *testing.T) {
 	const k = 15
-	orders := runGroupOverTCP(t, multicast.Causal, k)
+	orders := runGroupOverTCP(t, multicast.Causal, k, true)
 	for i, order := range orders {
+		at := map[string]int{}
 		next := map[vclock.ProcessID]uint64{}
-		for _, id := range order {
+		for j, d := range order {
+			at[string(d.Payload.([]byte))] = j
+			id := d.ID
 			want := next[id.Sender] + 1
 			if id.Seq != want {
 				t.Fatalf("member %d: sender %d seq %d delivered before seq %d",
 					i, id.Sender, id.Seq, want)
 			}
 			next[id.Sender] = id.Seq
+		}
+		if at["m1"] >= at["m2"] {
+			t.Fatalf("member %d delivered m2 at %d before its cause m1 at %d", i, at["m2"], at["m1"])
 		}
 	}
 }

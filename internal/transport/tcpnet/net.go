@@ -1,7 +1,7 @@
 // Package tcpnet implements transport.Network over real TCP sockets,
-// carrying the same protocol payloads SimNet and LiveNet move in
-// process — but encoded through the internal/wire registry codec so
-// independent OS processes can host group members.
+// carrying the same protocol payloads SimNet moves in process — but
+// encoded through the internal/wire registry codec so independent OS
+// processes can host group members.
 //
 // Topology: every process binds one listener and hosts one or more
 // local NodeIDs. All traffic from this process to a given remote
@@ -12,17 +12,18 @@
 // connection to our listener, so a healthy pair of processes holds
 // exactly two sockets regardless of how many NodeIDs each side hosts.
 //
-// Delivery preserves the single-dispatch-context contract the ordering
-// protocols assume (multicast.Member and pubsub.Node have no internal
-// locking): ONE dispatcher goroutine per Net executes every handler
-// invocation, every After callback, and every Inject function, so all
-// local nodes share a serial execution context exactly as they do on
-// SimNet's kernel goroutine.
+// Delivery preserves the single-dispatch-context contract of
+// transport.Network, which the ordering protocols rely on
+// (multicast.Member, scalecast.Member and pubsub.Node take no lock):
+// ONE dispatcher goroutine per Net executes every handler invocation,
+// every After callback, and every Inject function, so all local nodes
+// share a serial execution context exactly as they do on SimNet's
+// kernel goroutine.
 //
 // Send never blocks. Each remote peer has a bounded outbound queue
 // governed by a flowcontrol.Budget; when the queue is full the frame
-// is dropped and counted (Shed semantics, matching SimNet/LiveNet
-// mailbox overflow). Callers that want to adapt instead of losing
+// is dropped and counted (Shed semantics, matching SimNet mailbox
+// overflow). Callers that want to adapt instead of losing
 // traffic read Outbound/Backpressured and shrink their own admission
 // windows — the same flowcontrol vocabulary the group layer uses.
 package tcpnet
@@ -232,7 +233,7 @@ func (n *Net) Register(id transport.NodeID, h transport.Handler) {
 	}
 }
 
-// Instrument attaches observability, mirroring SimNet/LiveNet: the
+// Instrument attaches observability, mirroring SimNet: the
 // tracer records per-payload wire events, the registry accumulates
 // {substrate, node, kind} counters. Empty substrate defaults to "tcp".
 func (n *Net) Instrument(tr *obs.Tracer, reg *obs.Registry, substrate string) {
@@ -249,7 +250,7 @@ func (n *Net) Instrument(tr *obs.Tracer, reg *obs.Registry, substrate string) {
 // Send implements transport.Network. It never blocks: the payload is
 // encoded immediately, queued on the destination process's bounded
 // outbound queue, and dropped (with a counter) if that queue's budget
-// is exhausted — the TCP analogue of SimNet/LiveNet mailbox overflow.
+// is exhausted — the TCP analogue of SimNet mailbox overflow.
 // Local destinations short-circuit through the wire codec (encode +
 // decode) so loopback traffic exercises the identical canonical form
 // and handlers never alias the sender's message structs.
@@ -419,8 +420,7 @@ func (n *Net) Backpressured(id transport.NodeID) bool {
 // QueueBudget returns the per-peer outbound budget in force.
 func (n *Net) QueueBudget() flowcontrol.Budget { return n.cfg.Queue }
 
-// accountSend mirrors the send-side accounting SimNet and LiveNet
-// share, charging control bytes and forward markers to the sender.
+// accountSend mirrors SimNet's send-side accounting, charging control bytes and forward markers to the sender.
 func (n *Net) accountSend(from transport.NodeID, payload any) {
 	ctrl := uint64(transport.ControlSize(payload))
 	fm, ok := payload.(transport.ForwardMarker)

@@ -6,14 +6,18 @@
 //   - SimNet runs on the deterministic discrete-event kernel
 //     (internal/sim) with per-link delay, jitter, loss, duplication,
 //     partitions, and crash injection. All experiments use it.
-//   - LiveNet runs on real goroutines and channels with wall-clock
-//     delays, demonstrating that the same protocol code serves as a
-//     usable library outside the simulator.
+//     Payloads travel as Go values; the ordering protocols attach their
+//     headers as struct fields, and ApproxSize estimates wire cost for
+//     the traffic-volume experiments.
+//   - tcpnet (internal/transport/tcpnet) carries the same payloads
+//     over real TCP sockets through the internal/wire codec, showing
+//     the protocol code serves as a library outside the simulator.
 //
 // The unit of addressing is a dense NodeID assigned by the caller.
-// Payloads travel as Go values (the "wire" is in-process); the ordering
-// protocols attach their headers as struct fields, and ApproxSize
-// estimates wire cost for the traffic-volume experiments.
+//
+// Both share one threading contract, stated on Network: a node is an
+// event-driven state machine that handles one event at a time, so the
+// protocol members above this package take no lock.
 package transport
 
 import (
@@ -26,12 +30,19 @@ import (
 // integers; the group layer maps them to vclock.ProcessID.
 type NodeID int
 
-// Handler receives a delivered payload. Handlers run on the network's
-// dispatch context: the kernel goroutine for SimNet, a per-node
-// dispatcher goroutine for LiveNet.
+// Handler receives a delivered payload. It runs in the network's
+// dispatch context (see Network).
 type Handler func(from NodeID, payload any)
 
 // Network is the substrate interface protocols are written against.
+//
+// Threading contract: every Handler and every After callback of the
+// nodes registered on one Network runs in a single dispatch context,
+// one at a time — the kernel goroutine for SimNet, the Net's
+// dispatcher goroutine for tcpnet. A node therefore never sees a
+// delivery and a timer concurrently, and its state needs no lock. Code
+// outside that context reaches a member between kernel steps (SimNet)
+// or through tcpnet.Net.Inject.
 type Network interface {
 	// Register installs the delivery handler for a node. Must be called
 	// before any message is sent to that node.
@@ -39,7 +50,7 @@ type Network interface {
 	// Send transmits payload from one node to another, subject to the
 	// network's delay/loss model. Send never blocks: when the
 	// destination's queue is full the message is dropped and counted
-	// (SimNet/LiveNet mailbox overflow, tcpnet outbound-queue
+	// (SimNet mailbox overflow, tcpnet outbound-queue
 	// overflow), never back-pressured into the caller — protocols
 	// recover losses through their own ack/retransmit machinery, and
 	// callers that want to react to congestion before it sheds poll an
@@ -47,9 +58,10 @@ type Network interface {
 	// instead of blocking.
 	Send(from, to NodeID, payload any)
 	// Now returns the network's notion of current time (virtual for
-	// SimNet, wall for LiveNet).
+	// SimNet, wall for tcpnet).
 	Now() time.Duration
-	// After schedules f after d on the network's clock.
+	// After schedules f after d on the network's clock. f runs in the
+	// same dispatch context as the handlers.
 	After(d time.Duration, f func())
 }
 
@@ -102,7 +114,7 @@ func ApproxSize(payload any) int {
 	return 64
 }
 
-// Stats aggregates network-level counters. Both implementations expose
+// Stats aggregates network-level counters. SimNet and tcpnet expose
 // it; the experiment harness reads it for message-census columns.
 type Stats struct {
 	Sent       uint64 // Send calls accepted
@@ -121,16 +133,16 @@ type Stats struct {
 	Forwarded uint64
 }
 
-// NodeStats are the per-node counters both networks maintain alongside
-// the aggregate Stats; all counts attribute to the sending node.
+// NodeStats are the per-node counters SimNet and tcpnet maintain
+// alongside the aggregate Stats; all counts attribute to the sending
+// node.
 type NodeStats struct {
 	Sent      uint64 // Send calls accepted from this node
 	CtrlBytes uint64 // control-metadata bytes this node put on the wire
 	Forwarded uint64 // relayed copies this node sent
 }
 
-// obsSink is the optional observability wiring both networks share: a
-// causal trace recorder for per-message wire events and a labeled
+// obsSink is SimNet's optional observability wiring: a causal trace recorder for per-message wire events and a labeled
 // metrics registry that subsumes the Stats/NodeStats counters with
 // {substrate, node, kind} labels. The zero sink is inactive and costs
 // the hot path two nil checks.
@@ -138,17 +150,6 @@ type obsSink struct {
 	tracer    *obs.Tracer
 	reg       *obs.Registry
 	substrate string
-}
-
-// instrument installs the sink. An empty substrate label defaults to
-// the given fallback ("sim" or "live").
-func (s *obsSink) instrument(tr *obs.Tracer, reg *obs.Registry, substrate, fallback string) {
-	if substrate == "" {
-		substrate = fallback
-	}
-	s.tracer = tr
-	s.reg = reg
-	s.substrate = substrate
 }
 
 // onWireRecv records a payload's arrival at a node: a trace
@@ -174,7 +175,7 @@ func (s *obsSink) onDrop(to NodeID) {
 }
 
 // accountSend updates aggregate and per-node counters for one accepted
-// send. Shared by SimNet and LiveNet.
+// send. Used by SimNet.
 func accountSend(stats *Stats, perNode map[NodeID]*NodeStats, from NodeID, payload any, sink *obsSink) {
 	stats.Sent++
 	ctrl := uint64(ControlSize(payload))

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -210,77 +209,6 @@ func TestApproxSize(t *testing.T) {
 	}
 }
 
-func TestLiveNetDelivery(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 1)
-	defer n.Close()
-	var mu sync.Mutex
-	got := make([]any, 0)
-	done := make(chan struct{})
-	n.Register(1, func(from NodeID, p any) {
-		mu.Lock()
-		got = append(got, p)
-		if len(got) == 3 {
-			close(done)
-		}
-		mu.Unlock()
-	})
-	for i := 0; i < 3; i++ {
-		n.Send(0, 1, i)
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timed out waiting for delivery")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 {
-		t.Fatalf("delivered %d messages", len(got))
-	}
-}
-
-func TestLiveNetCrash(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 1)
-	defer n.Close()
-	delivered := make(chan struct{}, 1)
-	n.Register(1, func(NodeID, any) { delivered <- struct{}{} })
-	n.Crash(1)
-	n.Send(0, 1, "x")
-	select {
-	case <-delivered:
-		t.Fatal("delivered to crashed node")
-	case <-time.After(50 * time.Millisecond):
-	}
-	n.Recover(1)
-	n.Send(0, 1, "y")
-	select {
-	case <-delivered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("not delivered after recover")
-	}
-}
-
-func TestLiveNetCloseIdempotent(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 1)
-	n.Register(1, func(NodeID, any) {})
-	n.Close()
-	n.Close()                   // must not panic
-	n.Send(0, 1, "after close") // must not panic
-}
-
-func TestLiveNetDelay(t *testing.T) {
-	n := NewLiveNet(LinkConfig{BaseDelay: 30 * time.Millisecond}, 1)
-	defer n.Close()
-	start := time.Now()
-	done := make(chan struct{})
-	n.Register(1, func(NodeID, any) { close(done) })
-	n.Send(0, 1, "delayed")
-	<-done
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("delivered after %v, want >= ~30ms", elapsed)
-	}
-}
-
 // ctrlPayload is a test payload with distinct payload and control
 // bytes plus a forwarded marker.
 type ctrlPayload struct {
@@ -323,140 +251,6 @@ func TestSimNetControlAndForwardCounters(t *testing.T) {
 	n.ResetStats()
 	if n.Stats().CtrlBytes != 0 || n.NodeStats(0).Sent != 0 {
 		t.Fatal("ResetStats did not clear per-node counters")
-	}
-}
-
-func TestLiveNetPartition(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 1)
-	defer n.Close()
-	var mu sync.Mutex
-	got := map[NodeID]int{}
-	for _, id := range []NodeID{0, 1, 2, 3} {
-		id := id
-		n.Register(id, func(NodeID, any) {
-			mu.Lock()
-			got[id]++
-			mu.Unlock()
-		})
-	}
-	n.Partition([]NodeID{0, 1}, []NodeID{2, 3})
-	n.Send(0, 1, "same island")
-	n.Send(0, 2, "cross island")
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		ok := got[1] == 1
-		mu.Unlock()
-		if ok || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	if got[1] != 1 || got[2] != 0 {
-		t.Fatalf("partitioned delivery: %v", got)
-	}
-	mu.Unlock()
-	if n.Stats().Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", n.Stats().Dropped)
-	}
-
-	n.Heal()
-	n.Send(0, 2, "after heal")
-	for {
-		mu.Lock()
-		ok := got[2] == 1
-		mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healed traffic never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestLiveNetPartitionDuplicateNodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate node must panic")
-		}
-	}()
-	NewLiveNet(LinkConfig{}, 1).Partition([]NodeID{0, 1}, []NodeID{1})
-}
-
-// TestLiveNetFaultRace hammers Send from several goroutines while
-// partitions, heals, crashes, and recoveries land concurrently — the
-// chaos-schedule access pattern. Run under -race (make race / verify);
-// the assertions are minimal because the property under test is the
-// absence of data races and deadlocks, plus conservation: every send
-// is either delivered or dropped.
-func TestLiveNetFaultRace(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 7)
-	for id := NodeID(0); id < 4; id++ {
-		n.Register(id, func(NodeID, any) {})
-	}
-	const sendsPerNode = 200
-	var wg sync.WaitGroup
-	for from := NodeID(0); from < 4; from++ {
-		from := from
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < sendsPerNode; i++ {
-				n.Send(from, NodeID(i)%4, i)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			n.Partition([]NodeID{0, 1}, []NodeID{2, 3})
-			n.Crash(2)
-			_ = n.Crashed(2)
-			n.Recover(2)
-			n.Heal()
-		}
-	}()
-	wg.Wait()
-	// Allow in-flight AfterFunc deliveries to settle before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st := n.Stats()
-		if st.Delivered+st.Dropped == st.Sent || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	n.Close()
-	st := n.Stats()
-	if st.Sent != 4*sendsPerNode {
-		t.Fatalf("sent = %d, want %d", st.Sent, 4*sendsPerNode)
-	}
-	if st.Delivered+st.Dropped != st.Sent {
-		t.Fatalf("conservation: delivered %d + dropped %d != sent %d",
-			st.Delivered, st.Dropped, st.Sent)
-	}
-}
-
-func TestLiveNetControlAndForwardCounters(t *testing.T) {
-	n := NewLiveNet(LinkConfig{}, 1)
-	defer n.Close()
-	done := make(chan struct{}, 4)
-	n.Register(1, func(NodeID, any) { done <- struct{}{} })
-	n.Send(0, 1, ctrlPayload{payload: 10, control: 6, relayed: true})
-	n.Send(0, 1, ctrlPayload{payload: 10, control: 6})
-	<-done
-	<-done
-	st := n.Stats()
-	if st.CtrlBytes != 12 || st.Forwarded != 1 {
-		t.Fatalf("live stats = %+v", st)
-	}
-	ns := n.NodeStats(0)
-	if ns.Sent != 2 || ns.CtrlBytes != 12 || ns.Forwarded != 1 {
-		t.Fatalf("live node stats = %+v", ns)
 	}
 }
 

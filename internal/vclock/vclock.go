@@ -108,6 +108,27 @@ func (s Stamp) Less(t Stamp) bool {
 // String renders the stamp as "time@proc".
 func (s Stamp) String() string { return fmt.Sprintf("%d@%d", s.Time, s.Proc) }
 
+// MsgID names a multicast uniquely: the seq'th message from a sender.
+// The ordering layers (internal/multicast, internal/mgcast,
+// internal/causalgraph) alias it; whether Sender is a group rank or a
+// universe-wide node index is the aliasing layer's convention.
+type MsgID struct {
+	Sender ProcessID
+	Seq    uint64
+}
+
+// String renders the id as "sender:seq".
+func (id MsgID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq) }
+
+// Less orders ids by sender, then sequence number; scans over maps of
+// ids sort by it so simulated runs stay deterministic.
+func (id MsgID) Less(other MsgID) bool {
+	if id.Sender != other.Sender {
+		return id.Sender < other.Sender
+	}
+	return id.Seq < other.Seq
+}
+
 // VC is a vector clock over a fixed-size process group. The zero value
 // is unusable; construct with New. Indexing is by dense ProcessID in
 // [0, len).

@@ -3,8 +3,8 @@
 // a real network transport (internal/transport/tcpnet) or a durable
 // log can carry them between OS processes.
 //
-// The in-process networks (SimNet, LiveNet) hand Go values across
-// goroutines, so nothing here runs on their hot paths. tcpnet calls
+// The in-process SimNet hands Go values from sender to handler, so
+// nothing here runs on its hot path. tcpnet calls
 // Marshal at every Send and Unmarshal at every frame receive, which is
 // exactly the end-to-end serialization cost the paper's §3–§5 say an
 // honest scaling measurement must include.
