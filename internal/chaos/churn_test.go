@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -264,5 +265,37 @@ func TestStragglerHeartbeatIsLiveness(t *testing.T) {
 				t.Errorf("%s", v)
 			}
 		})
+	}
+}
+
+// A healed split whose two sides installed the same epoch number lets a
+// minority member's singleton-sized ack reach the majority's stability
+// matrix, which panics (the view-identity defect of ROADMAP item 17).
+// The harness must report that as a "panic" violation naming the frame
+// that raised it, keep it through Shrink, and give it a repro line —
+// not die with the world.
+func TestRunReportsWorldPanic(t *testing.T) {
+	script, err := ParseScript("@20ms join 3; @26ms part 1,2|0; @61ms heal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Substrate: "churn", N: 3, MsgsPer: 10, Seed: 1, Script: script}
+	res := Run(cfg)
+	if len(res.Violations) != 1 || res.Violations[0].Oracle != "panic" {
+		t.Fatalf("violations %v, want exactly one panic", res.Violations)
+	}
+	if d := res.Violations[0].Detail; !strings.Contains(d, "matrix update length mismatch 2 != 3") ||
+		!strings.Contains(d, "vclock.(*Matrix).Update") {
+		t.Fatalf("panic violation %q does not name the panic and its frame", d)
+	}
+	if again := Run(cfg); again.Digest != res.Digest {
+		t.Fatalf("digest of the run up to the panic not deterministic: %x vs %x", res.Digest, again.Digest)
+	}
+	min, minRes := Shrink(cfg)
+	if len(minRes.Violations) == 0 || minRes.Violations[0].Oracle != "panic" {
+		t.Fatalf("shrunk config lost the panic: %v", minRes.Violations)
+	}
+	if line := repro(min); !strings.Contains(line, "-churn -n 3") || !strings.Contains(line, min.Script.String()) {
+		t.Fatalf("repro line %q does not replay the minimal config", line)
 	}
 }

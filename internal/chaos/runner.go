@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"catocs/internal/flowcontrol"
@@ -288,14 +290,55 @@ func Run(cfg Config) Result {
 			})
 		}
 	}
-	e.k.RunUntil(max(time.Duration(cfg.MsgsPer)*cfg.Interval, cfg.Script.End()) + cfg.Settle)
+	if v := survive(func() {
+		e.k.RunUntil(max(time.Duration(cfg.MsgsPer)*cfg.Interval, cfg.Script.End()) + cfg.Settle)
+	}); v != nil {
+		// A half-run world has nothing for the oracles to judge: the
+		// panic is the verdict, and the trace up to it the digest.
+		res.Digest = DigestEvents(e.tracer.Events())
+		res.Violations = []Violation{*v}
+		return res
+	}
 
 	events := e.tracer.Events()
 	res.Digest = DigestEvents(events)
 	res.UnavailMax, res.UnavailMean = unavailability(events, e.ranks)
-	w.finish(events, &res)
+	if v := survive(func() { w.finish(events, &res) }); v != nil {
+		res.Violations = append(res.Violations, *v)
+	}
 	res.Violations = append(res.Violations, checkWALDurability(cfg.Seed)...)
 	return res
+}
+
+// survive runs f and turns a panic in it into a "panic" violation that
+// names the value and the frame that raised it, so a world that cannot
+// survive a schedule is reported — shrunk and given its repro line —
+// like any other failure instead of killing the batch.
+func survive(f func()) (v *Violation) {
+	defer func() {
+		if r := recover(); r != nil {
+			v = &Violation{Oracle: "panic", Detail: fmt.Sprintf("%v (at %s)", r, panicFrame())}
+		}
+	}()
+	f()
+	return nil
+}
+
+// panicFrame returns the function and line of the innermost frame of
+// the panicking goroutine outside the runtime. Called from survive's
+// deferred recover, whose caller frames are still the panicking stack.
+func panicFrame() string {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)])
+	for {
+		f, more := frames.Next()
+		if !strings.HasPrefix(f.Function, "runtime.") {
+			return fmt.Sprintf("%s:%d", f.Function, f.Line)
+		}
+		if !more {
+			return "unknown frame"
+		}
+	}
 }
 
 // checkWALDurability runs the episode's durability trial: append a

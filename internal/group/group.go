@@ -64,7 +64,7 @@ type FlushState struct {
 func (f FlushState) ApproxSize() int {
 	size := 24 + 8*len(f.Delivered)
 	for _, m := range f.Unstable {
-		size += m.ApproxSize()
+		size += transport.ApproxSize(m)
 	}
 	return size
 }
@@ -80,7 +80,7 @@ type FlushFill struct {
 func (f FlushFill) ApproxSize() int {
 	size := 16
 	for _, m := range f.Msgs {
-		size += m.ApproxSize()
+		size += transport.ApproxSize(m)
 	}
 	return size
 }

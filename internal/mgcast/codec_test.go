@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"catocs/internal/transport"
 	"catocs/internal/vclock"
+	"catocs/internal/wire"
 )
 
 func roundTrip(t *testing.T, msg any) any {
@@ -115,7 +117,46 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x\n msg %#v", data, re, msg)
 		}
+		if n := transport.ApproxSize(msg); n != len(data) {
+			t.Fatalf("decoded %T sizes to %d B, its frame is %d B", msg, n, len(data))
+		}
 	})
+}
+
+// TestCodecSizeExact pins the size model of every kind this package
+// registers to the bytes its encoder writes, and charges an in-process
+// payload as PayloadSize bytes.
+func TestCodecSizeExact(t *testing.T) {
+	covered := map[wire.Kind]bool{}
+	for _, in := range []any{
+		&DataMsg{Sender: 3, Seq: 17, Groups: []string{"A", "payroll"}, Payload: []byte("hello"), PayloadSize: 5},
+		&DataMsg{Sender: 0, Seq: 1},
+		&ProposeMsg{ID: MsgID{Sender: 1, Seq: 2}, From: 4, Priority: vclock.Stamp{Time: 9, Proc: 4}},
+		&CommitMsg{ID: MsgID{Sender: 5, Seq: 6}, Priority: vclock.Stamp{Time: 10, Proc: 2}},
+		&AckMsg{ID: MsgID{Sender: 2, Seq: 3}, From: 7},
+	} {
+		kind, buf, err := wire.Marshal(in)
+		if err != nil {
+			t.Fatalf("Marshal(%T): %v", in, err)
+		}
+		covered[kind] = true
+		if n := transport.ApproxSize(in); n != len(buf) {
+			t.Errorf("%T: size model %d B, encoding %d B", in, n, len(buf))
+		}
+	}
+	for k := wire.KindMGCast; k < wire.KindMGCast+0x10; k++ {
+		if wire.KindName(k) != "" && !covered[k] {
+			t.Errorf("kind %#04x (%s) has no sample", uint16(k), wire.KindName(k))
+		}
+	}
+	value := &DataMsg{Groups: []string{"A"}, Payload: 7, PayloadSize: 100}
+	twin := &DataMsg{Groups: []string{"A"}, Payload: make([]byte, 100), PayloadSize: 100}
+	if a, b := transport.ApproxSize(twin), transport.ApproxSize(value); a != b {
+		t.Fatalf("in-process payload charged %d B, its []byte twin %d B", b, a)
+	}
+	if got, want := transport.ControlSize(value), transport.ApproxSize(value)-100; got != want {
+		t.Fatalf("control bytes %d, want %d", got, want)
+	}
 }
 
 // TestCodecGoldenBytes pins the external format: one fixed value of

@@ -75,25 +75,6 @@ func (m *DataMsg) TraceRef() obs.MsgRef {
 	return obs.MsgRef{Sender: int64(m.Sender), Seq: m.Seq}
 }
 
-// groupsBytes is the encoded cost of the destination-group list.
-func (m *DataMsg) groupsBytes() int {
-	n := 2
-	for _, g := range m.Groups {
-		n += 2 + len(g)
-	}
-	return n
-}
-
-// ApproxSize implements transport.Sizer: a fixed header, the group
-// list, and the payload. The per-message metadata is a constant plus
-// the destination list — independent of group sizes and of the number
-// of processes, which is the point of genuine multicast.
-func (m *DataMsg) ApproxSize() int { return 32 + m.groupsBytes() + m.PayloadSize }
-
-// ControlSize implements transport.ControlSizer: everything but the
-// payload is ordering metadata.
-func (m *DataMsg) ControlSize() int { return m.ApproxSize() - m.PayloadSize }
-
 // Forwarded implements transport.ForwardMarker: retransmissions count
 // as relayed copies, not fresh origin sends.
 func (m *DataMsg) Forwarded() bool { return m.Retrans }
@@ -106,18 +87,12 @@ type ProposeMsg struct {
 	Priority vclock.Stamp
 }
 
-// ApproxSize implements transport.Sizer.
-func (m *ProposeMsg) ApproxSize() int { return 48 }
-
 // CommitMsg fixes a message's final timestamp: the maximum proposal
 // over all destination members.
 type CommitMsg struct {
 	ID       MsgID
 	Priority vclock.Stamp
 }
-
-// ApproxSize implements transport.Sizer.
-func (m *CommitMsg) ApproxSize() int { return 40 }
 
 // AckMsg acknowledges a commit back to the coordinator, letting it
 // retire the cast's retransmission state and free the sender's
@@ -126,9 +101,6 @@ type AckMsg struct {
 	ID   MsgID
 	From vclock.ProcessID
 }
-
-// ApproxSize implements transport.Sizer.
-func (m *AckMsg) ApproxSize() int { return 32 }
 
 // MaxStamp returns the later of two timestamp proposals under the
 // total (time, proposer) order — the commit rule's merge operator. It

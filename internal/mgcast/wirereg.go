@@ -16,7 +16,7 @@ import (
 // corrupted kind field cannot smuggle one message type as another.
 
 func init() {
-	reg := func(kind wire.Kind, zero any, tag byte) {
+	reg := func(kind wire.Kind, zero any, tag byte, size wire.SizeFunc) {
 		wire.Register(kind, zero,
 			func(payload any) ([]byte, error) { return Encode(payload) },
 			func(buf []byte) (any, error) {
@@ -28,10 +28,33 @@ func init() {
 					return nil, fmt.Errorf("mgcast: wire kind expects tag 0x%02x, frame carries 0x%02x", tag, buf[0])
 				}
 				return msg, nil
-			})
+			}, size)
 	}
-	reg(wire.KindMGCast+0, &DataMsg{}, wireData)
-	reg(wire.KindMGCast+1, &ProposeMsg{}, wirePropose)
-	reg(wire.KindMGCast+2, &CommitMsg{}, wireCommit)
-	reg(wire.KindMGCast+3, &AckMsg{}, wireAck)
+	fixed := func(n int) wire.SizeFunc { return func(any) (int, int) { return n, 0 } }
+	reg(wire.KindMGCast+0, &DataMsg{}, wireData, sizeDataMsg)
+	reg(wire.KindMGCast+1, &ProposeMsg{}, wirePropose, fixed(41))
+	reg(wire.KindMGCast+2, &CommitMsg{}, wireCommit, fixed(33))
+	reg(wire.KindMGCast+3, &AckMsg{}, wireAck, fixed(25))
+}
+
+// sizeDataMsg is Encode's DataMsg length: tag, id, send time, payload
+// size, flags, the destination-group list, and the payload — the bytes
+// of a []byte, nothing for nil, and the declared PayloadSize for an
+// in-process value the simulator carries. The metadata is a constant
+// plus the destination list, independent of group sizes and of the
+// number of processes, which is the point of genuine multicast.
+func sizeDataMsg(payload any) (int, int) {
+	m := payload.(*DataMsg)
+	n := 1 + 16 + 8 + 4 + 1 + 2 + 4
+	for _, g := range m.Groups {
+		n += wire.StringLen(g)
+	}
+	app := m.PayloadSize
+	switch p := m.Payload.(type) {
+	case nil:
+		app = 0
+	case []byte:
+		app = len(p)
+	}
+	return n + app, app
 }

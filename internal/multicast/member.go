@@ -617,7 +617,7 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 			msg.DeliveredVC = sc.Clone()
 			m.lastAdvert = sc.Clone()
 		}
-		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, msg.ApproxSize())
+		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, dataMsgLen(msg))
 		if m.sendSeq > m.known.Get(m.rank) {
 			// A WAL replay (ResumeChains) re-stamps sequences this member
 			// already delivered; known never moves below delivered.
@@ -648,6 +648,7 @@ func (m *Member) multicastNow(payload any, size int) MsgID {
 			cp := *msg
 			cp.VC = nil
 			cp.VCDelta = append([]vclock.DeltaEntry(nil), m.deltaBuf...)
+			cp.wireLen = 0
 			wireMsg = &cp
 		}
 		m.deltaBase = msg.VC // stamps are never mutated once cast
@@ -849,6 +850,7 @@ func (m *Member) decode(in *DataMsg, base vclock.VC) *DataMsg {
 	}
 	out := *in // shallow copy: the transports share one DataMsg across receivers
 	out.VC = nv
+	out.wireLen = 0
 	m.learn(in.Sender, in.Seq, nv)
 	return &out
 }
@@ -929,7 +931,7 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		if msg.Seq > m.known.Get(msg.Sender) {
 			m.known.Set(msg.Sender, msg.Seq)
 		}
-		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, msg.ApproxSize())
+		m.stab.Buffer(stability.Key{Sender: msg.Sender, Seq: msg.Seq}, msg, dataMsgLen(msg))
 		m.armAck()
 		if len(m.nackRetries) > 0 {
 			// An arrived message never goes missing again: dropping its

@@ -66,6 +66,11 @@ type DataMsg struct {
 	// after; unexported because it never crosses a process boundary
 	// (both networks pass payloads in-memory).
 	traceWant int8
+	// wireLen memoises the encoded length (0 = not yet computed; see
+	// dataMsgLen). Same write-before-send discipline as traceWant; an
+	// int32 (frames stay far below 2 GiB) that fits the padding after
+	// it.
+	wireLen int32
 	// traceCtx caches the rendered causal context for sampled messages:
 	// the send event and every node's delivery event of one broadcast
 	// share the message's own clock, so the string is built once at the
@@ -87,25 +92,6 @@ func (m *DataMsg) TraceWanted() (wanted, known bool) {
 	return m.traceWant > 0, m.traceWant != 0
 }
 
-// ApproxSize implements transport.Sizer: a fixed header, 8 bytes per
-// vector-clock entry carried, and the payload. This is the per-message
-// ordering overhead §3.4 of the paper charges against CATOCS.
-func (m *DataMsg) ApproxSize() int {
-	size := 40 + m.PayloadSize
-	size += 8 * len(m.VC)
-	size += 12 * len(m.VCDelta) // u32 index + u64 value per changed entry
-	size += 8 * len(m.DeliveredVC)
-	if m.Inc != 0 {
-		size += 4 // incarnation stamp, carried only by reborn senders
-	}
-	return size
-}
-
-// ControlSize implements transport.ControlSizer: everything but the
-// payload is ordering metadata — and the vector clocks make it grow
-// linearly in group size, the scaling cost scalecast removes.
-func (m *DataMsg) ControlSize() int { return m.ApproxSize() - m.PayloadSize }
-
 // OrderBatchMsg is the sequencer's ordering announcement, a run of
 // consecutive assignments: IDs[i] is assigned global position
 // FirstGlobal+i. Runs amortize the per-frame cost that caps a fixed
@@ -117,9 +103,6 @@ type OrderBatchMsg struct {
 	FirstGlobal uint64
 	IDs         []MsgID
 }
-
-// ApproxSize implements transport.Sizer.
-func (m *OrderBatchMsg) ApproxSize() int { return 40 + 16*len(m.IDs) }
 
 // AckMsg carries a member's delivered vector clock for stability
 // tracking (atomic mode). Sent periodically when traffic alone does not
@@ -137,9 +120,6 @@ type AckMsg struct {
 	Delivered vclock.VC
 }
 
-// ApproxSize implements transport.Sizer.
-func (m *AckMsg) ApproxSize() int { return 25 + 8*len(m.Delivered) }
-
 // NackMsg requests retransmission of specific messages the requester
 // is missing. Sent to a member believed to buffer them (the original
 // sender first, then any member, since atomic mode buffers everywhere
@@ -150,9 +130,6 @@ type NackMsg struct {
 	From  vclock.ProcessID
 	Want  []MsgID
 }
-
-// ApproxSize implements transport.Sizer.
-func (m *NackMsg) ApproxSize() int { return 24 + 16*len(m.Want) }
 
 // OrderNack asks the sequencer to retransmit order assignments: every
 // global position in [FromGlobal, latest], plus the positions of the
@@ -166,9 +143,6 @@ type OrderNack struct {
 	Want       []MsgID
 }
 
-// ApproxSize implements transport.Sizer.
-func (m *OrderNack) ApproxSize() int { return 32 + 16*len(m.Want) }
-
 // RetransMsg carries a retransmitted original message in response to a
 // NackMsg.
 type RetransMsg struct {
@@ -176,12 +150,6 @@ type RetransMsg struct {
 	Epoch uint64
 	Data  *DataMsg
 }
-
-// ApproxSize implements transport.Sizer.
-func (m *RetransMsg) ApproxSize() int { return 16 + m.Data.ApproxSize() }
-
-// ControlSize implements transport.ControlSizer.
-func (m *RetransMsg) ControlSize() int { return 16 + m.Data.ControlSize() }
 
 // TraceRef implements obs.Referable: a retransmitted copy arrives on
 // the wire as the original message.

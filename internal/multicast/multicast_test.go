@@ -8,6 +8,7 @@ import (
 	"catocs/internal/sim"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
+	"catocs/internal/wire"
 )
 
 // testGroup wires up a group of n members over a fresh simulated
@@ -575,21 +576,38 @@ func TestOrderingString(t *testing.T) {
 	}
 }
 
+// TestApproxSizes pins the size model the simulator charges: a
+// registered message costs exactly the bytes its codec writes, and its
+// control bytes are those minus the application payload. An in-process
+// payload the codec cannot carry is charged as PayloadSize bytes.
 func TestApproxSizes(t *testing.T) {
-	d := &DataMsg{VC: vclock.New(4), PayloadSize: 100}
-	if d.ApproxSize() != 40+100+32 {
-		t.Fatalf("data size = %d", d.ApproxSize())
+	covered := map[wire.Kind]bool{}
+	for _, in := range sampleMsgs() {
+		kind, buf, err := wire.Marshal(in)
+		if err != nil {
+			t.Fatalf("Marshal(%T): %v", in, err)
+		}
+		covered[kind] = true
+		if got := transport.ApproxSize(in); got != len(buf) {
+			t.Errorf("%T: ApproxSize %d, encoded %d bytes", in, got, len(buf))
+		}
 	}
-	if (&OrderBatchMsg{IDs: make([]MsgID, 2)}).ApproxSize() != 72 || (&AckMsg{Delivered: vclock.New(2)}).ApproxSize() != 41 {
-		t.Fatal("control sizes wrong")
+	for k := wire.KindMulticast; k < wire.KindMulticast+0x10; k++ {
+		if wire.KindName(k) != "" && !covered[k] {
+			t.Errorf("kind %#04x (%s) has no sample", uint16(k), wire.KindName(k))
+		}
 	}
-	r := &RetransMsg{Data: d}
-	if r.ApproxSize() != 16+d.ApproxSize() {
-		t.Fatalf("retrans size = %d", r.ApproxSize())
+	bytesMsg := &DataMsg{Group: "g", Seq: 9, VC: vclock.New(4), Payload: make([]byte, 100), PayloadSize: 100}
+	valueMsg := &DataMsg{Group: "g", Seq: 9, VC: vclock.New(4), Payload: 7, PayloadSize: 100}
+	if a, b := transport.ApproxSize(bytesMsg), transport.ApproxSize(valueMsg); a != b {
+		t.Fatalf("in-process payload charged %d B, its []byte twin %d B", b, a)
 	}
-	n := &NackMsg{Want: []MsgID{{Sender: 0, Seq: 1}, {Sender: 1, Seq: 2}}}
-	if n.ApproxSize() != 24+32 {
-		t.Fatalf("nack size = %d", n.ApproxSize())
+	if got, want := transport.ControlSize(valueMsg), transport.ApproxSize(valueMsg)-100; got != want {
+		t.Fatalf("control bytes %d, want %d (all but the payload)", got, want)
+	}
+	r := &RetransMsg{Group: "g", Data: bytesMsg}
+	if got, want := transport.ControlSize(r), transport.ApproxSize(r)-100; got != want {
+		t.Fatalf("retransmission control bytes %d, want %d", got, want)
 	}
 }
 

@@ -3,27 +3,39 @@ package multicast
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"time"
 
 	"catocs/internal/vclock"
 	"catocs/internal/wire"
 )
 
-// Wire codec registrations for the eight CBCAST/ABCAST message types,
-// so the TCP transport can carry a group across OS processes. The
-// in-process networks never call these; tcpnet calls them on every
-// frame. On the wire a DataMsg payload must be nil or []byte — the
-// codec defines the external representation, and externally a payload
-// is bytes. The unexported trace hint fields do not travel: a decoded
-// copy arrives with no sampling decision, which the tracer treats as
-// "undecided" and resolves locally.
+// Wire codec registrations for the six CBCAST/ABCAST message types, so
+// the TCP transport can carry a group across OS processes. tcpnet calls
+// these on every frame; SimNet charges each message the length its
+// size model (the size* function beside each encoder) reports. On the
+// wire a DataMsg payload must be nil or []byte — the codec defines the
+// external representation, and externally a payload is bytes. The
+// unexported trace hint fields do not travel: a decoded copy arrives
+// with no sampling decision, which the tracer treats as "undecided" and
+// resolves locally.
+//
+// After the group name every integer is an unsigned LEB128 varint
+// (wire.Uvarint): epochs, sequences, send times, sizes, counts, and
+// each clock entry. Ranks, senders and other signed values go as their
+// int64 bit pattern, so a (hostile) negative value still round-trips.
+// Decoders accept only the canonical encoding — minimal varints, a
+// presence flag only with a non-empty field — so a decoded message's
+// size model equals its frame length exactly.
 //
 // All encoders are append-style (wire.RegisterAppend): they extend a
 // caller-supplied buffer — tcpnet's pooled frame bodies — so the
 // steady-state encode path allocates nothing.
 
 // Decode guards. A hostile or corrupt frame must not make us allocate
-// unbounded memory before validation.
+// unbounded memory before validation: besides these caps, every
+// preallocation is bounded by the bytes left in the frame.
 const (
 	wireMaxGroup   = 1 << 10 // group name bytes
 	wireMaxVC      = 1 << 20 // vector clock / delta entries
@@ -40,17 +52,41 @@ const (
 )
 
 func init() {
-	wire.RegisterAppend(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg)
+	wire.RegisterAppend(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg, sizeDataMsg)
 	// KindMulticast+1 carried single order assignments, now answered in
 	// runs; +2 and +3 carried the retired agreement mode's proposals and
 	// commits (agreement order lives in internal/mgcast). All three stay
 	// unassigned so such a frame is rejected, not misread.
-	wire.RegisterAppend(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg)
-	wire.RegisterAppend(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg)
-	wire.RegisterAppend(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack)
-	wire.RegisterAppend(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg)
-	wire.RegisterAppend(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg)
+	wire.RegisterAppend(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg, sizeAckMsg)
+	wire.RegisterAppend(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg, sizeNackMsg)
+	wire.RegisterAppend(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack, sizeOrderNack)
+	wire.RegisterAppend(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
+	wire.RegisterAppend(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg, sizeOrderBatchMsg)
 }
+
+// lastGroup is the group name decoded last. A member hears one group
+// (or a few) on every frame, so handing back the same string spares
+// each decode an allocation.
+var lastGroup atomic.Pointer[string]
+
+// readGroup consumes the u16-prefixed group name (wire.Reader.String).
+func readGroup(r *wire.Reader) string {
+	n := int(r.U16())
+	if n > wireMaxGroup {
+		r.Fail()
+		return ""
+	}
+	b := r.Take(n)
+	if p := lastGroup.Load(); p != nil && *p == string(b) {
+		return *p
+	}
+	g := string(b)
+	lastGroup.Store(&g)
+	return g
+}
+
+// uv is the varint length of a signed value sent as its bit pattern.
+func uv(v int64) int { return wire.UvarintLen(uint64(v)) }
 
 // wirePayloadBytes validates the nil-or-bytes payload constraint.
 func wirePayloadBytes(payload any) ([]byte, error) {
@@ -67,32 +103,58 @@ func wirePayloadBytes(payload any) ([]byte, error) {
 	}
 }
 
+// payloadLen is the application byte count of a DataMsg on the wire:
+// the bytes of a []byte payload, nothing for nil, and the declared
+// PayloadSize for an in-process value the simulator carries.
+func payloadLen(m *DataMsg) int {
+	switch p := m.Payload.(type) {
+	case nil:
+		return 0
+	case []byte:
+		return len(p)
+	}
+	return m.PayloadSize
+}
+
 func appendVC(w *wire.Writer, vc vclock.VC) error {
 	if len(vc) > wireMaxVC {
 		return fmt.Errorf("multicast: vector clock of %d entries exceeds wire limit %d", len(vc), wireMaxVC)
 	}
-	w.U32(uint32(len(vc)))
+	w.Uvarint(uint64(len(vc)))
 	for _, v := range vc {
-		w.U64(v)
+		w.Uvarint(v)
 	}
 	return nil
 }
 
-func readVC(r *wire.Reader) vclock.VC {
-	n := int(r.U32())
-	if n > wireMaxVC {
-		// Poison the reader: the decoder's Finish rejects the frame.
-		r.Take(wireMaxVC + 1)
-		return nil
+func vcLen(vc vclock.VC) int {
+	n := wire.UvarintLen(uint64(len(vc)))
+	for _, v := range vc {
+		n += wire.UvarintLen(v)
 	}
+	return n
+}
+
+// readCount reads an entry count and bounds it by the wire limit and by
+// the bytes left, each entry taking at least minEntry of them: a short
+// frame claiming a huge count is rejected before it can size an
+// allocation.
+func readCount(r *wire.Reader, limit, minEntry int) int {
+	n := r.Uvarint()
+	if n > uint64(limit) || n > uint64(len(r.Rest())/minEntry) {
+		r.Fail()
+		return 0
+	}
+	return int(n)
+}
+
+func readVC(r *wire.Reader) vclock.VC {
+	n := readCount(r, wireMaxVC, 1)
 	if n == 0 {
 		return nil
 	}
-	vc := make(vclock.VC, 0, n)
-	for i := 0; i < n; i++ {
-		vc = append(vc, r.U64())
-	}
-	if r.Err() {
+	vc := make(vclock.VC, n)
+	if r.Uvarints(vc); r.Err() {
 		return nil
 	}
 	return vc
@@ -102,26 +164,34 @@ func appendDelta(w *wire.Writer, d []vclock.DeltaEntry) error {
 	if len(d) > wireMaxVC {
 		return fmt.Errorf("multicast: clock delta of %d entries exceeds wire limit %d", len(d), wireMaxVC)
 	}
-	w.U32(uint32(len(d)))
+	w.Uvarint(uint64(len(d)))
 	for _, e := range d {
-		w.U32(uint32(e.Idx))
-		w.U64(e.Val)
+		w.Uvarint(uint64(uint32(e.Idx)))
+		w.Uvarint(e.Val)
 	}
 	return nil
 }
 
-func readDelta(r *wire.Reader) []vclock.DeltaEntry {
-	n := int(r.U32())
-	if n > wireMaxVC {
-		r.Take(wireMaxVC + 1)
-		return nil
+func deltaLen(d []vclock.DeltaEntry) int {
+	n := wire.UvarintLen(uint64(len(d)))
+	for _, e := range d {
+		n += wire.UvarintLen(uint64(uint32(e.Idx))) + wire.UvarintLen(e.Val)
 	}
+	return n
+}
+
+func readDelta(r *wire.Reader) []vclock.DeltaEntry {
+	n := readCount(r, wireMaxVC, 2)
 	if n == 0 {
 		return nil
 	}
-	d := make([]vclock.DeltaEntry, 0, n)
-	for i := 0; i < n; i++ {
-		d = append(d, vclock.DeltaEntry{Idx: int32(r.U32()), Val: r.U64()})
+	d := make([]vclock.DeltaEntry, n)
+	for i := range d {
+		idx := r.Uvarint()
+		if idx > math.MaxUint32 {
+			r.Fail()
+		}
+		d[i] = vclock.DeltaEntry{Idx: int32(uint32(idx)), Val: r.Uvarint()}
 	}
 	if r.Err() {
 		return nil
@@ -130,33 +200,21 @@ func readDelta(r *wire.Reader) []vclock.DeltaEntry {
 }
 
 func appendMsgID(w *wire.Writer, id MsgID) {
-	w.I64(int64(id.Sender))
-	w.U64(id.Seq)
+	w.Uvarint(uint64(int64(id.Sender)))
+	w.Uvarint(id.Seq)
 }
+
+func msgIDLen(id MsgID) int { return uv(int64(id.Sender)) + wire.UvarintLen(id.Seq) }
 
 func readMsgID(r *wire.Reader) MsgID {
-	return MsgID{Sender: vclock.ProcessID(r.I64()), Seq: r.U64()}
+	return MsgID{Sender: vclock.ProcessID(int64(r.Uvarint())), Seq: r.Uvarint()}
 }
 
-// encDataMsgBody appends the DataMsg encoding to dst. When a message
-// carries both a full clock and a delta (a reconstructed copy being
-// retransmitted), the full clock wins and the delta is dropped:
+// dataFlags is the stamp-presence byte encDataMsgBody writes. When a
+// message carries both a full clock and a delta (a reconstructed copy
+// being retransmitted), the full clock wins and the delta is dropped:
 // retransmissions must never depend on the receiver's chain state.
-func encDataMsgBody(dst []byte, m *DataMsg) ([]byte, error) {
-	body, err := wirePayloadBytes(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(m.Group) > wireMaxGroup {
-		return nil, fmt.Errorf("multicast: group name %d bytes exceeds wire limit %d", len(m.Group), wireMaxGroup)
-	}
-	w := wire.NewAppendWriter(dst)
-	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.I64(int64(m.Sender))
-	w.U64(m.Seq)
-	w.I64(int64(m.SentAt))
-	w.U32(uint32(m.PayloadSize))
+func dataFlags(m *DataMsg) byte {
 	var flags byte
 	if len(m.VC) > 0 {
 		flags |= dataFlagVC
@@ -169,9 +227,29 @@ func encDataMsgBody(dst []byte, m *DataMsg) ([]byte, error) {
 	if m.Inc != 0 {
 		flags |= dataFlagInc
 	}
+	return flags
+}
+
+// encDataMsgBody appends the DataMsg encoding to dst.
+func encDataMsgBody(dst []byte, m *DataMsg) ([]byte, error) {
+	body, err := wirePayloadBytes(m.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Group) > wireMaxGroup {
+		return nil, fmt.Errorf("multicast: group name %d bytes exceeds wire limit %d", len(m.Group), wireMaxGroup)
+	}
+	w := wire.NewAppendWriter(dst)
+	w.String(m.Group)
+	w.Uvarint(m.Epoch)
+	w.Uvarint(uint64(int64(m.Sender)))
+	w.Uvarint(m.Seq)
+	w.Uvarint(uint64(int64(m.SentAt)))
+	w.Uvarint(uint64(int64(m.PayloadSize)))
+	flags := dataFlags(m)
 	w.U8(flags)
 	if flags&dataFlagInc != 0 {
-		w.U32(m.Inc)
+		w.Uvarint(uint64(m.Inc))
 	}
 	if flags&dataFlagVC != 0 {
 		if err := appendVC(&w, m.VC); err != nil {
@@ -188,7 +266,7 @@ func encDataMsgBody(dst []byte, m *DataMsg) ([]byte, error) {
 			return nil, err
 		}
 	}
-	w.Bytes32(body)
+	w.BytesVar(body)
 	return w.Bytes(), nil
 }
 
@@ -196,34 +274,45 @@ func encDataMsg(dst []byte, payload any) ([]byte, error) {
 	return encDataMsgBody(dst, payload.(*DataMsg))
 }
 
-func decDataMsg(buf []byte) (any, error) {
-	r := wire.NewReader(buf)
-	m := &DataMsg{
-		Group:  r.String(wireMaxGroup),
-		Epoch:  r.U64(),
-		Sender: vclock.ProcessID(r.I64()),
-		Seq:    r.U64(),
-		SentAt: time.Duration(r.I64()),
+// dataMsgLen is encDataMsgBody's length, memoised on the message: a
+// broadcast is sized once, not once per receiver, and the clocks make
+// the sum O(N). A message is never mutated once sized; the two places
+// that derive a changed copy (a delta send, a reconstructed stamp)
+// clear the memo.
+func dataMsgLen(m *DataMsg) int {
+	if m.wireLen > 0 {
+		return int(m.wireLen)
 	}
-	m.PayloadSize = int(r.U32())
-	flags := r.U8()
-	if flags&^byte(dataFlagVC|dataFlagDelta|dataFlagDeliveredVC|dataFlagInc) != 0 {
-		return nil, fmt.Errorf("multicast: DataMsg with unknown flag bits 0x%02x", flags)
-	}
+	n := wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + uv(int64(m.Sender)) +
+		wire.UvarintLen(m.Seq) + uv(int64(m.SentAt)) + uv(int64(m.PayloadSize)) + 1
+	flags := dataFlags(m)
 	if flags&dataFlagInc != 0 {
-		m.Inc = r.U32()
+		n += wire.UvarintLen(uint64(m.Inc))
 	}
 	if flags&dataFlagVC != 0 {
-		m.VC = readVC(r)
+		n += vcLen(m.VC)
 	}
 	if flags&dataFlagDelta != 0 {
-		m.VCDelta = readDelta(r)
+		n += deltaLen(m.VCDelta)
 	}
 	if flags&dataFlagDeliveredVC != 0 {
-		m.DeliveredVC = readVC(r)
+		n += vcLen(m.DeliveredVC)
 	}
-	if b := r.Bytes32(wireMaxPayload); b != nil {
-		m.Payload = b
+	n += wire.BytesVarLen(payloadLen(m))
+	m.wireLen = int32(n)
+	return n
+}
+
+func sizeDataMsg(payload any) (int, int) {
+	m := payload.(*DataMsg)
+	return dataMsgLen(m), payloadLen(m)
+}
+
+func decDataMsg(buf []byte) (any, error) {
+	r := wire.NewReader(buf)
+	m, err := readDataMsg(r)
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Finish("multicast.DataMsg"); err != nil {
 		return nil, err
@@ -231,45 +320,83 @@ func decDataMsg(buf []byte) (any, error) {
 	return m, nil
 }
 
-// OrderBatchMsg is the sequencer's per-run frame, so every number in it
-// after the group name is a varint: epochs, positions, ranks and
-// per-sender sequences are small, and a one-assignment run takes well
-// under half its fixed-width bytes. A sender rank goes as its int64 bit
-// pattern, so a (hostile) negative rank still round-trips.
+// readDataMsg decodes one DataMsg body, rejecting every non-canonical
+// form: a presence flag over an empty field or a zero incarnation, a
+// full clock and a delta together, an incarnation past 32 bits.
+func readDataMsg(r *wire.Reader) (*DataMsg, error) {
+	group := readGroup(r)
+	var h [5]uint64 // epoch, sender, seq, send time, payload size
+	r.Uvarints(h[:])
+	m := &DataMsg{
+		Group:       group,
+		Epoch:       h[0],
+		Sender:      vclock.ProcessID(int64(h[1])),
+		Seq:         h[2],
+		SentAt:      time.Duration(int64(h[3])),
+		PayloadSize: int(int64(h[4])),
+	}
+	flags := r.U8()
+	if flags&^byte(dataFlagVC|dataFlagDelta|dataFlagDeliveredVC|dataFlagInc) != 0 {
+		return nil, fmt.Errorf("multicast: DataMsg with unknown flag bits 0x%02x", flags)
+	}
+	if flags&dataFlagVC != 0 && flags&dataFlagDelta != 0 {
+		return nil, fmt.Errorf("multicast: DataMsg with both a full clock and a delta")
+	}
+	if flags&dataFlagInc != 0 {
+		inc := r.Uvarint()
+		if inc == 0 || inc > math.MaxUint32 {
+			r.Fail()
+		}
+		m.Inc = uint32(inc)
+	}
+	if flags&dataFlagVC != 0 {
+		if m.VC = readVC(r); m.VC == nil {
+			r.Fail()
+		}
+	}
+	if flags&dataFlagDelta != 0 {
+		if m.VCDelta = readDelta(r); m.VCDelta == nil {
+			r.Fail()
+		}
+	}
+	if flags&dataFlagDeliveredVC != 0 {
+		if m.DeliveredVC = readVC(r); m.DeliveredVC == nil {
+			r.Fail()
+		}
+	}
+	if b := r.BytesVar(wireMaxPayload); b != nil {
+		m.Payload = b
+	}
+	return m, nil
+}
+
+// OrderBatchMsg is the sequencer's per-run frame: a one-assignment run
+// takes well under half its fixed-width bytes.
 func encOrderBatchMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*OrderBatchMsg)
-	if len(m.IDs) > wireMaxWant {
-		return nil, fmt.Errorf("multicast: order batch of %d ids exceeds wire limit %d", len(m.IDs), wireMaxWant)
-	}
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
 	w.Uvarint(m.Epoch)
 	w.Uvarint(m.FirstGlobal)
-	w.Uvarint(uint64(len(m.IDs)))
-	for _, id := range m.IDs {
-		w.Uvarint(uint64(int64(id.Sender)))
-		w.Uvarint(id.Seq)
+	if err := appendIDs(&w, m.IDs); err != nil {
+		return nil, err
 	}
 	return w.Bytes(), nil
+}
+
+func sizeOrderBatchMsg(payload any) (int, int) {
+	m := payload.(*OrderBatchMsg)
+	return wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + wire.UvarintLen(m.FirstGlobal) + idsLen(m.IDs), 0
 }
 
 func decOrderBatchMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &OrderBatchMsg{
-		Group:       r.String(wireMaxGroup),
+		Group:       readGroup(r),
 		Epoch:       r.Uvarint(),
 		FirstGlobal: r.Uvarint(),
 	}
-	if n := r.Uvarint(); n > wireMaxWant {
-		r.Take(len(buf) + 1) // poison: Finish rejects the frame
-	} else if n > 0 {
-		// Every id takes at least two bytes, which bounds the
-		// preallocation by the frame rather than by the claimed count.
-		m.IDs = make([]MsgID, 0, min(n, uint64(len(r.Rest())/2)))
-		for i := uint64(0); i < n && !r.Err(); i++ {
-			m.IDs = append(m.IDs, MsgID{Sender: vclock.ProcessID(int64(r.Uvarint())), Seq: r.Uvarint()})
-		}
-	}
+	m.IDs = readIDs(r)
 	if err := r.Finish("multicast.OrderBatchMsg"); err != nil {
 		return nil, err
 	}
@@ -280,8 +407,8 @@ func encAckMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*AckMsg)
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.I64(int64(m.From))
+	w.Uvarint(m.Epoch)
+	w.Uvarint(uint64(int64(m.From)))
 	w.Bool(m.Settled)
 	if err := appendVC(&w, m.Delivered); err != nil {
 		return nil, err
@@ -289,12 +416,17 @@ func encAckMsg(dst []byte, payload any) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+func sizeAckMsg(payload any) (int, int) {
+	m := payload.(*AckMsg)
+	return wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + uv(int64(m.From)) + 1 + vcLen(m.Delivered), 0
+}
+
 func decAckMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &AckMsg{
-		Group:   r.String(wireMaxGroup),
-		Epoch:   r.U64(),
-		From:    vclock.ProcessID(r.I64()),
+		Group:   readGroup(r),
+		Epoch:   r.Uvarint(),
+		From:    vclock.ProcessID(int64(r.Uvarint())),
 		Settled: r.Bool(),
 	}
 	m.Delivered = readVC(r)
@@ -304,56 +436,67 @@ func decAckMsg(buf []byte) (any, error) {
 	return m, nil
 }
 
-func appendWant(w *wire.Writer, want []MsgID) error {
-	if len(want) > wireMaxWant {
-		return fmt.Errorf("multicast: want list of %d ids exceeds wire limit %d", len(want), wireMaxWant)
+// appendIDs writes a count-prefixed id list: NACK want lists and order
+// runs.
+func appendIDs(w *wire.Writer, ids []MsgID) error {
+	if len(ids) > wireMaxWant {
+		return fmt.Errorf("multicast: id list of %d ids exceeds wire limit %d", len(ids), wireMaxWant)
 	}
-	w.U32(uint32(len(want)))
-	for _, id := range want {
+	w.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
 		appendMsgID(w, id)
 	}
 	return nil
 }
 
-func readWant(r *wire.Reader) []MsgID {
-	n := int(r.U32())
-	if n > wireMaxWant {
-		r.Take(wireMaxWant * 16)
-		return nil
+func idsLen(ids []MsgID) int {
+	n := wire.UvarintLen(uint64(len(ids)))
+	for _, id := range ids {
+		n += msgIDLen(id)
 	}
+	return n
+}
+
+func readIDs(r *wire.Reader) []MsgID {
+	n := readCount(r, wireMaxWant, 2)
 	if n == 0 {
 		return nil
 	}
-	want := make([]MsgID, 0, n)
-	for i := 0; i < n; i++ {
-		want = append(want, readMsgID(r))
+	ids := make([]MsgID, n)
+	for i := range ids {
+		ids[i] = readMsgID(r)
 	}
 	if r.Err() {
 		return nil
 	}
-	return want
+	return ids
 }
 
 func encNackMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*NackMsg)
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.I64(int64(m.From))
-	if err := appendWant(&w, m.Want); err != nil {
+	w.Uvarint(m.Epoch)
+	w.Uvarint(uint64(int64(m.From)))
+	if err := appendIDs(&w, m.Want); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
 }
 
+func sizeNackMsg(payload any) (int, int) {
+	m := payload.(*NackMsg)
+	return wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + uv(int64(m.From)) + idsLen(m.Want), 0
+}
+
 func decNackMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &NackMsg{
-		Group: r.String(wireMaxGroup),
-		Epoch: r.U64(),
-		From:  vclock.ProcessID(r.I64()),
+		Group: readGroup(r),
+		Epoch: r.Uvarint(),
+		From:  vclock.ProcessID(int64(r.Uvarint())),
 	}
-	m.Want = readWant(r)
+	m.Want = readIDs(r)
 	if err := r.Finish("multicast.NackMsg"); err != nil {
 		return nil, err
 	}
@@ -364,30 +507,40 @@ func encOrderNack(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*OrderNack)
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
-	w.U64(m.Epoch)
-	w.I64(int64(m.From))
-	w.U64(m.FromGlobal)
-	if err := appendWant(&w, m.Want); err != nil {
+	w.Uvarint(m.Epoch)
+	w.Uvarint(uint64(int64(m.From)))
+	w.Uvarint(m.FromGlobal)
+	if err := appendIDs(&w, m.Want); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
 }
 
+func sizeOrderNack(payload any) (int, int) {
+	m := payload.(*OrderNack)
+	return wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + uv(int64(m.From)) +
+		wire.UvarintLen(m.FromGlobal) + idsLen(m.Want), 0
+}
+
 func decOrderNack(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &OrderNack{
-		Group: r.String(wireMaxGroup),
-		Epoch: r.U64(),
-		From:  vclock.ProcessID(r.I64()),
+		Group:      readGroup(r),
+		Epoch:      r.Uvarint(),
+		From:       vclock.ProcessID(int64(r.Uvarint())),
+		FromGlobal: r.Uvarint(),
 	}
-	m.FromGlobal = r.U64()
-	m.Want = readWant(r)
+	m.Want = readIDs(r)
 	if err := r.Finish("multicast.OrderNack"); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
+// RetransMsg nests a DataMsg behind its varint length, patched after
+// the nested encode so the whole message still appends into one
+// buffer: room for the longest prefix the body can need is reserved,
+// and the body is shifted down over what the prefix does not use.
 func encRetransMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(*RetransMsg)
 	if m.Data == nil {
@@ -395,34 +548,41 @@ func encRetransMsg(dst []byte, payload any) ([]byte, error) {
 	}
 	w := wire.NewAppendWriter(dst)
 	w.String(m.Group)
-	w.U64(m.Epoch)
-	// Inner length prefix, patched after the nested encode so the whole
-	// message still appends into one buffer.
+	w.Uvarint(m.Epoch)
 	buf := w.Bytes()
 	lenAt := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
+	buf = append(buf, make([]byte, binary.MaxVarintLen32)...)
 	buf, err := encDataMsgBody(buf, m.Data)
 	if err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(buf[lenAt:lenAt+4], uint32(len(buf)-lenAt-4))
-	return buf, nil
+	inner := len(buf) - lenAt - binary.MaxVarintLen32
+	k := binary.PutUvarint(buf[lenAt:], uint64(inner))
+	copy(buf[lenAt+k:], buf[lenAt+binary.MaxVarintLen32:])
+	return buf[:lenAt+k+inner], nil
+}
+
+func sizeRetransMsg(payload any) (int, int) {
+	m := payload.(*RetransMsg)
+	return wire.StringLen(m.Group) + wire.UvarintLen(m.Epoch) + wire.BytesVarLen(dataMsgLen(m.Data)), payloadLen(m.Data)
 }
 
 func decRetransMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &RetransMsg{
-		Group: r.String(wireMaxGroup),
-		Epoch: r.U64(),
+		Group: readGroup(r),
+		Epoch: r.Uvarint(),
 	}
-	inner := r.Bytes32(wireMaxPayload + wireMaxGroup + 64 + 16*wireMaxVC)
-	if err := r.Finish("multicast.RetransMsg"); err != nil {
-		return nil, err
+	if n := r.Uvarint(); n != uint64(len(r.Rest())) {
+		r.Fail() // the nested body is the rest of the frame, exactly
 	}
-	data, err := decDataMsg(inner)
+	data, err := readDataMsg(r)
 	if err != nil {
 		return nil, err
 	}
-	m.Data = data.(*DataMsg)
+	if err := r.Finish("multicast.RetransMsg"); err != nil {
+		return nil, err
+	}
+	m.Data = data
 	return m, nil
 }

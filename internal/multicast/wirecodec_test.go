@@ -1,13 +1,15 @@
 package multicast
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"catocs/internal/transport"
 	"catocs/internal/vclock"
 	"catocs/internal/wire"
 )
@@ -126,7 +128,8 @@ func TestWireRejectsNonByteSlicePayload(t *testing.T) {
 // FuzzWireDecode attacks every multicast kind, the unassigned +1..+3
 // included, with arbitrary bytes: no input may panic, and any input
 // that decodes must re-encode and decode to the same value (canonical
-// form round trip).
+// form round trip) and size, under the simulator's size model, to
+// exactly its frame.
 func FuzzWireDecode(f *testing.F) {
 	const kinds = 9 // KindMulticast+0 .. +8
 	for _, in := range sampleMsgs() {
@@ -164,10 +167,8 @@ func FuzzWireDecode(f *testing.F) {
 		if !reflect.DeepEqual(msg, msg2) {
 			t.Fatalf("decode/encode/decode disagrees:\n 1: %+v\n 2: %+v", msg, msg2)
 		}
-		if !bytes.Equal(buf, buf2) && reflect.DeepEqual(msg, msg2) {
-			// Non-canonical inputs (e.g. empty-vs-nil slices) are fine as
-			// long as the value is stable; nothing to assert.
-			_ = msg2
+		if n := transport.ApproxSize(msg); n != len(buf) {
+			t.Fatalf("decoded %T sizes to %d B, its frame is %d B", msg, n, len(buf))
 		}
 	})
 }
@@ -204,21 +205,19 @@ func TestOrderBatchGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestAckGoldenBytes pins the ack format: group name, epoch, the
-// sender's rank, the settled flag as one 0/1 byte, and the delivered
-// clock as a u32 count of u64 entries. Any other flag value is rejected,
-// which keeps the byte extensible.
+// TestAckGoldenBytes pins the ack format: group name, then epoch and
+// the sender's rank as varints, the settled flag as one 0/1 byte, and
+// the delivered clock as a varint count of varint entries. Any other
+// flag value is rejected, which keeps the byte extensible.
 func TestAckGoldenBytes(t *testing.T) {
 	for _, c := range []struct {
 		msg *AckMsg
 		hex string
 	}{
 		{&AckMsg{Group: "g", Epoch: 2, From: 3, Delivered: vclock.VC{1, 0}},
-			"010067" + "0200000000000000" + "0300000000000000" + "00" +
-				"02000000" + "0100000000000000" + "0000000000000000"},
-		{&AckMsg{Group: "g", Epoch: 5, From: 1, Settled: true, Delivered: vclock.VC{9, 9, 2}},
-			"010067" + "0500000000000000" + "0100000000000000" + "01" +
-				"03000000" + "0900000000000000" + "0900000000000000" + "0200000000000000"},
+			"010067" + "02" + "03" + "00" + "02" + "01" + "00"},
+		{&AckMsg{Group: "g", Epoch: 5, From: 1, Settled: true, Delivered: vclock.VC{9, 9, 300}},
+			"010067" + "05" + "01" + "01" + "03" + "09" + "09" + "ac02"},
 	} {
 		kind, buf, err := wire.Marshal(c.msg)
 		if err != nil {
@@ -237,9 +236,137 @@ func TestAckGoldenBytes(t *testing.T) {
 			}
 		}
 		bad := append([]byte(nil), buf...)
-		bad[19] = 2 // the flag byte follows 3 bytes of name and 16 of epoch and rank
+		bad[5] = 2 // the flag byte follows 3 bytes of name and one each of epoch and rank
 		if _, err := wire.Unmarshal(kind, bad); err == nil {
 			t.Fatalf("ack with flag byte 0x02 decoded successfully")
+		}
+	}
+}
+
+// TestWireGoldenBytes pins the varint encoding of every multicast kind:
+// a u16-prefixed group name, then every integer as an unsigned LEB128
+// varint, a signed one (a rank, a send time) as its int64 bit pattern.
+// A DataMsg runs epoch, sender, seq, send time, payload size, the
+// presence-flag byte, the incarnation and clocks it flags, and the
+// varint-prefixed payload; a RetransMsg nests one behind its varint
+// length.
+func TestWireGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		msg  any
+		hex  string
+	}{
+		{"data, full clock",
+			&DataMsg{Group: "g", Epoch: 3, Sender: 2, Seq: 17, SentAt: 1500 * time.Millisecond,
+				VC: vclock.VC{4, 17, 300}, Payload: []byte("hi"), PayloadSize: 2},
+			"010067" + "03" + "02" + "11" + "80dea0cb05" + "02" + "01" +
+				"03" + "04" + "11" + "ac02" + "02" + "6869"},
+		{"data, delta and stability clock",
+			&DataMsg{Group: "g", Epoch: 1, Sender: 1, Seq: 1_000_000, SentAt: 30 * time.Second,
+				VCDelta:     []vclock.DeltaEntry{{Idx: 0, Val: 5}, {Idx: 1, Val: 1_000_000}},
+				DeliveredVC: vclock.VC{5, 999_999, 0}},
+			"010067" + "01" + "01" + "c0843d" + "80d88ee16f" + "00" + "06" +
+				"02" + "0005" + "01c0843d" + "03" + "05" + "bf843d" + "00" + "00"},
+		{"data, incarnation",
+			&DataMsg{Group: "g", Epoch: 4, Inc: 2, Sender: 0, Seq: 1, Payload: []byte{0xab}, PayloadSize: 1},
+			"010067" + "04" + "00" + "01" + "00" + "01" + "08" + "02" + "01ab"},
+		{"ack",
+			&AckMsg{Group: "g", Epoch: 2, From: 3, Delivered: vclock.VC{1, 0}},
+			"010067" + "02" + "03" + "00" + "020100"},
+		{"nack, negative rank",
+			&NackMsg{Group: "g", Epoch: 5, From: -1, Want: []MsgID{{Sender: 1, Seq: 2}, {Sender: 2, Seq: 300}}},
+			"010067" + "05" + "ffffffffffffffffff01" + "02" + "0102" + "02ac02"},
+		{"order nack",
+			&OrderNack{Group: "g", Epoch: 5, From: 2, FromGlobal: 31, Want: []MsgID{{Sender: 0, Seq: 4}}},
+			"010067" + "05" + "02" + "1f" + "01" + "0004"},
+		{"retrans",
+			&RetransMsg{Group: "g", Epoch: 3, Data: &DataMsg{Group: "g", Sender: 1, Seq: 2}},
+			"010067" + "03" + "0a" + "010067" + "00" + "01" + "02" + "00" + "00" + "00" + "00"},
+		{"order batch",
+			&OrderBatchMsg{Group: "g", Epoch: 2, FirstGlobal: 300, IDs: []MsgID{{Sender: 1, Seq: 7}}},
+			"010067" + "02" + "ac02" + "01" + "0107"},
+	} {
+		kind, buf, err := wire.Marshal(c.msg)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", buf); got != c.hex {
+			t.Fatalf("%s encodes as\n %s, want\n %s", c.name, got, c.hex)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil || !reflect.DeepEqual(out, c.msg) {
+			t.Fatalf("%s: round trip gave %+v, %v", c.name, out, err)
+		}
+		if n := transport.ApproxSize(out); n != len(buf) {
+			t.Fatalf("%s: size model %d B, encoding %d B", c.name, n, len(buf))
+		}
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := wire.Unmarshal(kind, buf[:cut]); err == nil {
+				t.Fatalf("%s truncated to %d/%d bytes decoded successfully", c.name, cut, len(buf))
+			}
+		}
+	}
+}
+
+// TestWireRejectsNonCanonical: each value has one accepted encoding, so
+// a decoded message's size model is its frame length. A presence flag
+// over an empty field, a zero incarnation, a full clock and a delta
+// together, or an over-long varint must not decode.
+func TestWireRejectsNonCanonical(t *testing.T) {
+	head := "010067" + "00" + "00" + "01" + "00" + "00" // group, epoch, sender, seq, sent, size
+	for name, h := range map[string]string{
+		"empty full clock":    head + "01" + "00" + "00",
+		"empty delta":         head + "02" + "00" + "00",
+		"empty stability":     head + "04" + "00" + "00",
+		"zero incarnation":    head + "08" + "00" + "00",
+		"incarnation > 32bit": head + "08" + "8080808010" + "00",
+		"clock and delta":     head + "03" + "0101" + "010001" + "00",
+		"delta index > 32bit": head + "02" + "01" + "8080808010" + "01" + "00",
+		"padded varint":       "010067" + "8000" + "00" + "01" + "00" + "00" + "00" + "00",
+	} {
+		buf, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wire.Unmarshal(wire.KindMulticast, buf); err == nil {
+			t.Errorf("%s: %x decoded as %+v", name, buf, m)
+		}
+	}
+}
+
+// TestDecodeAllocationBounded: a short frame whose count claims the
+// wire limit of entries is rejected without allocating for them. Every
+// entry takes at least one byte, so the bytes left bound each
+// preallocation.
+func TestDecodeAllocationBounded(t *testing.T) {
+	uv := func(v uint64) string { return fmt.Sprintf("%x", binary.AppendUvarint(nil, v)) }
+	clock, ids := uv(wireMaxVC), uv(wireMaxWant)
+	dataHead := "010067" + "00" + "00" + "01" + "00" + "00"
+	inner := dataHead + "01" + clock + "01"
+	for name, h := range map[string]string{
+		"data clock":     dataHead + "01" + clock + "01",
+		"data delta":     dataHead + "02" + clock + "0101",
+		"data stability": dataHead + "04" + clock + "01",
+		"ack":            "010067" + "00" + "00" + "00" + clock + "01",
+		"nack":           "010067" + "00" + "00" + ids + "0001",
+		"order nack":     "010067" + "00" + "00" + "00" + ids + "0001",
+		"order batch":    "010067" + "00" + "00" + ids + "0001",
+		"retrans":        "010067" + "00" + uv(uint64(len(inner)/2)) + inner,
+	} {
+		buf, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := map[string]wire.Kind{"ack": 4, "nack": 5, "order nack": 6, "retrans": 7, "order batch": 8}[name]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = wire.Unmarshal(wire.KindMulticast+kind, buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a %d-byte frame claiming the wire limit decoded", name, len(buf))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d B", name, len(buf), got)
 		}
 	}
 }

@@ -49,37 +49,11 @@ type pubMsg struct {
 	ReplyID uint64
 }
 
-// valueSize estimates the wire size of a payload value: exact for
-// the []byte/string values the wire codec carries, zero for opaque
-// in-process values.
-func valueSize(v any) int {
-	switch v := v.(type) {
-	case []byte:
-		return len(v)
-	case string:
-		return len(v)
-	}
-	return 0
-}
-
-// ApproxSize implements transport.Sizer.
-func (p pubMsg) ApproxSize() int { return 48 + len(p.Subject) + valueSize(p.Value) }
-
-// ControlSize implements transport.ControlSizer: everything but the
-// application value is bus metadata.
-func (p pubMsg) ControlSize() int { return 48 + len(p.Subject) }
-
 // replyMsg answers a request.
 type replyMsg struct {
 	ReplyID uint64
 	Value   any
 }
-
-// ApproxSize implements transport.Sizer.
-func (r replyMsg) ApproxSize() int { return 32 + valueSize(r.Value) }
-
-// ControlSize implements transport.ControlSizer.
-func (replyMsg) ControlSize() int { return 32 }
 
 // syncReq asks publishers for their latest values on a subject
 // pattern.
@@ -88,25 +62,10 @@ type syncReq struct {
 	From    transport.NodeID
 }
 
-// ApproxSize implements transport.Sizer.
-func (s syncReq) ApproxSize() int { return 24 + len(s.Pattern) }
-
 // syncReply carries a publisher's cached latest values.
 type syncReply struct {
 	Events []Event
 }
-
-// ApproxSize implements transport.Sizer.
-func (s syncReply) ApproxSize() int {
-	size := 16 + 48*len(s.Events)
-	for _, e := range s.Events {
-		size += valueSize(e.Value)
-	}
-	return size
-}
-
-// ControlSize implements transport.ControlSizer.
-func (s syncReply) ControlSize() int { return 16 + 48*len(s.Events) }
 
 // Mode selects a subscription's ordering discipline.
 type Mode int

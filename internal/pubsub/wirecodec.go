@@ -20,10 +20,40 @@ const (
 )
 
 func init() {
-	wire.Register(wire.KindPubsub+0, pubMsg{}, encPubMsg, decPubMsg)
-	wire.Register(wire.KindPubsub+1, replyMsg{}, encReplyMsg, decReplyMsg)
-	wire.Register(wire.KindPubsub+2, syncReq{}, encSyncReq, decSyncReq)
-	wire.Register(wire.KindPubsub+3, syncReply{}, encSyncReply, decSyncReply)
+	wire.Register(wire.KindPubsub+0, pubMsg{}, encPubMsg, decPubMsg, func(p any) (int, int) {
+		m := p.(pubMsg)
+		v := valueLen(m.Value)
+		return wire.StringLen(m.Subject) + 8 + 8 + 1 + 8 + 8 + 4 + v, v
+	})
+	wire.Register(wire.KindPubsub+1, replyMsg{}, encReplyMsg, decReplyMsg, func(p any) (int, int) {
+		v := valueLen(p.(replyMsg).Value)
+		return 8 + 4 + v, v
+	})
+	wire.Register(wire.KindPubsub+2, syncReq{}, encSyncReq, decSyncReq, func(p any) (int, int) {
+		return wire.StringLen(p.(syncReq).Pattern) + 8, 0
+	})
+	wire.Register(wire.KindPubsub+3, syncReply{}, encSyncReply, decSyncReply, func(p any) (int, int) {
+		n, app := 4, 0
+		for _, ev := range p.(syncReply).Events {
+			v := valueLen(ev.Value)
+			n += wire.StringLen(ev.Subject) + 8 + 8 + 4 + v
+			app += v
+		}
+		return n, app
+	})
+}
+
+// valueLen is the application byte count of a value: exact for the
+// []byte values the codec carries, a string's bytes for the in-process
+// values the simulator carries, zero for nil and other opaque values.
+func valueLen(v any) int {
+	switch v := v.(type) {
+	case []byte:
+		return len(v)
+	case string:
+		return len(v)
+	}
+	return 0
 }
 
 func valueBytes(v any) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"catocs/internal/transport"
 	"catocs/internal/wire"
 )
 
@@ -36,6 +37,32 @@ func TestPubsubWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("round trip %T:\n in: %+v\nout: %+v", in, in, out)
 		}
+	}
+}
+
+// TestPubsubWireSizeExact pins the size model of every kind this
+// package registers to the bytes its encoder writes; control bytes are
+// everything but the values.
+func TestPubsubWireSizeExact(t *testing.T) {
+	covered := map[wire.Kind]bool{}
+	for _, in := range samplePubsubMsgs() {
+		kind, buf, err := wire.Marshal(in)
+		if err != nil {
+			t.Fatalf("Marshal(%T): %v", in, err)
+		}
+		covered[kind] = true
+		if n := transport.ApproxSize(in); n != len(buf) {
+			t.Errorf("%T: size model %d B, encoding %d B", in, n, len(buf))
+		}
+	}
+	for k := wire.KindPubsub; k < wire.KindPubsub+0x10; k++ {
+		if wire.KindName(k) != "" && !covered[k] {
+			t.Errorf("kind %#04x (%s) has no sample", uint16(k), wire.KindName(k))
+		}
+	}
+	m := pubMsg{Subject: "s", Value: []byte("12345")}
+	if got, want := transport.ControlSize(m), transport.ApproxSize(m)-5; got != want {
+		t.Fatalf("control bytes %d, want %d", got, want)
 	}
 }
 
@@ -89,6 +116,9 @@ func FuzzPubsubWireDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(msg, msg2) {
 			t.Fatalf("decode/encode/decode disagrees:\n 1: %+v\n 2: %+v", msg, msg2)
+		}
+		if n := transport.ApproxSize(msg); n != len(buf) {
+			t.Fatalf("decoded %T sizes to %d B, its frame is %d B", msg, n, len(buf))
 		}
 	})
 }

@@ -44,8 +44,8 @@ type barrierPayload struct {
 	Gen  uint64 // the link's out-session at From
 }
 
-// barrierPayloadSize is the ApproxSize contribution of a flooded
-// barrier (it is all control bytes).
+// barrierPayloadSize is a flooded barrier's declared PayloadSize: the
+// bytes its encoding takes (all of them control).
 const barrierPayloadSize = 24
 
 // LinkBarrier is the direct on-link half of the activation handshake:
@@ -59,18 +59,11 @@ type LinkBarrier struct {
 	Cut     map[transport.NodeID]uint64
 }
 
-// ApproxSize implements transport.Sizer; the cut costs 16 bytes per
-// origin, paid per topology change rather than per message.
-func (p *LinkBarrier) ApproxSize() int { return 25 + 16*len(p.Cut) }
-
 // LinkBarrierAck confirms activation so the peer stops re-announcing.
 type LinkBarrierAck struct {
 	Group   string
 	Session uint64
 }
-
-// ApproxSize implements transport.Sizer.
-func (p *LinkBarrierAck) ApproxSize() int { return 24 }
 
 // virgin reports whether this member may bootstrap-activate a link
 // directly: it has delivered nothing external and has no active

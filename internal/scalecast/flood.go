@@ -39,13 +39,6 @@ func (m *FloodMsg) TraceRef() obs.MsgRef {
 	return obs.MsgRef{Sender: int64(m.Origin), Seq: m.Seq}
 }
 
-// ApproxSize implements transport.Sizer: a constant header plus the
-// payload.
-func (m *FloodMsg) ApproxSize() int { return 28 + m.PayloadSize }
-
-// ControlSize implements transport.ControlSizer: the constant header.
-func (m *FloodMsg) ControlSize() int { return 28 }
-
 // LinkPacket carries a FloodMsg over one overlay link, stamped with
 // the link's session and FIFO sequence number.
 type LinkPacket struct {
@@ -58,12 +51,6 @@ type LinkPacket struct {
 // TraceRef implements obs.Referable: a link packet arrives on the wire
 // as the flood message it carries.
 func (p *LinkPacket) TraceRef() obs.MsgRef { return p.Msg.TraceRef() }
-
-// ApproxSize implements transport.Sizer.
-func (p *LinkPacket) ApproxSize() int { return 24 + p.Msg.ApproxSize() }
-
-// ControlSize implements transport.ControlSizer.
-func (p *LinkPacket) ControlSize() int { return 24 + p.Msg.ControlSize() }
 
 // Forwarded implements transport.ForwardMarker: relayed copies count
 // against the relaying node's forwarding census.
@@ -78,9 +65,6 @@ type LinkAck struct {
 	Cum     uint64
 }
 
-// ApproxSize implements transport.Sizer.
-func (p *LinkAck) ApproxSize() int { return 24 }
-
 // LinkNack requests retransmission of link sequences [From, To] of a
 // session.
 type LinkNack struct {
@@ -88,9 +72,6 @@ type LinkNack struct {
 	Session  uint64
 	From, To uint64
 }
-
-// ApproxSize implements transport.Sizer.
-func (p *LinkNack) ApproxSize() int { return 32 }
 
 // LinkHeartbeat advertises the top link sequence sent on a session, so
 // a receiver discovers a lost tail with no successor to betray it —
@@ -101,9 +82,6 @@ type LinkHeartbeat struct {
 	Session uint64
 	Top     uint64
 }
-
-// ApproxSize implements transport.Sizer.
-func (p *LinkHeartbeat) ApproxSize() int { return 24 }
 
 // link is one overlay adjacency: an independent reliable-FIFO channel
 // in each direction.

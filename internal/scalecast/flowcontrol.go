@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"catocs/internal/flowcontrol"
+	"catocs/internal/transport"
 )
 
 // This file enforces the flow-control budget at the scalecast overlay
@@ -41,7 +42,7 @@ func (m *Member) retrans() (msgs, bytes int) {
 	for _, l := range m.links {
 		msgs += len(l.outLog)
 		for _, pkt := range l.outLog {
-			bytes += pkt.ApproxSize()
+			bytes += transport.ApproxSize(pkt)
 		}
 	}
 	return msgs, bytes

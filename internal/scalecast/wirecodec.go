@@ -32,12 +32,39 @@ const (
 )
 
 func init() {
-	wire.Register(wire.KindScalecast+0, &LinkPacket{}, encLinkPacket, decLinkPacket)
-	wire.Register(wire.KindScalecast+1, &LinkAck{}, encLinkAck, decLinkAck)
-	wire.Register(wire.KindScalecast+2, &LinkNack{}, encLinkNack, decLinkNack)
-	wire.Register(wire.KindScalecast+3, &LinkHeartbeat{}, encLinkHeartbeat, decLinkHeartbeat)
-	wire.Register(wire.KindScalecast+4, &LinkBarrier{}, encLinkBarrier, decLinkBarrier)
-	wire.Register(wire.KindScalecast+5, &LinkBarrierAck{}, encLinkBarrierAck, decLinkBarrierAck)
+	wire.Register(wire.KindScalecast+0, &LinkPacket{}, encLinkPacket, decLinkPacket, sizeLinkPacket)
+	wire.Register(wire.KindScalecast+1, &LinkAck{}, encLinkAck, decLinkAck,
+		func(p any) (int, int) { return wire.StringLen(p.(*LinkAck).Group) + 16, 0 })
+	wire.Register(wire.KindScalecast+2, &LinkNack{}, encLinkNack, decLinkNack,
+		func(p any) (int, int) { return wire.StringLen(p.(*LinkNack).Group) + 24, 0 })
+	wire.Register(wire.KindScalecast+3, &LinkHeartbeat{}, encLinkHeartbeat, decLinkHeartbeat,
+		func(p any) (int, int) { return wire.StringLen(p.(*LinkHeartbeat).Group) + 16, 0 })
+	wire.Register(wire.KindScalecast+4, &LinkBarrier{}, encLinkBarrier, decLinkBarrier,
+		func(p any) (int, int) { b := p.(*LinkBarrier); return wire.StringLen(b.Group) + 13 + 16*len(b.Cut), 0 })
+	wire.Register(wire.KindScalecast+5, &LinkBarrierAck{}, encLinkBarrierAck, decLinkBarrierAck,
+		func(p any) (int, int) { return wire.StringLen(p.(*LinkBarrierAck).Group) + 8, 0 })
+}
+
+// floodMsgLen is encFloodMsg's length and the application bytes in it.
+// A flooded barrier is all control; an in-process simulator value is
+// charged as if its PayloadSize were bytes.
+func floodMsgLen(m *FloodMsg) (n, app int) {
+	n = wire.StringLen(m.Group) + 8 + 8 + 8 + 4 + 4 + 1
+	switch p := m.Payload.(type) {
+	case nil:
+		return n, 0
+	case []byte:
+		return n + 4 + len(p), len(p)
+	case barrierPayload:
+		return n + 24, 0
+	}
+	return n + 4 + m.PayloadSize, m.PayloadSize
+}
+
+func sizeLinkPacket(payload any) (int, int) {
+	p := payload.(*LinkPacket)
+	n, app := floodMsgLen(p.Msg)
+	return wire.StringLen(p.Group) + 16 + n, app
 }
 
 func encFloodMsg(w *wire.Writer, m *FloodMsg) error {
@@ -82,9 +109,11 @@ func decFloodMsg(r *wire.Reader) *FloodMsg {
 	switch tag := r.U8(); tag {
 	case floodPayloadNil:
 	case floodPayloadBytes:
-		if b := r.Bytes32(scMaxPayload); b != nil {
-			m.Payload = b
+		b := r.Bytes32(scMaxPayload)
+		if b == nil {
+			b = []byte{} // an empty payload re-encodes under its own tag
 		}
+		m.Payload = b
 	case floodPayloadBarrier:
 		m.Payload = barrierPayload{
 			From: transport.NodeID(r.I64()),
@@ -223,6 +252,10 @@ func decLinkBarrier(buf []byte) (any, error) {
 			v := r.U64()
 			if r.Err() {
 				break
+			}
+			if _, dup := p.Cut[k]; dup {
+				// A repeated origin would re-encode shorter than it came.
+				return nil, fmt.Errorf("scalecast: causal cut repeats origin %d", k)
 			}
 			p.Cut[k] = v
 		}

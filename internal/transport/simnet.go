@@ -67,6 +67,7 @@ type SimNet struct {
 type delivery struct {
 	from, to NodeID
 	payload  any
+	size     int // ApproxSize, computed once at Send
 	next     *delivery
 }
 
@@ -232,7 +233,8 @@ func (n *SimNet) linkFor(from, to NodeID) *LinkConfig {
 // a packet is in flight drops it — matching the fail-stop model where
 // in-flight data to a failed node is simply lost.
 func (n *SimNet) Send(from, to NodeID, payload any) {
-	accountSend(&n.stats, n.perNode, from, payload, &n.sink)
+	size, ctrl := sizes(payload)
+	accountSend(&n.stats, n.perNode, from, payload, uint64(ctrl), &n.sink)
 	if !n.reachable(from, to) {
 		n.stats.Dropped++
 		n.sink.onDrop(to)
@@ -244,41 +246,41 @@ func (n *SimNet) Send(from, to NodeID, payload any) {
 		n.sink.onDrop(to)
 		return
 	}
-	n.deliverAfter(cfg, from, to, payload)
+	n.deliverAfter(cfg, from, to, payload, size)
 	if cfg.DupProb > 0 && n.k.Rand().Float64() < cfg.DupProb {
 		n.stats.Duplicated++
-		n.deliverAfter(cfg, from, to, payload)
+		n.deliverAfter(cfg, from, to, payload, size)
 	}
 }
 
-func (n *SimNet) deliverAfter(cfg *LinkConfig, from, to NodeID, payload any) {
+func (n *SimNet) deliverAfter(cfg *LinkConfig, from, to NodeID, payload any, size int) {
 	d := cfg.BaseDelay
 	if cfg.Jitter > 0 {
 		d += time.Duration(n.k.Rand().Int63n(int64(cfg.Jitter)))
 	}
 	if cfg.Bandwidth > 0 {
-		d += time.Duration(float64(ApproxSize(payload)) / float64(cfg.Bandwidth) * float64(time.Second))
+		d += time.Duration(float64(size) / float64(cfg.Bandwidth) * float64(time.Second))
 	}
 	if n.slow != nil {
 		if lag := n.slow[to]; lag > 0 {
 			d += lag
 		}
 	}
-	rec := n.getDelivery(from, to, payload)
+	rec := n.getDelivery(from, to, payload, size)
 	n.k.AfterCall(d, n.deliverFn, rec)
 }
 
 // getDelivery takes a record off the freelist (or allocates the first
 // time); putDelivery returns it. SimNet is single-threaded, so a plain
 // linked list suffices.
-func (n *SimNet) getDelivery(from, to NodeID, payload any) *delivery {
+func (n *SimNet) getDelivery(from, to NodeID, payload any, size int) *delivery {
 	rec := n.freeD
 	if rec == nil {
 		rec = &delivery{}
 	} else {
 		n.freeD = rec.next
 	}
-	rec.from, rec.to, rec.payload, rec.next = from, to, payload, nil
+	rec.from, rec.to, rec.payload, rec.size, rec.next = from, to, payload, size, nil
 	return rec
 }
 
@@ -294,7 +296,7 @@ func (n *SimNet) putDelivery(rec *delivery) {
 // processor when a service time is configured).
 func (n *SimNet) deliverRec(x any) {
 	rec := x.(*delivery)
-	from, to, payload := rec.from, rec.to, rec.payload
+	from, to, payload, size := rec.from, rec.to, rec.payload, rec.size
 	n.putDelivery(rec)
 	if !n.reachable(from, to) {
 		n.stats.Dropped++
@@ -308,7 +310,7 @@ func (n *SimNet) deliverRec(x any) {
 		return
 	}
 	if n.service <= 0 {
-		n.dispatch(h, from, to, payload)
+		n.dispatch(h, from, to, payload, size)
 		return
 	}
 	// Serial receive processing: this arrival waits for the node's
@@ -328,15 +330,16 @@ func (n *SimNet) deliverRec(x any) {
 			n.sink.onDrop(to)
 			return
 		}
-		n.dispatch(h, from, to, payload)
+		n.dispatch(h, from, to, payload, size)
 	})
 }
 
-// dispatch hands one payload to its handler, accounting for delivery.
-func (n *SimNet) dispatch(h Handler, from, to NodeID, payload any) {
+// dispatch hands one payload of size bytes to its handler, accounting
+// for delivery.
+func (n *SimNet) dispatch(h Handler, from, to NodeID, payload any, size int) {
 	n.stats.Delivered++
-	n.stats.Bytes += uint64(ApproxSize(payload))
-	n.sink.onWireRecv(n.k.Now(), to, payload)
+	n.stats.Bytes += uint64(size)
+	n.sink.onWireRecv(n.k.Now(), to, payload, size)
 	n.dispatching, n.inDispatch = to, true
 	h(from, payload)
 	n.inDispatch = false

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -15,29 +16,50 @@ import (
 	"catocs/internal/wire"
 )
 
-// Frame layout (little-endian):
+// Frame layout, every field an unsigned LEB128 varint:
 //
-//	u32 length   — bytes after this field: frameMetaLen + len(body)
-//	u16 kind     — wire.Kind; 0 (wire.KindReserved) is the keepalive ping
-//	i64 from     — sending NodeID
-//	i64 to       — destination NodeID
-//	...  body    — wire-registry encoding of the payload
+//	length — bytes after this field: the three below plus len(body)
+//	kind   — wire.Kind; 0 (wire.KindReserved) is the keepalive ping
+//	from   — sending NodeID, as its int64 bit pattern
+//	to     — destination NodeID, likewise
+//	...    body — wire-registry encoding of the payload
+//
+// A frame between small NodeIDs carries a 4–5 byte header. Send
+// encodes the body into a pooled buffer behind frameHeaderMax reserved
+// bytes and then writes the header right-aligned against it, so the
+// frame is one contiguous slice without a second copy.
 const (
-	frameMetaLen   = 2 + 8 + 8
-	frameHeaderLen = 4 + frameMetaLen
+	frameMetaMax   = 3 + 2*binary.MaxVarintLen64 // kind, from, to
+	frameHeaderMax = binary.MaxVarintLen64 + frameMetaMax
 )
 
+// putFrameHeader writes the header of the frame whose body fills
+// buf[frameHeaderMax:] into the space reserved before it, right-aligned,
+// and returns the frame's first byte offset.
+func putFrameHeader(buf []byte, kind wire.Kind, from, to transport.NodeID) int {
+	var meta [frameMetaMax]byte
+	m := binary.PutUvarint(meta[:], uint64(kind))
+	m += binary.PutUvarint(meta[m:], uint64(int64(from)))
+	m += binary.PutUvarint(meta[m:], uint64(int64(to)))
+	length := uint64(m + len(buf) - frameHeaderMax)
+	start := frameHeaderMax - m - wire.UvarintLen(length)
+	binary.PutUvarint(buf[start:], length)
+	copy(buf[frameHeaderMax-m:], meta[:m])
+	return start
+}
+
 // frame is one encoded payload queued for a remote process. buf points
-// at a pooled buffer holding the complete wire frame — header already
-// filled, body appended by the registry's append-style encoder — so the
-// steady-state Send path allocates nothing and writerLoop issues one
-// Write per frame. The buffer is recycled after the frame is written
-// (or dropped); a nil buf is the keepalive ping.
+// at a pooled buffer holding the complete wire frame from offset start
+// — header already filled, body appended by the registry's append-style
+// encoder — so the steady-state Send path allocates nothing and
+// writerLoop issues one Write per frame. The buffer is recycled after
+// the frame is written (or dropped); a nil buf is the keepalive ping.
 type frame struct {
-	kind wire.Kind
-	from transport.NodeID
-	to   transport.NodeID
-	buf  *[]byte
+	kind  wire.Kind
+	from  transport.NodeID
+	to    transport.NodeID
+	buf   *[]byte
+	start int
 }
 
 // bodyLen returns the encoded payload length carried by the frame.
@@ -45,7 +67,7 @@ func (f frame) bodyLen() int {
 	if f.buf == nil {
 		return 0
 	}
-	return len(*f.buf) - frameHeaderLen
+	return len(*f.buf) - frameHeaderMax
 }
 
 // frameBufPool recycles frame buffers between Send and writerLoop.
@@ -293,16 +315,13 @@ func (p *peerConn) writerLoop() {
 // recycle is safe either way.
 func (p *peerConn) writeFrame(bw *bufio.Writer, f frame) {
 	if f.buf == nil { // keepalive ping: header only, built on the stack
-		var hdr [frameHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(frameMetaLen))
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(f.kind))
-		binary.LittleEndian.PutUint64(hdr[6:14], uint64(int64(f.from)))
-		binary.LittleEndian.PutUint64(hdr[14:22], uint64(int64(f.to)))
-		bw.Write(hdr[:])
-		p.n.nc.bytesOut.Add(uint64(frameHeaderLen))
+		var hdr [frameHeaderMax]byte
+		start := putFrameHeader(hdr[:], f.kind, f.from, f.to)
+		bw.Write(hdr[start:])
+		p.n.nc.bytesOut.Add(uint64(frameHeaderMax - start))
 		return
 	}
-	data := *f.buf
+	data := (*f.buf)[f.start:]
 	bw.Write(data)
 	p.n.nc.bytesOut.Add(uint64(len(data)))
 	putFrameBuf(f.buf)
@@ -355,13 +374,13 @@ func (n *Net) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
-	var hdr [frameHeaderLen]byte
 	// One reusable body buffer per connection: decoders copy everything
 	// they retain, so the next frame may overwrite it freely.
 	var body []byte
 	for {
 		c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
-		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+		length, lenBytes, err := readUvarint(br)
+		if err != nil {
 			if isTimeout(err) {
 				n.nc.idleCloses.Add(1)
 			} else if err != io.EOF {
@@ -369,19 +388,22 @@ func (n *Net) serveConn(c net.Conn) {
 			}
 			return
 		}
-		length := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		if length < frameMetaLen || length > frameMetaLen+n.cfg.MaxFrame {
+		var hdr [3]uint64 // kind, from, to
+		meta := uint64(0)
+		for i := range hdr {
+			v, k, err := readUvarint(br)
+			if err != nil {
+				n.nc.frameErrors.Add(1)
+				return
+			}
+			hdr[i], meta = v, meta+uint64(k)
+		}
+		kind, from, to := hdr[0], hdr[1], hdr[2]
+		if kind > math.MaxUint16 || meta > length || length-meta > uint64(n.cfg.MaxFrame) {
 			n.nc.frameErrors.Add(1)
 			return
 		}
-		if _, err := io.ReadFull(br, hdr[4:frameHeaderLen]); err != nil {
-			n.nc.frameErrors.Add(1)
-			return
-		}
-		kind := wire.Kind(binary.LittleEndian.Uint16(hdr[4:6]))
-		from := transport.NodeID(int64(binary.LittleEndian.Uint64(hdr[6:14])))
-		to := transport.NodeID(int64(binary.LittleEndian.Uint64(hdr[14:22])))
-		if need := length - frameMetaLen; cap(body) < need {
+		if need := int(length - meta); cap(body) < need {
 			body = make([]byte, need)
 		} else {
 			body = body[:need]
@@ -391,25 +413,52 @@ func (n *Net) serveConn(c net.Conn) {
 			return
 		}
 		n.nc.framesIn.Add(1)
-		n.nc.bytesIn.Add(uint64(4 + length))
-		if kind == wire.KindReserved {
+		n.nc.bytesIn.Add(uint64(lenBytes) + length)
+		if wire.Kind(kind) == wire.KindReserved {
 			n.nc.pingsIn.Add(1)
 			continue
 		}
-		payload, err := wire.Unmarshal(kind, body)
+		dst := transport.NodeID(int64(to))
+		payload, err := wire.Unmarshal(wire.Kind(kind), body)
 		if err != nil {
 			n.nc.decodeErrors.Add(1)
-			n.drop(to)
+			n.drop(dst)
 			continue
 		}
-		if !n.local[to] {
+		if !n.local[dst] {
 			n.nc.unroutable.Add(1)
-			n.drop(to)
+			n.drop(dst)
 			continue
 		}
-		n.enqueueDelivery(from, to, payload, len(body))
+		n.enqueueDelivery(transport.NodeID(int64(from)), dst, payload, len(body))
 	}
 }
+
+// readUvarint reads one header varint and how many bytes it took. Only
+// the minimal encoding of a 64-bit value is accepted: an overlong or
+// non-minimal prefix is a framing violation like any other garbage.
+func readUvarint(br *bufio.Reader) (uint64, int, error) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if err == io.EOF && i > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, i, err
+		}
+		if b < 0x80 {
+			if (i > 0 && b == 0) || (i == binary.MaxVarintLen64-1 && b > 1) {
+				return 0, i + 1, errBadVarint
+			}
+			return v | uint64(b)<<(7*i), i + 1, nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, binary.MaxVarintLen64, errBadVarint
+}
+
+var errBadVarint = errors.New("tcpnet: malformed varint in frame header")
 
 // isTimeout reports whether an error is a deadline expiry.
 func isTimeout(err error) bool {

@@ -2,6 +2,8 @@ package tcpnet_test
 
 import (
 	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -138,15 +140,91 @@ func TestPingsKeepIdleConnAlive(t *testing.T) {
 	}
 }
 
-// rawFrame assembles one wire frame by hand for protocol-attack tests.
+// rawFrame assembles one wire frame by hand for protocol-attack tests:
+// uvarint length (of what follows it), kind, from and to, then body.
 func rawFrame(kind uint16, from, to int64, body []byte) []byte {
-	buf := make([]byte, 22+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(18+len(body)))
-	binary.LittleEndian.PutUint16(buf[4:6], kind)
-	binary.LittleEndian.PutUint64(buf[6:14], uint64(from))
-	binary.LittleEndian.PutUint64(buf[14:22], uint64(to))
-	copy(buf[22:], body)
-	return buf
+	meta := binary.AppendUvarint(nil, uint64(kind))
+	meta = binary.AppendUvarint(meta, uint64(from))
+	meta = binary.AppendUvarint(meta, uint64(to))
+	buf := binary.AppendUvarint(nil, uint64(len(meta)+len(body)))
+	return append(append(buf, meta...), body...)
+}
+
+// TestFrameHeaderGoldenBytes pins the frame header as it leaves a Net:
+// uvarint length (of what follows it), kind, from and to, then the
+// body — 6 header bytes here, the 3-byte kind 0xF100 included — and
+// BytesOut counts every one of them. The peer is a bare listener
+// that records what arrives.
+func TestFrameHeaderGoldenBytes(t *testing.T) {
+	addrs := reserveAddrs(t, 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	univ := map[transport.NodeID]string{0: addrs[0], 1: ln.Addr().String()}
+	cfg := fastCfg(addrs[0], []transport.NodeID{0}, univ)
+	cfg.PingEvery = time.Hour // nothing but the one frame on the wire
+	a, err := tcpnet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	a.Send(0, 1, testMsg{N: 7, S: "ok"})
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	body := "0700000000000000" + "0200" + "6f6b" // testMsg: u64 N, u16-prefixed S
+	want := "11" + "80e203" + "00" + "01" + body // length 17, kind 0xF100, from 0, to 1
+	got := make([]byte, len(want)/2)
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := io.ReadFull(c, got); err != nil {
+		t.Fatal(err)
+	}
+	if h := hex.EncodeToString(got); h != want {
+		t.Fatalf("frame on the wire %s, want %s", h, want)
+	}
+	waitFor(t, 2*time.Second, "frame counted", func() bool { return a.NetStats().FramesOut == 1 })
+	if n := a.NetStats().BytesOut; n != uint64(len(got)) {
+		t.Fatalf("BytesOut = %d, want the %d bytes written", n, len(got))
+	}
+}
+
+// TestMalformedFrameHeaders: a header the reader cannot trust — a
+// padded varint, a kind past 16 bits, ids longer than their length
+// allows — poisons the connection like any other framing violation.
+func TestMalformedFrameHeaders(t *testing.T) {
+	addrs := reserveAddrs(t, 1)
+	b, err := tcpnet.New(fastCfg(addrs[0], []transport.NodeID{1}, map[transport.NodeID]string{1: addrs[0]}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Register(1, func(transport.NodeID, any) {})
+	for i, h := range []string{
+		"8300" + "00" + "00" + "01",          // length 3, padded to two bytes
+		"05" + "80808004" + "00" + "01",      // kind 2^22
+		"02" + "00" + "00" + "01",            // length 2 < the 3 header bytes after it
+		"03" + "00" + "ffffffffffffffffff7f", // an 11-byte from
+	} {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(raw)
+		waitFor(t, 2*time.Second, "frame error "+h, func() bool { return b.NetStats().FrameErrors >= uint64(i+1) })
+		c.Close()
+	}
+	if ns := b.NetStats(); ns.FramesIn != 0 || ns.DecodeErrors != 0 {
+		t.Fatalf("NetStats = %+v; no malformed header may pass as a frame", ns)
+	}
 }
 
 // TestTruncatedAndCorruptFrames attacks the listener directly:
@@ -187,9 +265,7 @@ func TestTruncatedAndCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var huge [4]byte
-	binary.LittleEndian.PutUint32(huge[:], uint32(cfg.MaxFrame)+1000)
-	c2.Write(huge[:])
+	c2.Write(binary.AppendUvarint(nil, uint64(cfg.MaxFrame)+1000))
 	c2.Write(make([]byte, 64))
 	waitFor(t, 2*time.Second, "oversized frame counted", func() bool {
 		return b.NetStats().FrameErrors >= 2

@@ -29,7 +29,6 @@
 package tcpnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -255,12 +254,12 @@ func (n *Net) Instrument(tr *obs.Tracer, reg *obs.Registry, substrate string) {
 // decode) so loopback traffic exercises the identical canonical form
 // and handlers never alias the sender's message structs.
 func (n *Net) Send(from, to transport.NodeID, payload any) {
-	// Encode straight into a pooled buffer, frame header first, so the
-	// whole send path — header, body, queue, write — reuses one
-	// allocation-free buffer per frame.
+	// Encode straight into a pooled buffer behind room for the frame
+	// header, so the whole send path — header, body, queue, write —
+	// reuses one allocation-free buffer per frame.
 	bp := getFrameBuf()
-	var hdrZero [frameHeaderLen]byte
-	buf := append((*bp)[:0], hdrZero[:]...)
+	var hdrSpace [frameHeaderMax]byte
+	buf := append((*bp)[:0], hdrSpace[:]...)
 	kind, buf, err := wire.MarshalAppend(buf, payload)
 	*bp = buf
 	if err != nil {
@@ -270,10 +269,7 @@ func (n *Net) Send(from, to transport.NodeID, payload any) {
 		n.drop(to)
 		return
 	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint16(buf[4:6], uint16(kind))
-	binary.LittleEndian.PutUint64(buf[6:14], uint64(int64(from)))
-	binary.LittleEndian.PutUint64(buf[14:22], uint64(int64(to)))
+	start := putFrameHeader(buf, kind, from, to)
 	n.accountSend(from, payload)
 	if n.local[to] {
 		n.deliverLocal(from, to, kind, bp)
@@ -286,7 +282,7 @@ func (n *Net) Send(from, to transport.NodeID, payload any) {
 		n.drop(to)
 		return
 	}
-	if !p.enqueue(frame{kind: kind, from: from, to: to, buf: bp}) {
+	if !p.enqueue(frame{kind: kind, from: from, to: to, buf: bp, start: start}) {
 		putFrameBuf(bp)
 		n.nc.queueDrops.Add(1)
 		n.drop(to)
@@ -298,7 +294,7 @@ func (n *Net) Send(from, to transport.NodeID, payload any) {
 // network traffic. The frame buffer is recycled here: decoders copy
 // everything they retain, so the decoded payload does not alias it.
 func (n *Net) deliverLocal(from, to transport.NodeID, kind wire.Kind, bp *[]byte) {
-	body := (*bp)[frameHeaderLen:]
+	body := (*bp)[frameHeaderMax:]
 	payload, err := wire.Unmarshal(kind, body)
 	size := len(body)
 	putFrameBuf(bp)
@@ -464,8 +460,9 @@ func (n *Net) drop(to transport.NodeID) {
 }
 
 // Stats returns a snapshot of the transport-level counters. Bytes
-// counts real encoded payload bytes over delivered messages (not
-// ApproxSize estimates — the wire is no longer imaginary).
+// counts the encoded bodies of delivered messages — the figure SimNet
+// charges through ApproxSize; NetStats' BytesIn and BytesOut add the
+// frame headers.
 func (n *Net) Stats() transport.Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -37,7 +37,8 @@ func init() {
 				return nil, err
 			}
 			return m, nil
-		})
+		},
+		func(payload any) (int, int) { return 8 + wire.StringLen(payload.(testMsg).S), 0 })
 }
 
 // reserveAddrs grabs n distinct localhost ports by binding and

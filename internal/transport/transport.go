@@ -7,8 +7,8 @@
 //     (internal/sim) with per-link delay, jitter, loss, duplication,
 //     partitions, and crash injection. All experiments use it.
 //     Payloads travel as Go values; the ordering protocols attach their
-//     headers as struct fields, and ApproxSize estimates wire cost for
-//     the traffic-volume experiments.
+//     headers as struct fields, and ApproxSize charges each one the
+//     bytes its wire codec would write.
 //   - tcpnet (internal/transport/tcpnet) carries the same payloads
 //     over real TCP sockets through the internal/wire codec, showing
 //     the protocol code serves as a library outside the simulator.
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"catocs/internal/obs"
+	"catocs/internal/wire"
 )
 
 // NodeID identifies an endpoint on a Network. IDs are small dense
@@ -65,16 +66,18 @@ type Network interface {
 	After(d time.Duration, f func())
 }
 
-// Sizer is implemented by payloads that can report an approximate
-// encoded size in bytes; used by traffic-volume metrics.
+// Sizer is implemented by payloads with no wire codec that can report
+// an approximate encoded size in bytes; used by traffic-volume
+// metrics. A payload with a registered wire kind is sized by its codec
+// instead (see ApproxSize).
 type Sizer interface {
 	ApproxSize() int
 }
 
-// ControlSizer is implemented by payloads that can report how many of
-// their ApproxSize bytes are protocol control metadata (ordering
-// headers, clocks, acknowledgement state) rather than application
-// payload. Pure control messages report their full size.
+// ControlSizer is implemented by unregistered payloads that can report
+// how many of their ApproxSize bytes are protocol control metadata
+// (ordering headers, clocks, acknowledgement state) rather than
+// application payload. Pure control messages report their full size.
 type ControlSizer interface {
 	ControlSize() int
 }
@@ -87,15 +90,29 @@ type ForwardMarker interface {
 	Forwarded() bool
 }
 
-// ControlSize estimates the control-metadata bytes of a payload: its
-// own report if it implements ControlSizer, else its whole ApproxSize —
-// a payload that cannot distinguish application bytes is all header as
-// far as the overhead census is concerned.
+// ControlSize is the control-metadata bytes of a payload: for a
+// registered wire kind, its encoded length minus the application
+// payload; else its own report if it implements ControlSizer, else its
+// whole ApproxSize — a payload that cannot distinguish application
+// bytes is all header as far as the overhead census is concerned.
 func ControlSize(payload any) int {
-	if c, ok := payload.(ControlSizer); ok {
-		return c.ControlSize()
+	_, ctrl := sizes(payload)
+	return ctrl
+}
+
+// sizes returns ApproxSize and ControlSize of payload from one lookup.
+func sizes(payload any) (size, ctrl int) {
+	if n, app, ok := wire.Size(payload); ok {
+		return n, n - app
 	}
-	return ApproxSize(payload)
+	size = 64
+	if s, ok := payload.(Sizer); ok {
+		size = s.ApproxSize()
+	}
+	if c, ok := payload.(ControlSizer); ok {
+		return size, c.ControlSize()
+	}
+	return size, size
 }
 
 // isForwarded reports whether a payload is a relayed copy.
@@ -104,14 +121,13 @@ func isForwarded(payload any) bool {
 	return ok && f.Forwarded()
 }
 
-// ApproxSize estimates the wire size of a payload: its own report if it
-// implements Sizer, else a flat per-message estimate standing in for a
-// small header-only packet.
+// ApproxSize is the wire size of a payload: for a registered wire kind,
+// exactly the body length its codec writes (wire.Size); else its own
+// report if it implements Sizer, else a flat per-message estimate
+// standing in for a small header-only packet.
 func ApproxSize(payload any) int {
-	if s, ok := payload.(Sizer); ok {
-		return s.ApproxSize()
-	}
-	return 64
+	size, _ := sizes(payload)
+	return size
 }
 
 // Stats aggregates network-level counters. SimNet and tcpnet expose
@@ -121,7 +137,7 @@ type Stats struct {
 	Delivered  uint64 // payloads handed to handlers
 	Dropped    uint64 // lost to the loss model, partitions, or crashes
 	Duplicated uint64 // extra copies injected by the duplication model
-	Bytes      uint64 // ApproxSize sum over delivered payloads
+	Bytes      uint64 // encoded body bytes (ApproxSize) over delivered payloads
 	// CtrlBytes is the ControlSize sum over accepted sends: the wire
 	// bytes spent on protocol metadata rather than application payload.
 	// Counted at send time (the sender pays for the header whether or
@@ -155,7 +171,7 @@ type obsSink struct {
 // onWireRecv records a payload's arrival at a node: a trace
 // wire-receive event (when the payload can name its message) and the
 // delivered/bytes registry counters.
-func (s *obsSink) onWireRecv(at time.Duration, to NodeID, payload any) {
+func (s *obsSink) onWireRecv(at time.Duration, to NodeID, payload any, size int) {
 	if s.tracer != nil && s.tracer.WantsWire(payload) {
 		if ref, ok := obs.RefOf(payload); ok {
 			s.tracer.WireRecv(at, int(to), ref)
@@ -163,7 +179,7 @@ func (s *obsSink) onWireRecv(at time.Duration, to NodeID, payload any) {
 	}
 	if s.reg != nil {
 		s.reg.Counter(s.substrate, int(to), "delivered").Inc()
-		s.reg.Counter(s.substrate, int(to), "bytes").Add(uint64(ApproxSize(payload)))
+		s.reg.Counter(s.substrate, int(to), "bytes").Add(uint64(size))
 	}
 }
 
@@ -175,10 +191,9 @@ func (s *obsSink) onDrop(to NodeID) {
 }
 
 // accountSend updates aggregate and per-node counters for one accepted
-// send. Used by SimNet.
-func accountSend(stats *Stats, perNode map[NodeID]*NodeStats, from NodeID, payload any, sink *obsSink) {
+// send of ctrl control bytes. Used by SimNet.
+func accountSend(stats *Stats, perNode map[NodeID]*NodeStats, from NodeID, payload any, ctrl uint64, sink *obsSink) {
 	stats.Sent++
-	ctrl := uint64(ControlSize(payload))
 	stats.CtrlBytes += ctrl
 	fwd := isForwarded(payload)
 	if fwd {

@@ -3,28 +3,34 @@
 // a real network transport (internal/transport/tcpnet) or a durable
 // log can carry them between OS processes.
 //
-// The in-process SimNet hands Go values from sender to handler, so
-// nothing here runs on its hot path. tcpnet calls
-// Marshal at every Send and Unmarshal at every frame receive, which is
-// exactly the end-to-end serialization cost the paper's §3–§5 say an
-// honest scaling measurement must include.
+// The in-process SimNet hands Go values from sender to handler, so it
+// never encodes; it charges each payload the length Size reports, the
+// bytes tcpnet would write. tcpnet calls Marshal at every Send and
+// Unmarshal at every frame receive, which is exactly the end-to-end
+// serialization cost the paper's §3–§5 say an honest scaling
+// measurement must include.
 //
 // Each protocol package registers its own message types (see
 // internal/multicast/wirecodec.go and friends) under a stable 16-bit
-// kind. Encoding follows the conventions established by
+// kind, with a SizeFunc that gives the encoded length by arithmetic.
+// Encoding follows the conventions established by
 // internal/mgcast/codec.go: little-endian, length-prefixed strings and
 // byte slices, every length validated against a guard before
 // allocation, truncated input and trailing garbage rejected. The
-// Writer/Reader helpers here are those conventions packaged for reuse;
-// the Reader carries sticky error state so decoders read straight
-// through and check once.
+// multicast frames, the hot ones, write every integer as an unsigned
+// LEB128 varint. The Writer/Reader helpers here are those conventions
+// packaged for reuse; the Reader carries sticky error state so decoders
+// read straight through and check once.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"math/bits"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind identifies a registered message type on the wire. Kinds are
@@ -58,70 +64,103 @@ type AppendEncodeFunc func(dst []byte, payload any) ([]byte, error)
 // oversized length prefixes, and trailing garbage.
 type DecodeFunc func(buf []byte) (any, error)
 
+// SizeFunc reports, by arithmetic and without encoding, the exact body
+// length n the registered encoder writes for payload, and how many of
+// those bytes are application payload (app); n-app is protocol header.
+// A payload the encoder would reject (an in-process value where the
+// wire wants bytes) is sized as if its declared payload size were
+// bytes, so the simulator can charge it. Every decoder accepts only
+// the canonical encoding, so a decoded value sizes to its frame's
+// length exactly.
+type SizeFunc func(payload any) (n, app int)
+
 // entry is one registered message type.
 type entry struct {
 	kind      Kind
+	name      string // the registered type, for diagnostics
 	enc       EncodeFunc
 	appendEnc AppendEncodeFunc // nil when registered via Register
 	dec       DecodeFunc
+	size      SizeFunc
+}
+
+// registry is an immutable snapshot of the registrations. Register
+// publishes a new copy, so the per-frame lookups take no lock.
+type registry struct {
+	byType map[reflect.Type]*entry
+	byKind map[Kind]*entry
 }
 
 var (
-	regMu  sync.RWMutex
-	byType = make(map[reflect.Type]*entry)
-	byKind = make(map[Kind]*entry)
-	nameOf = make(map[Kind]string)
+	regMu sync.Mutex // serializes Register
+	reg   atomic.Pointer[registry]
 )
 
-// Register installs a codec for the concrete type of zero under kind.
-// Protocol packages call it from init, so any process that links a
-// protocol can frame and parse its traffic. Register panics on a
-// duplicate kind or type: kind collisions are wire-protocol bugs that
-// must fail at process start, not at decode time.
-func Register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc) {
-	t := reflect.TypeOf(zero)
-	if t == nil {
-		panic("wire: Register with untyped nil")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := byKind[kind]; dup {
-		panic(fmt.Sprintf("wire: kind 0x%04x registered twice (%s and %s)", uint16(kind), nameOf[kind], t))
-	}
-	if e, dup := byType[t]; dup {
-		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(e.kind), uint16(kind)))
-	}
-	e := &entry{kind: kind, enc: enc, dec: dec}
-	byType[t] = e
-	byKind[kind] = e
-	nameOf[kind] = t.String()
+func init() {
+	reg.Store(&registry{byType: map[reflect.Type]*entry{}, byKind: map[Kind]*entry{}})
+}
+
+func lookupType(payload any) (*entry, bool) {
+	e, ok := reg.Load().byType[reflect.TypeOf(payload)]
+	return e, ok
+}
+
+func lookupKind(kind Kind) (*entry, bool) {
+	e, ok := reg.Load().byKind[kind]
+	return e, ok
+}
+
+// Register installs a codec and its size model for the concrete type
+// of zero under kind. Protocol packages call it from init, so any
+// process that links a protocol can frame and parse its traffic.
+// Register panics on a duplicate kind or type: kind collisions are
+// wire-protocol bugs that must fail at process start, not at decode
+// time.
+func Register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc) {
+	register(&entry{kind: kind, enc: enc, dec: dec, size: size}, zero)
 }
 
 // RegisterAppend installs an append-style codec for the concrete type
 // of zero under kind; the classic EncodeFunc is derived from it. Same
 // duplicate-detection rules as Register.
-func RegisterAppend(kind Kind, zero any, enc AppendEncodeFunc, dec DecodeFunc) {
-	Register(kind, zero, func(payload any) ([]byte, error) {
-		return enc(nil, payload)
-	}, dec)
+func RegisterAppend(kind Kind, zero any, enc AppendEncodeFunc, dec DecodeFunc, size SizeFunc) {
+	register(&entry{kind: kind, appendEnc: enc, dec: dec, size: size,
+		enc: func(payload any) ([]byte, error) { return enc(nil, payload) }}, zero)
+}
+
+func register(e *entry, zero any) {
+	t := reflect.TypeOf(zero)
+	if t == nil {
+		panic("wire: Register with untyped nil")
+	}
+	if e.size == nil {
+		panic(fmt.Sprintf("wire: kind 0x%04x (%s) registered without a size model", uint16(e.kind), t))
+	}
 	regMu.Lock()
-	byKind[kind].appendEnc = enc
-	regMu.Unlock()
+	defer regMu.Unlock()
+	old := reg.Load()
+	if d, dup := old.byKind[e.kind]; dup {
+		panic(fmt.Sprintf("wire: kind 0x%04x registered twice (%s and %s)", uint16(e.kind), d.name, t))
+	}
+	if d, dup := old.byType[t]; dup {
+		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(d.kind), uint16(e.kind)))
+	}
+	e.name = t.String()
+	next := &registry{byType: maps.Clone(old.byType), byKind: maps.Clone(old.byKind)}
+	next.byType[t] = e
+	next.byKind[e.kind] = e
+	reg.Store(next)
 }
 
 // Registered reports whether payload's concrete type has a codec.
 func Registered(payload any) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := byType[reflect.TypeOf(payload)]
+	_, ok := lookupType(payload)
 	return ok
 }
 
 // Marshal serializes payload under its registered kind.
 func Marshal(payload any) (Kind, []byte, error) {
-	regMu.RLock()
-	e, ok := byType[reflect.TypeOf(payload)]
-	regMu.RUnlock()
+	e, ok := lookupType(payload)
 	if !ok {
 		return 0, nil, fmt.Errorf("wire: no codec registered for %T", payload)
 	}
@@ -138,9 +177,7 @@ func Marshal(payload any) (Kind, []byte, error) {
 // intermediate allocation); Register'd types fall back to encode-then-
 // copy.
 func MarshalAppend(dst []byte, payload any) (Kind, []byte, error) {
-	regMu.RLock()
-	e, ok := byType[reflect.TypeOf(payload)]
-	regMu.RUnlock()
+	e, ok := lookupType(payload)
 	if !ok {
 		return 0, dst, fmt.Errorf("wire: no codec registered for %T", payload)
 	}
@@ -160,21 +197,29 @@ func MarshalAppend(dst []byte, payload any) (Kind, []byte, error) {
 
 // Unmarshal parses a body under kind.
 func Unmarshal(kind Kind, buf []byte) (any, error) {
-	regMu.RLock()
-	e, ok := byKind[kind]
-	regMu.RUnlock()
+	e, ok := lookupKind(kind)
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown kind 0x%04x", uint16(kind))
 	}
 	return e.dec(buf)
 }
 
+// Size returns the registered size model's body length n and
+// application bytes app for payload, or ok=false when its type has no
+// codec. transport.ApproxSize and ControlSize answer from it, so the
+// simulator charges the bytes tcpnet would write.
+func Size(payload any) (n, app int, ok bool) {
+	e, ok := lookupType(payload)
+	if !ok {
+		return 0, 0, false
+	}
+	n, app = e.size(payload)
+	return n, app, true
+}
+
 // EncodedSize returns the exact encoded byte count of payload, or
 // ok=false when its type has no codec (or the value fails to encode).
-// tcpnet does not call it (its byte counters charge the frames it
-// writes); the repo benchmark's trace pass does, to report how far the
-// transport.ApproxSize estimate is from the real encoding
-// (wire.size_model_err_pct).
+// It encodes; Size is the arithmetic answer that must equal it.
 func EncodedSize(payload any) (int, bool) {
 	_, buf, err := Marshal(payload)
 	if err != nil {
@@ -186,10 +231,20 @@ func EncodedSize(payload any) (int, bool) {
 // KindName returns the registered type name for a kind ("" when
 // unknown); diagnostics only.
 func KindName(kind Kind) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return nameOf[kind]
+	if e, ok := lookupKind(kind); ok {
+		return e.name
+	}
+	return ""
 }
+
+// UvarintLen is the length of v's unsigned LEB128 encoding (Uvarint).
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// StringLen is the encoded length of s (String).
+func StringLen(s string) int { return 2 + len(s) }
+
+// BytesVarLen is the encoded length of an n-byte slice (BytesVar).
+func BytesVarLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // Writer accumulates an encoding. The zero value is ready to use; Grow
 // preallocates when the caller knows the size.
@@ -235,7 +290,13 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // Uvarint appends v as an unsigned LEB128 varint (1 byte below 128, at
 // most 10).
-func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *Writer) Uvarint(v uint64) {
+	if v < 0x80 {
+		w.buf = append(w.buf, byte(v))
+		return
+	}
+	w.buf = binary.AppendUvarint(w.buf, v)
+}
 
 // String appends a u16 length prefix and the bytes of s.
 func (w *Writer) String(s string) {
@@ -246,6 +307,12 @@ func (w *Writer) String(s string) {
 // Bytes32 appends a u32 length prefix and b.
 func (w *Writer) Bytes32(b []byte) {
 	w.U32(uint32(len(b)))
+	w.buf = append(w.buf, b...)
+}
+
+// BytesVar appends a uvarint length prefix and b.
+func (w *Writer) BytesVar(b []byte) {
+	w.Uvarint(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
 
@@ -263,6 +330,12 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Err reports whether any read ran past the end of input.
 func (r *Reader) Err() bool { return r.err }
 
+// Fail sets the sticky error: a decoder that finds a value out of
+// range or not in canonical form poisons the reader, and Finish
+// rejects the frame. A failed reader holds no input, so every read
+// after it yields zero.
+func (r *Reader) Fail() { r.err, r.buf = true, nil }
+
 // Rest returns the unconsumed remainder.
 func (r *Reader) Rest() []byte { return r.buf }
 
@@ -273,7 +346,7 @@ func (r *Reader) Done() bool { return !r.err && len(r.buf) == 0 }
 // retaining).
 func (r *Reader) Take(n int) []byte {
 	if r.err || n < 0 || n > len(r.buf) {
-		r.err = true
+		r.Fail()
 		return nil
 	}
 	out := r.buf[:n]
@@ -299,7 +372,7 @@ func (r *Reader) Bool() bool {
 	case 1:
 		return true
 	default:
-		r.err = true
+		r.Fail()
 		return false
 	}
 }
@@ -339,23 +412,72 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // (a trailing zero byte) all set the sticky error, so each value has
 // exactly one accepted encoding.
 func (r *Reader) Uvarint() uint64 {
-	if r.err {
-		return 0
+	if b := r.buf; len(b) > 0 && b[0] < 0x80 { // the common 1-byte value, inline
+		r.buf = b[1:]
+		return uint64(b[0])
 	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
-		r.err = true
+	return r.uvarint()
+}
+
+func (r *Reader) uvarint() uint64 {
+	v, n := uvarint(r.buf)
+	if n == 0 {
+		r.Fail()
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
 }
 
+// uvarint decodes the canonical varint at the head of b and its length,
+// or n=0 when b does not start with one.
+func uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// Uvarints fills dst with consecutive Uvarint values in one pass over
+// the input — a clock's entries, or a run of header fields — the short
+// ones decoded inline.
+func (r *Reader) Uvarints(dst []uint64) {
+	b := r.buf
+	for i := range dst {
+		if len(b) >= 3 { // 1- to 3-byte entries inline: counters below 2^21
+			b0, b1, b2 := uint64(b[0]), uint64(b[1]), uint64(b[2])
+			switch {
+			case b0 < 0x80:
+				dst[i], b = b0, b[1:]
+				continue
+			case b1 < 0x80 && b1 != 0:
+				dst[i], b = b0&0x7f|b1<<7, b[2:]
+				continue
+			case b1 >= 0x80 && b2 < 0x80 && b2 != 0:
+				dst[i], b = b0&0x7f|(b1&0x7f)<<7|b2<<14, b[3:]
+				continue
+			}
+		}
+		v, n := uvarint(b)
+		if n == 0 {
+			r.Fail()
+			break
+		}
+		dst[i], b = v, b[n:]
+	}
+	if r.err {
+		clear(dst)
+		return
+	}
+	r.buf = b
+}
+
 // String consumes a u16-length-prefixed string, guarded by max bytes.
 func (r *Reader) String(max int) string {
 	n := int(r.U16())
 	if n > max {
-		r.err = true
+		r.Fail()
 		return ""
 	}
 	return string(r.Take(n))
@@ -366,13 +488,31 @@ func (r *Reader) String(max int) string {
 func (r *Reader) Bytes32(max int) []byte {
 	n := int(r.U32())
 	if n > max {
-		r.err = true
+		r.Fail()
 		return nil
 	}
 	if n == 0 {
 		return nil
 	}
 	b := r.Take(n)
+	if b == nil {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// BytesVar consumes a uvarint-length-prefixed byte slice (copied, not
+// aliased), guarded by max bytes. A zero length yields nil.
+func (r *Reader) BytesVar(max int) []byte {
+	n := r.Uvarint()
+	if n > uint64(max) {
+		r.Fail()
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	b := r.Take(int(n))
 	if b == nil {
 		return nil
 	}

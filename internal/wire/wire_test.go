@@ -33,6 +33,10 @@ func init() {
 				return nil, err
 			}
 			return m, nil
+		},
+		func(payload any) (int, int) {
+			m := payload.(localMsg)
+			return 8 + wire.StringLen(m.B) + 4 + len(m.C), len(m.C)
 		})
 }
 
@@ -169,4 +173,68 @@ func TestReaderBoolRejectsJunk(t *testing.T) {
 	if !r.Err() {
 		t.Fatal("Bool accepted flag byte 2")
 	}
+}
+
+// TestUvarintEveryLength decodes a value at each boundary of each
+// encoded length, alone and followed by more input (the unrolled
+// short-value paths need four bytes in hand), through Uvarint and
+// Uvarints, and checks UvarintLen against the encoding.
+func TestUvarintEveryLength(t *testing.T) {
+	var vals []uint64
+	for k := 1; k < 64; k += 7 {
+		vals = append(vals, 1<<k-1, 1<<k) // the largest k-bit value and the next
+	}
+	vals = append(vals, 0, 1<<64-1)
+	for _, v := range vals {
+		var w wire.Writer
+		w.Uvarint(v)
+		enc := w.Bytes()
+		if n := wire.UvarintLen(v); n != len(enc) {
+			t.Fatalf("UvarintLen(%d) = %d, encoding has %d bytes", v, n, len(enc))
+		}
+		for _, tail := range [][]byte{nil, {1, 2, 3, 4, 5, 6, 7, 8}} {
+			buf := append(append([]byte(nil), enc...), tail...)
+			r := wire.NewReader(buf)
+			if got := r.Uvarint(); got != v || r.Err() || len(r.Rest()) != len(tail) {
+				t.Fatalf("Uvarint of %x = %d (err %v, %d left), want %d", buf, got, r.Err(), len(r.Rest()), v)
+			}
+			dst := make([]uint64, 1)
+			r = wire.NewReader(buf)
+			if r.Uvarints(dst); dst[0] != v || r.Err() || len(r.Rest()) != len(tail) {
+				t.Fatalf("Uvarints of %x = %d (err %v), want %d", buf, dst[0], r.Err(), v)
+			}
+			// The same value padded with a trailing zero byte is rejected.
+			pad := append(append(append([]byte(nil), enc...), 0), tail...)
+			pad[len(enc)-1] |= 0x80
+			if len(enc) < 10 {
+				if r := wire.NewReader(pad); r.Uvarint() != 0 || !r.Err() {
+					t.Fatalf("padded %x accepted by Uvarint", pad)
+				}
+				r := wire.NewReader(pad)
+				if r.Uvarints(dst); !r.Err() || dst[0] != 0 {
+					t.Fatalf("padded %x accepted by Uvarints", pad)
+				}
+			}
+		}
+	}
+}
+
+func TestSizeModel(t *testing.T) {
+	m := localMsg{A: 1, B: "abc", C: []byte{9, 8}}
+	n, app, ok := wire.Size(m)
+	_, buf, _ := wire.Marshal(m)
+	if !ok || n != len(buf) || app != 2 {
+		t.Fatalf("Size = %d, %d, %v; want %d, 2, true", n, app, ok, len(buf))
+	}
+	if _, _, ok := wire.Size(struct{ Q int }{}); ok {
+		t.Fatal("Size ok for an unregistered type")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a kind without a size model did not panic")
+		}
+	}()
+	type unsized struct{}
+	wire.Register(0xF001, unsized{}, func(any) ([]byte, error) { return nil, nil },
+		func([]byte) (any, error) { return unsized{}, nil }, nil)
 }

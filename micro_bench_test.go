@@ -161,6 +161,43 @@ func BenchmarkWireEncodeDataMsg(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeDataMsg measures the decode of a delta-stamped
+// data message as an atomic-mode cast puts it on the wire: a sequence
+// around 10^6, a send time around 30 s, a two-entry clock delta, the
+// piggybacked stability clock and a 64 B payload — the tcpnet receive
+// path.
+func BenchmarkWireDecodeDataMsg(b *testing.B) {
+	for _, n := range []int{3, 32} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			msg := &multicast.DataMsg{
+				Group:       "bench",
+				Epoch:       3,
+				Sender:      1,
+				Seq:         1_000_042,
+				SentAt:      30*time.Second + 123*time.Microsecond,
+				VCDelta:     []vclock.DeltaEntry{{Idx: 0, Val: 999_871}, {Idx: 1, Val: 1_000_042}},
+				DeliveredVC: vclock.New(n),
+				Payload:     make([]byte, 64),
+				PayloadSize: 64,
+			}
+			for i := 0; i < n; i++ {
+				msg.DeliveredVC.Set(vclock.ProcessID(i), uint64(999_000+i))
+			}
+			kind, buf, err := wire.Marshal(msg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := wire.Unmarshal(kind, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkStabilityObserveAck(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
