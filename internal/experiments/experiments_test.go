@@ -352,6 +352,12 @@ func TestE16ConstantVsLinearMetadata(t *testing.T) {
 		t.Fatalf("scalecast (%.1f B/pkt) should be well under cbcast (%.1f B/pkt) at N=128",
 			sc128.CtrlBytesPerPkt, cb128.CtrlBytesPerPkt)
 	}
+	// Below the crossover (N≈40) it is the other way round: at N=8 the
+	// varint clock is the smaller header.
+	if cb8.CtrlBytesPerPkt >= sc8.CtrlBytesPerPkt {
+		t.Fatalf("cbcast (%.1f B/pkt) should be under scalecast (%.1f B/pkt) at N=8",
+			cb8.CtrlBytesPerPkt, sc8.CtrlBytesPerPkt)
+	}
 	tab := TableE16([]int{8}, 2, 1)
 	if len(tab.Rows) != 2 || len(tab.Headers) != 10 {
 		t.Fatal("E16 table malformed")

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"catocs/internal/vclock"
@@ -62,27 +61,6 @@ func init() {
 	wire.RegisterAppend(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack, sizeOrderNack)
 	wire.RegisterAppend(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
 	wire.RegisterAppend(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg, sizeOrderBatchMsg)
-}
-
-// lastGroup is the group name decoded last. A member hears one group
-// (or a few) on every frame, so handing back the same string spares
-// each decode an allocation.
-var lastGroup atomic.Pointer[string]
-
-// readGroup consumes the u16-prefixed group name (wire.Reader.String).
-func readGroup(r *wire.Reader) string {
-	n := int(r.U16())
-	if n > wireMaxGroup {
-		r.Fail()
-		return ""
-	}
-	b := r.Take(n)
-	if p := lastGroup.Load(); p != nil && *p == string(b) {
-		return *p
-	}
-	g := string(b)
-	lastGroup.Store(&g)
-	return g
 }
 
 // uv is the varint length of a signed value sent as its bit pattern.
@@ -324,7 +302,7 @@ func decDataMsg(buf []byte) (any, error) {
 // form: a presence flag over an empty field or a zero incarnation, a
 // full clock and a delta together, an incarnation past 32 bits.
 func readDataMsg(r *wire.Reader) (*DataMsg, error) {
-	group := readGroup(r)
+	group := r.String(wireMaxGroup)
 	var h [5]uint64 // epoch, sender, seq, send time, payload size
 	r.Uvarints(h[:])
 	m := &DataMsg{
@@ -392,7 +370,7 @@ func sizeOrderBatchMsg(payload any) (int, int) {
 func decOrderBatchMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &OrderBatchMsg{
-		Group:       readGroup(r),
+		Group:       r.String(wireMaxGroup),
 		Epoch:       r.Uvarint(),
 		FirstGlobal: r.Uvarint(),
 	}
@@ -424,7 +402,7 @@ func sizeAckMsg(payload any) (int, int) {
 func decAckMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &AckMsg{
-		Group:   readGroup(r),
+		Group:   r.String(wireMaxGroup),
 		Epoch:   r.Uvarint(),
 		From:    vclock.ProcessID(int64(r.Uvarint())),
 		Settled: r.Bool(),
@@ -492,7 +470,7 @@ func sizeNackMsg(payload any) (int, int) {
 func decNackMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &NackMsg{
-		Group: readGroup(r),
+		Group: r.String(wireMaxGroup),
 		Epoch: r.Uvarint(),
 		From:  vclock.ProcessID(int64(r.Uvarint())),
 	}
@@ -525,7 +503,7 @@ func sizeOrderNack(payload any) (int, int) {
 func decOrderNack(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &OrderNack{
-		Group:      readGroup(r),
+		Group:      r.String(wireMaxGroup),
 		Epoch:      r.Uvarint(),
 		From:       vclock.ProcessID(int64(r.Uvarint())),
 		FromGlobal: r.Uvarint(),
@@ -570,7 +548,7 @@ func sizeRetransMsg(payload any) (int, int) {
 func decRetransMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := &RetransMsg{
-		Group: readGroup(r),
+		Group: r.String(wireMaxGroup),
 		Epoch: r.Uvarint(),
 	}
 	if n := r.Uvarint(); n != uint64(len(r.Rest())) {

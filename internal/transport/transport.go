@@ -74,14 +74,6 @@ type Sizer interface {
 	ApproxSize() int
 }
 
-// ControlSizer is implemented by unregistered payloads that can report
-// how many of their ApproxSize bytes are protocol control metadata
-// (ordering headers, clocks, acknowledgement state) rather than
-// application payload. Pure control messages report their full size.
-type ControlSizer interface {
-	ControlSize() int
-}
-
 // ForwardMarker is implemented by payloads that may be relayed on
 // behalf of another origin (overlay dissemination). A payload reporting
 // Forwarded() == true counts against the relaying node's forwarded-
@@ -92,9 +84,9 @@ type ForwardMarker interface {
 
 // ControlSize is the control-metadata bytes of a payload: for a
 // registered wire kind, its encoded length minus the application
-// payload; else its own report if it implements ControlSizer, else its
-// whole ApproxSize — a payload that cannot distinguish application
-// bytes is all header as far as the overhead census is concerned.
+// payload; else its whole ApproxSize — a payload without a codec
+// cannot distinguish application bytes, so it is all header as far as
+// the overhead census is concerned.
 func ControlSize(payload any) int {
 	_, ctrl := sizes(payload)
 	return ctrl
@@ -108,9 +100,6 @@ func sizes(payload any) (size, ctrl int) {
 	size = 64
 	if s, ok := payload.(Sizer); ok {
 		size = s.ApproxSize()
-	}
-	if c, ok := payload.(ControlSizer); ok {
-		return size, c.ControlSize()
 	}
 	return size, size
 }

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"catocs/internal/sim"
+	"catocs/internal/wire"
 )
 
 func TestSimNetBasicDelivery(t *testing.T) {
@@ -210,16 +212,26 @@ func TestApproxSize(t *testing.T) {
 }
 
 // ctrlPayload is a test payload with distinct payload and control
-// bytes plus a forwarded marker.
+// bytes plus a forwarded marker. Its wire kind, far from any
+// production range, reports the split through its size model; the
+// codec itself is never called.
 type ctrlPayload struct {
 	payload int
 	control int
 	relayed bool
 }
 
-func (p ctrlPayload) ApproxSize() int  { return p.payload + p.control }
-func (p ctrlPayload) ControlSize() int { return p.control }
-func (p ctrlPayload) Forwarded() bool  { return p.relayed }
+func (p ctrlPayload) Forwarded() bool { return p.relayed }
+
+func init() {
+	wire.Register(0xF200, ctrlPayload{},
+		func(any) ([]byte, error) { return nil, errors.New("ctrlPayload: not encodable") },
+		func([]byte) (any, error) { return nil, errors.New("ctrlPayload: not decodable") },
+		func(payload any) (n, app int) {
+			p := payload.(ctrlPayload)
+			return p.payload + p.control, p.payload
+		})
+}
 
 func TestSimNetControlAndForwardCounters(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -227,7 +239,7 @@ func TestSimNetControlAndForwardCounters(t *testing.T) {
 	n.Register(1, func(NodeID, any) {})
 	n.Send(0, 1, ctrlPayload{payload: 100, control: 24})
 	n.Send(0, 1, ctrlPayload{payload: 100, control: 24, relayed: true})
-	n.Send(2, 1, "opaque") // no ControlSizer: all 64 estimate bytes are control
+	n.Send(2, 1, "opaque") // no codec: all 64 estimate bytes are control
 	k.Run()
 
 	st := n.Stats()
