@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet build test race smoke experiments profile
+.PHONY: verify vet build test race smoke fuzz experiments profile
 
 verify: vet build test race smoke
 
@@ -35,6 +35,16 @@ smoke:
 	$(GO) run ./cmd/chaos -churn -n 8 -episodes 50 -seed 7
 	$(GO) run ./cmd/chaos -churn -n 8 -episodes 300 -seed 1
 	$(GO) run ./bench -smoke -workload all
+
+# fuzz attacks every registered codec's parse path for 10 s each: the
+# multicast, scalecast and pubsub kinds and the four mgcast kinds. Each
+# fuzzer checks that what decodes re-encodes to its own frame and that
+# the size model charges exactly its length. Not part of verify.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/multicast
+	$(GO) test -run '^$$' -fuzz '^FuzzScalecastWireDecode$$' -fuzztime 10s ./internal/scalecast
+	$(GO) test -run '^$$' -fuzz '^FuzzPubsubWireDecode$$' -fuzztime 10s ./internal/pubsub
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/mgcast
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -33,7 +33,7 @@ type E16Point struct {
 	// CtrlBytesPerPkt is wire control bytes per packet sent, as the
 	// codecs write them: CBCAST's varint vector-clock header (about one
 	// byte per member while counters stay below 128) vs scalecast's
-	// constant fixed-width link+flood header.
+	// constant varint link+flood header.
 	CtrlBytesPerPkt float64 `json:"ctrl_bytes_per_pkt"`
 	// CtrlBytesPerDelivery is total wire control bytes per application
 	// delivery — the full metadata price including scalecast's
@@ -246,7 +246,7 @@ func TableE16(sizes []int, msgsPer int, seed int64) *Table {
 	t.Notes = append(t.Notes,
 		"CBCAST runs non-atomic (pure vector-clock causal); atomic stability adds the O(N) buffering E6 measures",
 		"scalecast trades headers for hops: constant ctrl B/pkt, more wire msgs (flood redundancy), higher latency (multi-hop)",
-		"bytes are the codecs' exact encodings: CBCAST's clock entries are varints (1 B below 128), scalecast's header is fixed-width, so at these counters CBCAST's header is the smaller one up to N≈40",
+		"bytes are the codecs' exact encodings, both varint: CBCAST's clock costs about 1 B per member (counters below 128), scalecast's header about 20 B at any N, so scalecast's is the smaller header from N=8 up",
 		"lossless links: steady-state metadata is the subject; loss-recovery buffering is E6's")
 	return t
 }

@@ -346,17 +346,16 @@ func TestE16ConstantVsLinearMetadata(t *testing.T) {
 		t.Fatalf("scalecast ctrl/pkt not constant: %.1f -> %.1f",
 			sc8.CtrlBytesPerPkt, sc128.CtrlBytesPerPkt)
 	}
-	// And at N=128 the fixed-width flood header is far below the
-	// vclock one.
+	// And at N=128 the flood header is far below the vclock one.
 	if sc128.CtrlBytesPerPkt*2 > cb128.CtrlBytesPerPkt {
 		t.Fatalf("scalecast (%.1f B/pkt) should be well under cbcast (%.1f B/pkt) at N=128",
 			sc128.CtrlBytesPerPkt, cb128.CtrlBytesPerPkt)
 	}
-	// Below the crossover (N≈40) it is the other way round: at N=8 the
-	// varint clock is the smaller header.
-	if cb8.CtrlBytesPerPkt >= sc8.CtrlBytesPerPkt {
-		t.Fatalf("cbcast (%.1f B/pkt) should be under scalecast (%.1f B/pkt) at N=8",
-			cb8.CtrlBytesPerPkt, sc8.CtrlBytesPerPkt)
+	// Both headers are varint-encoded, so there is no crossover: even at
+	// N=8 the flood header is the smaller one.
+	if sc8.CtrlBytesPerPkt >= cb8.CtrlBytesPerPkt {
+		t.Fatalf("scalecast (%.1f B/pkt) should be under cbcast (%.1f B/pkt) at N=8",
+			sc8.CtrlBytesPerPkt, cb8.CtrlBytesPerPkt)
 	}
 	tab := TableE16([]int{8}, 2, 1)
 	if len(tab.Rows) != 2 || len(tab.Headers) != 10 {

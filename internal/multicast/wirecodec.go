@@ -28,7 +28,7 @@ import (
 // presence flag only with a non-empty field — so a decoded message's
 // size model equals its frame length exactly.
 //
-// All encoders are append-style (wire.RegisterAppend): they extend a
+// Like every wire.Register encoder they are append-style: they extend a
 // caller-supplied buffer — tcpnet's pooled frame bodies — so the
 // steady-state encode path allocates nothing.
 
@@ -51,16 +51,16 @@ const (
 )
 
 func init() {
-	wire.RegisterAppend(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg, sizeDataMsg)
+	wire.Register(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg, sizeDataMsg)
 	// KindMulticast+1 carried single order assignments, now answered in
 	// runs; +2 and +3 carried the retired agreement mode's proposals and
 	// commits (agreement order lives in internal/mgcast). All three stay
 	// unassigned so such a frame is rejected, not misread.
-	wire.RegisterAppend(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg, sizeAckMsg)
-	wire.RegisterAppend(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg, sizeNackMsg)
-	wire.RegisterAppend(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack, sizeOrderNack)
-	wire.RegisterAppend(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
-	wire.RegisterAppend(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg, sizeOrderBatchMsg)
+	wire.Register(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg, sizeAckMsg)
+	wire.Register(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg, sizeNackMsg)
+	wire.Register(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack, sizeOrderNack)
+	wire.Register(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
+	wire.Register(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg, sizeOrderBatchMsg)
 }
 
 // uv is the varint length of a signed value sent as its bit pattern.

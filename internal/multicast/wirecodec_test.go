@@ -379,7 +379,7 @@ func TestOrderBatchRejectsOversizedCount(t *testing.T) {
 	if _, _, err := wire.Marshal(big); err == nil {
 		t.Fatalf("Marshal of a %d-id run succeeded", len(big.IDs))
 	}
-	w := wire.NewWriter(0)
+	w := wire.NewAppendWriter(nil)
 	w.String("g")
 	w.Uvarint(0)
 	w.Uvarint(1)

@@ -23,25 +23,32 @@ func init() {
 	wire.Register(wire.KindPubsub+0, pubMsg{}, encPubMsg, decPubMsg, func(p any) (int, int) {
 		m := p.(pubMsg)
 		v := valueLen(m.Value)
-		return wire.StringLen(m.Subject) + 8 + 8 + 1 + 8 + 8 + 4 + v, v
+		return wire.StringLen(m.Subject) + uv(int64(m.Publisher)) + wire.UvarintLen(m.Seq) + 1 +
+			uv(int64(m.ReplyTo)) + wire.UvarintLen(m.ReplyID) + wire.BytesVarLen(v), v
 	})
 	wire.Register(wire.KindPubsub+1, replyMsg{}, encReplyMsg, decReplyMsg, func(p any) (int, int) {
-		v := valueLen(p.(replyMsg).Value)
-		return 8 + 4 + v, v
+		m := p.(replyMsg)
+		v := valueLen(m.Value)
+		return wire.UvarintLen(m.ReplyID) + wire.BytesVarLen(v), v
 	})
 	wire.Register(wire.KindPubsub+2, syncReq{}, encSyncReq, decSyncReq, func(p any) (int, int) {
-		return wire.StringLen(p.(syncReq).Pattern) + 8, 0
+		m := p.(syncReq)
+		return wire.StringLen(m.Pattern) + uv(int64(m.From)), 0
 	})
 	wire.Register(wire.KindPubsub+3, syncReply{}, encSyncReply, decSyncReply, func(p any) (int, int) {
-		n, app := 4, 0
-		for _, ev := range p.(syncReply).Events {
+		evs := p.(syncReply).Events
+		n, app := wire.UvarintLen(uint64(len(evs))), 0
+		for _, ev := range evs {
 			v := valueLen(ev.Value)
-			n += wire.StringLen(ev.Subject) + 8 + 8 + 4 + v
+			n += wire.StringLen(ev.Subject) + uv(int64(ev.Publisher)) + wire.UvarintLen(ev.Seq) + wire.BytesVarLen(v)
 			app += v
 		}
 		return n, app
 	})
 }
+
+// uv is the varint length of a signed value sent as its bit pattern.
+func uv(v int64) int { return wire.UvarintLen(uint64(v)) }
 
 // valueLen is the application byte count of a value: exact for the
 // []byte values the codec carries, a string's bytes for the in-process
@@ -70,7 +77,7 @@ func valueBytes(v any) ([]byte, error) {
 	}
 }
 
-func encPubMsg(payload any) ([]byte, error) {
+func encPubMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(pubMsg)
 	body, err := valueBytes(m.Value)
 	if err != nil {
@@ -79,29 +86,35 @@ func encPubMsg(payload any) ([]byte, error) {
 	if len(m.Subject) > psMaxSubject {
 		return nil, fmt.Errorf("pubsub: subject %d bytes exceeds wire limit %d", len(m.Subject), psMaxSubject)
 	}
-	w := wire.NewWriter(48 + len(m.Subject) + len(body))
+	w := wire.NewAppendWriter(dst)
 	w.String(m.Subject)
-	w.I64(int64(m.Publisher))
-	w.U64(m.Seq)
+	w.Uvarint(uint64(int64(m.Publisher)))
+	w.Uvarint(m.Seq)
 	w.Bool(m.Reply)
-	w.I64(int64(m.ReplyTo))
-	w.U64(m.ReplyID)
-	w.Bytes32(body)
+	w.Uvarint(uint64(int64(m.ReplyTo)))
+	w.Uvarint(m.ReplyID)
+	w.BytesVar(body)
 	return w.Bytes(), nil
+}
+
+// readValue reads a varint-prefixed value; empty is nil.
+func readValue(r *wire.Reader) any {
+	if b := r.BytesVar(psMaxValue); b != nil {
+		return b
+	}
+	return nil
 }
 
 func decPubMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	m := pubMsg{
 		Subject:   r.String(psMaxSubject),
-		Publisher: transport.NodeID(r.I64()),
-		Seq:       r.U64(),
+		Publisher: transport.NodeID(r.Uvarint()),
+		Seq:       r.Uvarint(),
 		Reply:     r.Bool(),
-		ReplyTo:   transport.NodeID(r.I64()),
-		ReplyID:   r.U64(),
-	}
-	if b := r.Bytes32(psMaxValue); b != nil {
-		m.Value = b
+		ReplyTo:   transport.NodeID(r.Uvarint()),
+		ReplyID:   r.Uvarint(),
+		Value:     readValue(r),
 	}
 	if err := r.Finish("pubsub.pubMsg"); err != nil {
 		return nil, err
@@ -109,57 +122,54 @@ func decPubMsg(buf []byte) (any, error) {
 	return m, nil
 }
 
-func encReplyMsg(payload any) ([]byte, error) {
+func encReplyMsg(dst []byte, payload any) ([]byte, error) {
 	m := payload.(replyMsg)
 	body, err := valueBytes(m.Value)
 	if err != nil {
 		return nil, err
 	}
-	w := wire.NewWriter(16 + len(body))
-	w.U64(m.ReplyID)
-	w.Bytes32(body)
+	w := wire.NewAppendWriter(dst)
+	w.Uvarint(m.ReplyID)
+	w.BytesVar(body)
 	return w.Bytes(), nil
 }
 
 func decReplyMsg(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	m := replyMsg{ReplyID: r.U64()}
-	if b := r.Bytes32(psMaxValue); b != nil {
-		m.Value = b
-	}
+	m := replyMsg{ReplyID: r.Uvarint(), Value: readValue(r)}
 	if err := r.Finish("pubsub.replyMsg"); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func encSyncReq(payload any) ([]byte, error) {
+func encSyncReq(dst []byte, payload any) ([]byte, error) {
 	m := payload.(syncReq)
 	if len(m.Pattern) > psMaxSubject {
 		return nil, fmt.Errorf("pubsub: pattern %d bytes exceeds wire limit %d", len(m.Pattern), psMaxSubject)
 	}
-	w := wire.NewWriter(16 + len(m.Pattern))
+	w := wire.NewAppendWriter(dst)
 	w.String(m.Pattern)
-	w.I64(int64(m.From))
+	w.Uvarint(uint64(int64(m.From)))
 	return w.Bytes(), nil
 }
 
 func decSyncReq(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	m := syncReq{Pattern: r.String(psMaxSubject), From: transport.NodeID(r.I64())}
+	m := syncReq{Pattern: r.String(psMaxSubject), From: transport.NodeID(r.Uvarint())}
 	if err := r.Finish("pubsub.syncReq"); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func encSyncReply(payload any) ([]byte, error) {
+func encSyncReply(dst []byte, payload any) ([]byte, error) {
 	m := payload.(syncReply)
 	if len(m.Events) > psMaxEvents {
 		return nil, fmt.Errorf("pubsub: sync reply of %d events exceeds wire limit %d", len(m.Events), psMaxEvents)
 	}
-	w := wire.NewWriter(8 + 48*len(m.Events))
-	w.U32(uint32(len(m.Events)))
+	w := wire.NewAppendWriter(dst)
+	w.Uvarint(uint64(len(m.Events)))
 	for _, ev := range m.Events {
 		body, err := valueBytes(ev.Value)
 		if err != nil {
@@ -169,35 +179,30 @@ func encSyncReply(payload any) ([]byte, error) {
 			return nil, fmt.Errorf("pubsub: subject %d bytes exceeds wire limit %d", len(ev.Subject), psMaxSubject)
 		}
 		w.String(ev.Subject)
-		w.I64(int64(ev.Publisher))
-		w.U64(ev.Seq)
-		w.Bytes32(body)
+		w.Uvarint(uint64(int64(ev.Publisher)))
+		w.Uvarint(ev.Seq)
+		w.BytesVar(body)
 	}
 	return w.Bytes(), nil
 }
 
 func decSyncReply(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	n := int(r.U32())
-	if n > psMaxEvents {
-		return nil, fmt.Errorf("pubsub: sync reply of %d events exceeds wire limit %d", n, psMaxEvents)
-	}
+	// Each event takes at least five bytes, so the bytes left bound the
+	// count before it sizes the slice.
+	n := r.Uvarint()
 	var m syncReply
-	if n > 0 {
-		m.Events = make([]Event, 0, min(n, 1024))
-		for i := 0; i < n; i++ {
-			ev := Event{
+	if n > psMaxEvents || n > uint64(len(r.Rest())/5) {
+		r.Fail()
+	} else if n > 0 {
+		m.Events = make([]Event, n)
+		for i := range m.Events {
+			m.Events[i] = Event{
 				Subject:   r.String(psMaxSubject),
-				Publisher: transport.NodeID(r.I64()),
-				Seq:       r.U64(),
+				Publisher: transport.NodeID(r.Uvarint()),
+				Seq:       r.Uvarint(),
+				Value:     readValue(r),
 			}
-			if b := r.Bytes32(psMaxValue); b != nil {
-				ev.Value = b
-			}
-			if r.Err() {
-				break
-			}
-			m.Events = append(m.Events, ev)
 		}
 	}
 	if err := r.Finish("pubsub.syncReply"); err != nil {

@@ -1,7 +1,11 @@
 package pubsub
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"catocs/internal/transport"
@@ -86,6 +90,100 @@ func TestPubsubWireRejectsTruncation(t *testing.T) {
 func TestPubsubWireRejectsNonByteValue(t *testing.T) {
 	if _, _, err := wire.Marshal(pubMsg{Subject: "s", Value: 42}); err == nil {
 		t.Fatal("Marshal of int value succeeded; the wire form is bytes")
+	}
+}
+
+// TestPubsubWireGoldenBytes pins the varint encoding of every pubsub
+// kind: u16-prefixed subjects and patterns, every integer an unsigned
+// LEB128 varint (a node id as its int64 bit pattern), the reply flag
+// byte, and varint-prefixed values; a sync reply is an event count and
+// the events.
+func TestPubsubWireGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		msg  any
+		hex  string
+	}{
+		{"publication", pubMsg{Subject: "px", Publisher: 3, Seq: 300, Value: []byte("hi")},
+			"02007078" + "03" + "ac02" + "00" + "00" + "00" + "026869"},
+		{"request", pubMsg{Subject: "q", Publisher: -1, Seq: 1, Reply: true, ReplyTo: 1, ReplyID: 9},
+			"010071" + "ffffffffffffffffff01" + "01" + "01" + "01" + "09" + "00"},
+		{"reply", replyMsg{ReplyID: 9, Value: []byte("ans")}, "09" + "03616e73"},
+		{"sync request", syncReq{Pattern: "p.>", From: 5}, "0300702e3e" + "05"},
+		{"sync reply", syncReply{Events: []Event{
+			{Subject: "a", Publisher: 3, Seq: 44, Value: []byte("1")},
+			{Subject: "b", Publisher: 2, Seq: 7},
+		}}, "02" + "010061" + "03" + "2c" + "0131" + "010062" + "02" + "07" + "00"},
+		{"empty sync reply", syncReply{}, "00"},
+	} {
+		kind, buf, err := wire.Marshal(c.msg)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(buf); got != c.hex {
+			t.Fatalf("%s encodes as\n %s, want\n %s", c.name, got, c.hex)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil || !reflect.DeepEqual(out, c.msg) {
+			t.Fatalf("%s: round trip gave %+v, %v", c.name, out, err)
+		}
+		if n := transport.ApproxSize(out); n != len(buf) {
+			t.Fatalf("%s: size model %d B, encoding %d B", c.name, n, len(buf))
+		}
+	}
+}
+
+// TestPubsubWireRejectsNonCanonical: each value has one accepted
+// encoding, so a decoded message sizes to its frame. A reply flag other
+// than 0 or 1 and a padded varint must not decode.
+func TestPubsubWireRejectsNonCanonical(t *testing.T) {
+	for name, c := range map[string]struct {
+		kind wire.Kind
+		hex  string
+	}{
+		"reply flag 2":       {0, "010071" + "01" + "01" + "02" + "00" + "00" + "00"},
+		"padded seq":         {0, "010071" + "01" + "8100" + "00" + "00" + "00" + "00"},
+		"padded value len":   {1, "09" + "8000"},
+		"padded from":        {2, "010071" + "8500"},
+		"padded event count": {3, "8000"},
+	} {
+		buf, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wire.Unmarshal(wire.KindPubsub+c.kind, buf); err == nil {
+			t.Errorf("%s: %x decoded as %+v", name, buf, m)
+		}
+	}
+}
+
+// TestPubsubDecodeAllocationBounded: a short frame whose event count
+// or value length claims the wire limit is rejected without allocating
+// for it. Every event takes at least five bytes, so the bytes left
+// bound the slice.
+func TestPubsubDecodeAllocationBounded(t *testing.T) {
+	uv := func(v uint64) string { return fmt.Sprintf("%x", binary.AppendUvarint(nil, v)) }
+	for name, c := range map[string]struct {
+		kind wire.Kind
+		hex  string
+	}{
+		"events": {3, uv(psMaxEvents) + "0000" + "01" + "01" + "00"},
+		"value":  {1, "09" + uv(psMaxValue) + "00"},
+	} {
+		buf, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = wire.Unmarshal(wire.KindPubsub+c.kind, buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a %d-byte frame claiming the wire limit decoded", name, len(buf))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d B", name, len(buf), got)
+		}
 	}
 }
 

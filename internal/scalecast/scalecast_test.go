@@ -212,14 +212,14 @@ func TestPartitionHeal(t *testing.T) {
 func TestConstantControlMetadata(t *testing.T) {
 	// The headline property: per-message wire control bytes do not grow
 	// with the group. Compare a scalecast data packet against CBCAST's
-	// DataMsg at N=8 and N=512. Both are the codec's exact bytes: the
-	// packet's fixed-width header is 55 B whatever the group, while
-	// every clock entry costs CBCAST at least one varint byte.
+	// DataMsg at N=8 and N=512. Both are the codec's exact bytes, both
+	// varint-encoded: the packet's header is 14 B whatever the group,
+	// while every clock entry costs CBCAST at least one byte.
 	for _, n := range []int{8, 512} {
 		fm := &FloodMsg{Group: "g", Origin: 3, Seq: 9, PayloadSize: 100}
 		pkt := &LinkPacket{Group: "g", Session: 1, Seq: 4, Msg: fm}
-		if got := transport.ControlSize(pkt); got != 55 {
-			t.Fatalf("n=%d: scalecast packet control bytes = %d, want 55", n, got)
+		if got := transport.ControlSize(pkt); got != 14 {
+			t.Fatalf("n=%d: scalecast packet control bytes = %d, want 14", n, got)
 		}
 		vc := make(vclock.VC, n)
 		dm := &multicast.DataMsg{Group: "g", VC: vc, PayloadSize: 100}

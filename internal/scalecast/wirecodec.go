@@ -2,7 +2,7 @@ package scalecast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"catocs/internal/transport"
@@ -17,6 +17,12 @@ import (
 // (barrierPayload), which gets its own tag byte: the barrier is
 // protocol traffic that must survive serialization for reconfiguration
 // to work across processes.
+//
+// After the group name every integer is an unsigned LEB128 varint, a
+// node id or send time as its int64 bit pattern, as in the multicast
+// frames; a payload carries a varint length. Decoders accept only the
+// canonical encoding (a barrier's cut lists its origins strictly
+// ascending), so a decoded message sizes to its frame exactly.
 
 const (
 	scMaxGroup   = 1 << 10 // group name bytes
@@ -33,38 +39,50 @@ const (
 
 func init() {
 	wire.Register(wire.KindScalecast+0, &LinkPacket{}, encLinkPacket, decLinkPacket, sizeLinkPacket)
-	wire.Register(wire.KindScalecast+1, &LinkAck{}, encLinkAck, decLinkAck,
-		func(p any) (int, int) { return wire.StringLen(p.(*LinkAck).Group) + 16, 0 })
-	wire.Register(wire.KindScalecast+2, &LinkNack{}, encLinkNack, decLinkNack,
-		func(p any) (int, int) { return wire.StringLen(p.(*LinkNack).Group) + 24, 0 })
-	wire.Register(wire.KindScalecast+3, &LinkHeartbeat{}, encLinkHeartbeat, decLinkHeartbeat,
-		func(p any) (int, int) { return wire.StringLen(p.(*LinkHeartbeat).Group) + 16, 0 })
-	wire.Register(wire.KindScalecast+4, &LinkBarrier{}, encLinkBarrier, decLinkBarrier,
-		func(p any) (int, int) { b := p.(*LinkBarrier); return wire.StringLen(b.Group) + 13 + 16*len(b.Cut), 0 })
+	wire.Register(wire.KindScalecast+1, &LinkAck{}, encLinkAck, decLinkAck, func(p any) (int, int) {
+		a := p.(*LinkAck)
+		return wire.StringLen(a.Group) + wire.UvarintLen(a.Session) + wire.UvarintLen(a.Cum), 0
+	})
+	wire.Register(wire.KindScalecast+2, &LinkNack{}, encLinkNack, decLinkNack, func(p any) (int, int) {
+		n := p.(*LinkNack)
+		return wire.StringLen(n.Group) + wire.UvarintLen(n.Session) + wire.UvarintLen(n.From) + wire.UvarintLen(n.To), 0
+	})
+	wire.Register(wire.KindScalecast+3, &LinkHeartbeat{}, encLinkHeartbeat, decLinkHeartbeat, func(p any) (int, int) {
+		h := p.(*LinkHeartbeat)
+		return wire.StringLen(h.Group) + wire.UvarintLen(h.Session) + wire.UvarintLen(h.Top), 0
+	})
+	wire.Register(wire.KindScalecast+4, &LinkBarrier{}, encLinkBarrier, decLinkBarrier, sizeLinkBarrier)
 	wire.Register(wire.KindScalecast+5, &LinkBarrierAck{}, encLinkBarrierAck, decLinkBarrierAck,
-		func(p any) (int, int) { return wire.StringLen(p.(*LinkBarrierAck).Group) + 8, 0 })
+		func(p any) (int, int) {
+			b := p.(*LinkBarrierAck)
+			return wire.StringLen(b.Group) + wire.UvarintLen(b.Session), 0
+		})
 }
+
+// uv is the varint length of a signed value sent as its bit pattern.
+func uv(v int64) int { return wire.UvarintLen(uint64(v)) }
 
 // floodMsgLen is encFloodMsg's length and the application bytes in it.
 // A flooded barrier is all control; an in-process simulator value is
 // charged as if its PayloadSize were bytes.
 func floodMsgLen(m *FloodMsg) (n, app int) {
-	n = wire.StringLen(m.Group) + 8 + 8 + 8 + 4 + 4 + 1
+	n = wire.StringLen(m.Group) + uv(int64(m.Origin)) + wire.UvarintLen(m.Seq) +
+		uv(int64(m.SentAt)) + uv(int64(m.Hops)) + uv(int64(m.PayloadSize)) + 1
 	switch p := m.Payload.(type) {
 	case nil:
 		return n, 0
 	case []byte:
-		return n + 4 + len(p), len(p)
+		return n + wire.BytesVarLen(len(p)), len(p)
 	case barrierPayload:
-		return n + 24, 0
+		return n + uv(int64(p.From)) + uv(int64(p.To)) + wire.UvarintLen(p.Gen), 0
 	}
-	return n + 4 + m.PayloadSize, m.PayloadSize
+	return n + wire.BytesVarLen(m.PayloadSize), m.PayloadSize
 }
 
 func sizeLinkPacket(payload any) (int, int) {
 	p := payload.(*LinkPacket)
 	n, app := floodMsgLen(p.Msg)
-	return wire.StringLen(p.Group) + 16 + n, app
+	return wire.StringLen(p.Group) + wire.UvarintLen(p.Session) + wire.UvarintLen(p.Seq) + n, app
 }
 
 func encFloodMsg(w *wire.Writer, m *FloodMsg) error {
@@ -72,11 +90,11 @@ func encFloodMsg(w *wire.Writer, m *FloodMsg) error {
 		return fmt.Errorf("scalecast: group name %d bytes exceeds wire limit %d", len(m.Group), scMaxGroup)
 	}
 	w.String(m.Group)
-	w.I64(int64(m.Origin))
-	w.U64(m.Seq)
-	w.I64(int64(m.SentAt))
-	w.U32(uint32(m.Hops))
-	w.U32(uint32(m.PayloadSize))
+	w.Uvarint(uint64(int64(m.Origin)))
+	w.Uvarint(m.Seq)
+	w.Uvarint(uint64(int64(m.SentAt)))
+	w.Uvarint(uint64(int64(m.Hops)))
+	w.Uvarint(uint64(int64(m.PayloadSize)))
 	switch p := m.Payload.(type) {
 	case nil:
 		w.U8(floodPayloadNil)
@@ -85,12 +103,12 @@ func encFloodMsg(w *wire.Writer, m *FloodMsg) error {
 			return fmt.Errorf("scalecast: payload %d bytes exceeds wire limit %d", len(p), scMaxPayload)
 		}
 		w.U8(floodPayloadBytes)
-		w.Bytes32(p)
+		w.BytesVar(p)
 	case barrierPayload:
 		w.U8(floodPayloadBarrier)
-		w.I64(int64(p.From))
-		w.I64(int64(p.To))
-		w.U64(p.Gen)
+		w.Uvarint(uint64(int64(p.From)))
+		w.Uvarint(uint64(int64(p.To)))
+		w.Uvarint(p.Gen)
 	default:
 		return fmt.Errorf("scalecast: cannot encode flood payload of type %T (want []byte, nil, or barrier)", m.Payload)
 	}
@@ -99,44 +117,43 @@ func encFloodMsg(w *wire.Writer, m *FloodMsg) error {
 
 func decFloodMsg(r *wire.Reader) *FloodMsg {
 	m := &FloodMsg{
-		Group:  r.String(scMaxGroup),
-		Origin: transport.NodeID(r.I64()),
-		Seq:    r.U64(),
-		SentAt: time.Duration(r.I64()),
-		Hops:   int(r.U32()),
+		Group:       r.String(scMaxGroup),
+		Origin:      transport.NodeID(r.Uvarint()),
+		Seq:         r.Uvarint(),
+		SentAt:      time.Duration(r.Uvarint()),
+		Hops:        int(r.Uvarint()),
+		PayloadSize: int(r.Uvarint()),
 	}
-	m.PayloadSize = int(r.U32())
 	switch tag := r.U8(); tag {
 	case floodPayloadNil:
 	case floodPayloadBytes:
-		b := r.Bytes32(scMaxPayload)
+		b := r.BytesVar(scMaxPayload)
 		if b == nil {
 			b = []byte{} // an empty payload re-encodes under its own tag
 		}
 		m.Payload = b
 	case floodPayloadBarrier:
 		m.Payload = barrierPayload{
-			From: transport.NodeID(r.I64()),
-			To:   transport.NodeID(r.I64()),
-			Gen:  r.U64(),
+			From: transport.NodeID(r.Uvarint()),
+			To:   transport.NodeID(r.Uvarint()),
+			Gen:  r.Uvarint(),
 		}
 	default:
-		// Poison: unknown payload tag.
-		r.Take(scMaxPayload + 1)
+		r.Fail() // unknown payload tag
 	}
 	return m
 }
 
-func encLinkPacket(payload any) ([]byte, error) {
+func encLinkPacket(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkPacket)
 	if p.Msg == nil {
 		return nil, fmt.Errorf("scalecast: LinkPacket with nil Msg")
 	}
-	w := wire.NewWriter(64 + len(p.Group) + p.Msg.PayloadSize)
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
-	w.U64(p.Seq)
-	if err := encFloodMsg(w, p.Msg); err != nil {
+	w.Uvarint(p.Session)
+	w.Uvarint(p.Seq)
+	if err := encFloodMsg(&w, p.Msg); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -146,8 +163,8 @@ func decLinkPacket(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	p := &LinkPacket{
 		Group:   r.String(scMaxGroup),
-		Session: r.U64(),
-		Seq:     r.U64(),
+		Session: r.Uvarint(),
+		Seq:     r.Uvarint(),
 	}
 	p.Msg = decFloodMsg(r)
 	if err := r.Finish("scalecast.LinkPacket"); err != nil {
@@ -156,80 +173,89 @@ func decLinkPacket(buf []byte) (any, error) {
 	return p, nil
 }
 
-func encLinkAck(payload any) ([]byte, error) {
+func encLinkAck(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkAck)
-	w := wire.NewWriter(24 + len(p.Group))
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
-	w.U64(p.Cum)
+	w.Uvarint(p.Session)
+	w.Uvarint(p.Cum)
 	return w.Bytes(), nil
 }
 
 func decLinkAck(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	p := &LinkAck{Group: r.String(scMaxGroup), Session: r.U64(), Cum: r.U64()}
+	p := &LinkAck{Group: r.String(scMaxGroup), Session: r.Uvarint(), Cum: r.Uvarint()}
 	if err := r.Finish("scalecast.LinkAck"); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func encLinkNack(payload any) ([]byte, error) {
+func encLinkNack(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkNack)
-	w := wire.NewWriter(32 + len(p.Group))
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
-	w.U64(p.From)
-	w.U64(p.To)
+	w.Uvarint(p.Session)
+	w.Uvarint(p.From)
+	w.Uvarint(p.To)
 	return w.Bytes(), nil
 }
 
 func decLinkNack(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	p := &LinkNack{Group: r.String(scMaxGroup), Session: r.U64(), From: r.U64(), To: r.U64()}
+	p := &LinkNack{Group: r.String(scMaxGroup), Session: r.Uvarint(), From: r.Uvarint(), To: r.Uvarint()}
 	if err := r.Finish("scalecast.LinkNack"); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func encLinkHeartbeat(payload any) ([]byte, error) {
+func encLinkHeartbeat(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkHeartbeat)
-	w := wire.NewWriter(24 + len(p.Group))
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
-	w.U64(p.Top)
+	w.Uvarint(p.Session)
+	w.Uvarint(p.Top)
 	return w.Bytes(), nil
 }
 
 func decLinkHeartbeat(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	p := &LinkHeartbeat{Group: r.String(scMaxGroup), Session: r.U64(), Top: r.U64()}
+	p := &LinkHeartbeat{Group: r.String(scMaxGroup), Session: r.Uvarint(), Top: r.Uvarint()}
 	if err := r.Finish("scalecast.LinkHeartbeat"); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func encLinkBarrier(payload any) ([]byte, error) {
+func sizeLinkBarrier(payload any) (int, int) {
+	b := payload.(*LinkBarrier)
+	n := wire.StringLen(b.Group) + wire.UvarintLen(b.Session) + 1 + wire.UvarintLen(uint64(len(b.Cut)))
+	for k, v := range b.Cut {
+		n += uv(int64(k)) + wire.UvarintLen(v)
+	}
+	return n, 0
+}
+
+func encLinkBarrier(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkBarrier)
 	if len(p.Cut) > scMaxCut {
 		return nil, fmt.Errorf("scalecast: causal cut of %d entries exceeds wire limit %d", len(p.Cut), scMaxCut)
 	}
-	w := wire.NewWriter(32 + len(p.Group) + 16*len(p.Cut))
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
+	w.Uvarint(p.Session)
 	w.Bool(p.Fresh)
-	// Deterministic order so identical barriers encode identically.
+	// Ascending origins, so identical barriers encode identically.
 	keys := make([]transport.NodeID, 0, len(p.Cut))
 	for k := range p.Cut {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.U32(uint32(len(keys)))
+	slices.Sort(keys)
+	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		w.I64(int64(k))
-		w.U64(p.Cut[k])
+		w.Uvarint(uint64(int64(k)))
+		w.Uvarint(p.Cut[k])
 	}
 	return w.Bytes(), nil
 }
@@ -238,26 +264,23 @@ func decLinkBarrier(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
 	p := &LinkBarrier{
 		Group:   r.String(scMaxGroup),
-		Session: r.U64(),
+		Session: r.Uvarint(),
 		Fresh:   r.Bool(),
 	}
-	n := int(r.U32())
-	if n > scMaxCut {
-		return nil, fmt.Errorf("scalecast: causal cut of %d entries exceeds wire limit %d", n, scMaxCut)
-	}
-	if n > 0 {
-		p.Cut = make(map[transport.NodeID]uint64, min(n, 1024))
-		for i := 0; i < n; i++ {
-			k := transport.NodeID(r.I64())
-			v := r.U64()
-			if r.Err() {
-				break
+	// Each entry takes at least two bytes, so the bytes left bound the
+	// count before it sizes the map.
+	n := r.Uvarint()
+	if n > scMaxCut || n > uint64(len(r.Rest())/2) {
+		r.Fail()
+	} else if n > 0 {
+		p.Cut = make(map[transport.NodeID]uint64, n)
+		var prev transport.NodeID
+		for i := range int(n) {
+			k := transport.NodeID(r.Uvarint())
+			if i > 0 && k <= prev {
+				r.Fail() // origins travel strictly ascending
 			}
-			if _, dup := p.Cut[k]; dup {
-				// A repeated origin would re-encode shorter than it came.
-				return nil, fmt.Errorf("scalecast: causal cut repeats origin %d", k)
-			}
-			p.Cut[k] = v
+			p.Cut[k], prev = r.Uvarint(), k
 		}
 	}
 	if err := r.Finish("scalecast.LinkBarrier"); err != nil {
@@ -266,17 +289,17 @@ func decLinkBarrier(buf []byte) (any, error) {
 	return p, nil
 }
 
-func encLinkBarrierAck(payload any) ([]byte, error) {
+func encLinkBarrierAck(dst []byte, payload any) ([]byte, error) {
 	p := payload.(*LinkBarrierAck)
-	w := wire.NewWriter(16 + len(p.Group))
+	w := wire.NewAppendWriter(dst)
 	w.String(p.Group)
-	w.U64(p.Session)
+	w.Uvarint(p.Session)
 	return w.Bytes(), nil
 }
 
 func decLinkBarrierAck(buf []byte) (any, error) {
 	r := wire.NewReader(buf)
-	p := &LinkBarrierAck{Group: r.String(scMaxGroup), Session: r.U64()}
+	p := &LinkBarrierAck{Group: r.String(scMaxGroup), Session: r.Uvarint()}
 	if err := r.Finish("scalecast.LinkBarrierAck"); err != nil {
 		return nil, err
 	}

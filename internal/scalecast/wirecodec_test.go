@@ -1,7 +1,11 @@
 package scalecast
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,21 +82,125 @@ func TestScalecastWireSizeExact(t *testing.T) {
 	}
 }
 
-// TestScalecastWireRejectsRepeatedCutOrigin: a cut naming one origin
-// twice decodes to fewer entries than its frame carries, so it is
-// rejected rather than re-encoded shorter.
-func TestScalecastWireRejectsRepeatedCutOrigin(t *testing.T) {
-	w := wire.NewWriter(0)
-	w.String("sc")
-	w.U64(3)
-	w.Bool(false)
-	w.U32(2)
-	for i := 0; i < 2; i++ {
-		w.I64(7)
-		w.U64(uint64(i))
+// TestScalecastWireGoldenBytes pins the varint encoding of every
+// scalecast kind: a u16-prefixed group name, then every integer as an
+// unsigned LEB128 varint, a node id or send time as its int64 bit
+// pattern. A flood message runs its group, origin, seq, send time,
+// hops, payload size, a payload tag and the payload (varint-prefixed
+// bytes, or the barrier's from, to and generation); a barrier's cut
+// travels as a count and ascending (origin, seq) pairs.
+func TestScalecastWireGoldenBytes(t *testing.T) {
+	const sc = "02007363"
+	for _, c := range []struct {
+		name string
+		msg  any
+		hex  string
+	}{
+		{"packet, bytes", sampleLinkMsgs()[0],
+			sc + "02" + "29" + sc + "04" + "0c" + "8095f52a" + "02" + "03" + "01" + "03" + "78797a"},
+		{"packet, barrier", sampleLinkMsgs()[1],
+			sc + "01" + "01" + sc + "01" + "03" + "00" + "00" + "18" + "02" + "01" + "05" + "02"},
+		{"packet, nil, negative origin",
+			&LinkPacket{Group: "sc", Session: 1, Seq: 2, Msg: &FloodMsg{Group: "sc", Origin: -1, Seq: 1}},
+			sc + "01" + "02" + sc + "ffffffffffffffffff01" + "01" + "00" + "00" + "00" + "00"},
+		{"ack", &LinkAck{Group: "sc", Session: 2, Cum: 300}, sc + "02" + "ac02"},
+		{"nack", &LinkNack{Group: "sc", Session: 2, From: 38, To: 41}, sc + "02" + "26" + "29"},
+		{"heartbeat", &LinkHeartbeat{Group: "sc", Session: 2, Top: 44}, sc + "02" + "2c"},
+		{"barrier", &LinkBarrier{Group: "sc", Session: 3, Fresh: true, Cut: map[transport.NodeID]uint64{7: 1, 0: 4}},
+			sc + "03" + "01" + "02" + "0004" + "0701"},
+		{"barrier ack", &LinkBarrierAck{Group: "sc", Session: 3}, sc + "03"},
+	} {
+		kind, buf, err := wire.Marshal(c.msg)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(buf); got != c.hex {
+			t.Fatalf("%s encodes as\n %s, want\n %s", c.name, got, c.hex)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil || !reflect.DeepEqual(out, c.msg) {
+			t.Fatalf("%s: round trip gave %+v, %v", c.name, out, err)
+		}
+		if n := transport.ApproxSize(out); n != len(buf) {
+			t.Fatalf("%s: size model %d B, encoding %d B", c.name, n, len(buf))
+		}
 	}
-	if _, err := wire.Unmarshal(wire.KindScalecast+4, w.Bytes()); err == nil {
-		t.Fatal("a cut repeating origin 7 decoded")
+}
+
+// TestScalecastWireRejectsRepeatedCutOrigin: a cut's origins travel
+// strictly ascending. One naming an origin twice would decode to fewer
+// entries than its frame carries, and one out of order would re-encode
+// differently, so both are rejected.
+func TestScalecastWireRejectsRepeatedCutOrigin(t *testing.T) {
+	for _, h := range []string{
+		"02007363" + "03" + "00" + "02" + "0700" + "0701", // origin 7 twice
+		"02007363" + "03" + "00" + "02" + "0700" + "0001", // 7 before 0
+	} {
+		buf, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wire.Unmarshal(wire.KindScalecast+4, buf); err == nil {
+			t.Errorf("%x decoded as %+v", buf, m)
+		}
+	}
+}
+
+// TestScalecastWireRejectsNonCanonical: each value has one accepted
+// encoding, so a decoded message re-encodes to its own length. An
+// unknown payload tag, a fresh flag other than 0 or 1 and a padded
+// varint must not decode.
+func TestScalecastWireRejectsNonCanonical(t *testing.T) {
+	const sc = "02007363"
+	flood := sc + "01" + "01" + sc + "00" + "01" + "00" + "00" + "00"
+	for name, c := range map[string]struct {
+		kind wire.Kind
+		hex  string
+	}{
+		"fresh flag 2":     {4, sc + "03" + "02" + "00"},
+		"padded cut count": {4, sc + "03" + "00" + "8000"},
+		"payload tag 3":    {0, flood + "03"},
+		"padded hops":      {0, sc + "01" + "01" + sc + "00" + "01" + "00" + "8000" + "00" + "00"},
+		"padded session":   {1, sc + "8200" + "28"},
+	} {
+		buf, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := wire.Unmarshal(wire.KindScalecast+c.kind, buf); err == nil {
+			t.Errorf("%s: %x decoded as %+v", name, buf, m)
+		}
+	}
+}
+
+// TestScalecastDecodeAllocationBounded: a short frame whose cut count
+// or payload length claims the wire limit is rejected without
+// allocating for it. Every cut entry takes at least two bytes, so the
+// bytes left bound the map.
+func TestScalecastDecodeAllocationBounded(t *testing.T) {
+	uv := func(v uint64) string { return fmt.Sprintf("%x", binary.AppendUvarint(nil, v)) }
+	const sc = "02007363"
+	for name, c := range map[string]struct {
+		kind wire.Kind
+		hex  string
+	}{
+		"cut":     {4, sc + "03" + "00" + uv(scMaxCut) + "0001"},
+		"payload": {0, sc + "01" + "01" + sc + "00" + "01" + "00" + "00" + "00" + "01" + uv(scMaxPayload) + "00"},
+	} {
+		buf, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = wire.Unmarshal(wire.KindScalecast+c.kind, buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a %d-byte frame claiming the wire limit decoded", name, len(buf))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: decoding a %d-byte frame allocated %d B", name, len(buf), got)
+		}
 	}
 }
 

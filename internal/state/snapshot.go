@@ -1,9 +1,10 @@
 package state
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"catocs/internal/wire"
 )
 
 // Store snapshot encoding. A snapshot is the transferable form of a
@@ -29,10 +30,16 @@ const (
 	snapUint64 = 4
 )
 
-// SnapshotBytes serializes the store's full contents. Values must be
-// nil, []byte, string, int, int64, or uint64 — the types a store fed
-// from decoded wire payloads can hold; anything else is an error
-// rather than a silently lossy encoding.
+// snapMaxBytes guards each decoded name and value length.
+const snapMaxBytes = 1 << 26
+
+// SnapshotBytes serializes the store's full contents through the wire
+// codec: the put count, the object count, then per object its name,
+// version, a value tag and the value, every integer a varint and every
+// name or value varint-length-prefixed. Values must be nil, []byte,
+// string, int, int64, or uint64 — the types a store fed from decoded
+// wire payloads can hold; anything else is an error rather than a
+// silently lossy encoding.
 func (s *Store) SnapshotBytes() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -41,38 +48,36 @@ func (s *Store) SnapshotBytes() ([]byte, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	buf := binary.LittleEndian.AppendUint64(nil, s.puts)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
+	w := wire.NewAppendWriter(nil)
+	w.Uvarint(s.puts)
+	w.Uvarint(uint64(len(names)))
 	for _, name := range names {
 		r := s.objects[name]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, r.seq)
+		w.BytesVar([]byte(name))
+		w.Uvarint(r.seq)
 		switch v := r.value.(type) {
 		case nil:
-			buf = append(buf, snapNil)
+			w.U8(snapNil)
 		case []byte:
-			buf = append(buf, snapBytes)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-			buf = append(buf, v...)
+			w.U8(snapBytes)
+			w.BytesVar(v)
 		case string:
-			buf = append(buf, snapString)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-			buf = append(buf, v...)
+			w.U8(snapString)
+			w.BytesVar([]byte(v))
 		case int:
-			buf = append(buf, snapInt64)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
+			w.U8(snapInt64)
+			w.Uvarint(uint64(int64(v)))
 		case int64:
-			buf = append(buf, snapInt64)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			w.U8(snapInt64)
+			w.Uvarint(uint64(v))
 		case uint64:
-			buf = append(buf, snapUint64)
-			buf = binary.LittleEndian.AppendUint64(buf, v)
+			w.U8(snapUint64)
+			w.Uvarint(v)
 		default:
 			return nil, fmt.Errorf("state: cannot snapshot %q value of type %T", name, r.value)
 		}
 	}
-	return buf, nil
+	return w.Bytes(), nil
 }
 
 // RestoreBytes replaces the store's contents with a snapshot produced
@@ -80,78 +85,40 @@ func (s *Store) SnapshotBytes() ([]byte, error) {
 // the store compares and transfers values, it does not do arithmetic
 // on them.
 func (s *Store) RestoreBytes(buf []byte) error {
-	r := snapReader{buf: buf}
-	puts := r.u64()
-	n := int(r.u32())
+	r := wire.NewReader(buf)
+	puts := r.Uvarint()
+	// Each object takes at least three bytes, so the bytes left bound
+	// the count before it sizes the map.
+	n := r.Uvarint()
+	if n > uint64(len(r.Rest())/3) {
+		r.Fail()
+		n = 0
+	}
 	objects := make(map[string]*record, n)
-	for i := 0; i < n && !r.bad; i++ {
-		name := string(r.take(int(r.u32())))
-		rec := &record{seq: r.u64()}
-		switch tag := r.u8(); tag {
+	for range n {
+		name := string(r.BytesVar(snapMaxBytes))
+		rec := &record{seq: r.Uvarint()}
+		switch r.U8() {
 		case snapNil:
 		case snapBytes:
-			rec.value = append([]byte(nil), r.take(int(r.u32()))...)
+			rec.value = r.BytesVar(snapMaxBytes)
 		case snapString:
-			rec.value = string(r.take(int(r.u32())))
+			rec.value = string(r.BytesVar(snapMaxBytes))
 		case snapInt64:
-			rec.value = int64(r.u64())
+			rec.value = int64(r.Uvarint())
 		case snapUint64:
-			rec.value = r.u64()
+			rec.value = r.Uvarint()
 		default:
-			return fmt.Errorf("state: snapshot object %q has unknown value tag %d", name, tag)
+			r.Fail() // unknown value tag
 		}
-		if !r.bad {
-			objects[name] = rec
-		}
+		objects[name] = rec
 	}
-	if r.bad || r.off != len(r.buf) {
-		return fmt.Errorf("state: malformed snapshot (%d bytes, offset %d)", len(r.buf), r.off)
+	if err := r.Finish("state snapshot"); err != nil {
+		return fmt.Errorf("state: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objects = objects
 	s.puts = puts
 	return nil
-}
-
-// snapReader is a minimal bounds-checked cursor; bad latches on any
-// overrun so a truncated snapshot fails as one error at the end.
-type snapReader struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.bad || n < 0 || r.off+n > len(r.buf) {
-		r.bad = true
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *snapReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }

@@ -90,7 +90,7 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), buf...), 0xff)},
 		{"bad tag", func() []byte {
 			b := append([]byte(nil), buf...)
-			b[len(b)-len("value")-5] = 99 // the value tag byte
+			b[len(b)-len("value")-2] = 99 // the value tag byte, before the value's 1-byte length
 			return b
 		}()},
 	} {

@@ -1,6 +1,7 @@
 package tcpnet_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -23,16 +24,19 @@ type testMsg struct {
 
 func init() {
 	wire.Register(0xF100, testMsg{},
-		func(payload any) ([]byte, error) {
-			m := payload.(testMsg)
-			w := wire.NewWriter(16)
-			w.U64(m.N)
+		func(dst []byte, payload any) ([]byte, error) {
+			m := payload.(testMsg) // N as a fixed 8-byte little-endian word
+			w := wire.NewAppendWriter(binary.LittleEndian.AppendUint64(dst, m.N))
 			w.String(m.S)
 			return w.Bytes(), nil
 		},
 		func(buf []byte) (any, error) {
 			r := wire.NewReader(buf)
-			m := testMsg{N: r.U64(), S: r.String(1 << 10)}
+			var m testMsg
+			if n := r.Take(8); n != nil {
+				m.N = binary.LittleEndian.Uint64(n)
+			}
+			m.S = r.String(1 << 10)
 			if err := r.Finish("testMsg"); err != nil {
 				return nil, err
 			}

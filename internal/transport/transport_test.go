@@ -225,7 +225,7 @@ func (p ctrlPayload) Forwarded() bool { return p.relayed }
 
 func init() {
 	wire.Register(0xF200, ctrlPayload{},
-		func(any) ([]byte, error) { return nil, errors.New("ctrlPayload: not encodable") },
+		func([]byte, any) ([]byte, error) { return nil, errors.New("ctrlPayload: not encodable") },
 		func([]byte) (any, error) { return nil, errors.New("ctrlPayload: not decodable") },
 		func(payload any) (n, app int) {
 			p := payload.(ctrlPayload)

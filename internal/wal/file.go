@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+
+	"catocs/internal/wire"
 )
 
 // FileLog persists a Device to a real file so a member's identity log
@@ -12,7 +15,9 @@ import (
 // SIGTERM→restart. The in-memory Device remains the source of truth
 // (and the unit the recovery discipline is defined on); the file is a
 // mirror of its structured appends, replayed back into a Device on
-// open. Frames are length-prefixed and carry the *stored* CRC, so a
+// open. A frame is a varint body length and a body written through the
+// wire codec — the stored CRC, the object name, the version, a value
+// tag and the value — and it carries the *stored* CRC, so a
 // torn in-memory record round-trips as a torn record and the
 // MemberLog/Recover CRC checks behave identically whether the device
 // lived through the crash or was reloaded from disk. A partial frame
@@ -96,25 +101,32 @@ func (fl *FileLog) load() (int64, error) {
 		return 0, err
 	}
 	var off int64
-	for int64(len(buf))-off >= 4 {
-		n := int64(binary.LittleEndian.Uint32(buf[off:]))
+	for off < int64(len(buf)) {
+		r := wire.NewReader(buf[off:])
+		n := r.Uvarint()
+		if r.Err() {
+			if _, k := binary.Uvarint(buf[off:]); k == 0 {
+				break // the file ends inside the length prefix: torn
+			}
+			return 0, fmt.Errorf("wal: %s: malformed frame length at offset %d", fl.path, off)
+		}
 		if n > fileMaxFrame {
 			return 0, fmt.Errorf("wal: %s: frame of %d bytes at offset %d exceeds limit", fl.path, n, off)
 		}
-		if off+4+n > int64(len(buf)) {
+		if n > uint64(len(r.Rest())) {
 			break // partial trailing frame: torn at the file layer
 		}
-		r, crc, err := decodeFrame(buf[off+4 : off+4+n])
+		rec, crc, err := decodeFrame(r.Take(int(n)))
 		if err != nil {
 			return 0, fmt.Errorf("wal: %s: frame at offset %d: %w", fl.path, off, err)
 		}
 		// Re-append preserving the stored CRC (which may deliberately
 		// mismatch for a device-level torn record).
-		fl.dev.records = append(fl.dev.records, r)
+		fl.dev.records = append(fl.dev.records, rec)
 		fl.dev.crcs = append(fl.dev.crcs, crc)
-		fl.dev.bytes += uint64(r.encodedSize())
+		fl.dev.bytes += uint64(rec.encodedSize())
 		fl.dev.appends++
-		off += 4 + n
+		off = int64(len(buf) - len(r.Rest()))
 		fl.offs = append(fl.offs, off)
 	}
 	return off, nil
@@ -156,100 +168,60 @@ func (fl *FileLog) truncate(n int) {
 }
 
 func encodeFrame(r Record, crc uint32) ([]byte, error) {
-	body := binary.LittleEndian.AppendUint32(nil, crc)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(r.Object)))
-	body = append(body, r.Object...)
-	body = binary.LittleEndian.AppendUint64(body, r.Seq)
+	w := wire.NewAppendWriter(nil)
+	w.Uvarint(uint64(crc))
+	w.BytesVar([]byte(r.Object))
+	w.Uvarint(r.Seq)
 	switch v := r.Value.(type) {
 	case nil:
-		body = append(body, fileValNil)
+		w.U8(fileValNil)
 	case []byte:
-		body = append(body, fileValBytes)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
-		body = append(body, v...)
+		w.U8(fileValBytes)
+		w.BytesVar(v)
 	case string:
-		body = append(body, fileValString)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
-		body = append(body, v...)
+		w.U8(fileValString)
+		w.BytesVar([]byte(v))
 	case int:
-		body = append(body, fileValInt)
-		body = binary.LittleEndian.AppendUint64(body, uint64(int64(v)))
+		w.U8(fileValInt)
+		w.Uvarint(uint64(int64(v)))
 	case int64:
-		body = append(body, fileValInt64)
-		body = binary.LittleEndian.AppendUint64(body, uint64(v))
+		w.U8(fileValInt64)
+		w.Uvarint(uint64(v))
 	case uint64:
-		body = append(body, fileValUint64)
-		body = binary.LittleEndian.AppendUint64(body, v)
+		w.U8(fileValUint64)
+		w.Uvarint(v)
 	default:
 		return nil, fmt.Errorf("cannot persist value of type %T", r.Value)
 	}
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	return append(frame, body...), nil
+	frame := wire.NewAppendWriter(nil)
+	frame.BytesVar(w.Bytes())
+	return frame.Bytes(), nil
 }
 
 func decodeFrame(body []byte) (Record, uint32, error) {
-	r := snapCursor{buf: body}
-	crc := r.u32()
-	rec := Record{Object: string(r.take(int(r.u32())))}
-	rec.Seq = r.u64()
-	switch tag := r.u8(); tag {
+	r := wire.NewReader(body)
+	crc := r.Uvarint()
+	if crc > math.MaxUint32 {
+		r.Fail()
+	}
+	rec := Record{Object: string(r.BytesVar(fileMaxFrame)), Seq: r.Uvarint()}
+	switch tag := r.U8(); tag {
 	case fileValNil:
 	case fileValBytes:
-		rec.Value = append([]byte(nil), r.take(int(r.u32()))...)
+		rec.Value = r.BytesVar(fileMaxFrame)
 	case fileValString:
-		rec.Value = string(r.take(int(r.u32())))
+		rec.Value = string(r.BytesVar(fileMaxFrame))
 	case fileValInt:
-		rec.Value = int(int64(r.u64()))
+		rec.Value = int(int64(r.Uvarint()))
 	case fileValInt64:
-		rec.Value = int64(r.u64())
+		rec.Value = int64(r.Uvarint())
 	case fileValUint64:
-		rec.Value = r.u64()
+		rec.Value = r.Uvarint()
 	default:
 		return rec, 0, fmt.Errorf("unknown value tag %d", tag)
 	}
-	if r.bad || r.off != len(r.buf) {
-		return rec, 0, fmt.Errorf("malformed frame body (%d bytes, offset %d)", len(r.buf), r.off)
+	if err := r.Finish("wal frame"); err != nil {
+		return rec, 0, err
 	}
-	return rec, crc, nil
-}
-
-// snapCursor is a bounds-checked reader; bad latches on overrun.
-type snapCursor struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (r *snapCursor) take(n int) []byte {
-	if r.bad || n < 0 || r.off+n > len(r.buf) {
-		r.bad = true
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *snapCursor) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *snapCursor) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *snapCursor) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
+	return rec, uint32(crc), nil
 }

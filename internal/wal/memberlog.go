@@ -1,9 +1,10 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
+
+	"catocs/internal/wire"
 )
 
 // MemberLog is the durable identity of one group member: the log a
@@ -121,15 +122,19 @@ func OpenMemberLog(dev *Device) (*MemberLog, RecoveredMember, error) {
 				l.frontier = v
 			}
 		case chainObject:
-			b, ok := r.Value.([]byte)
-			if !ok || len(b) < 8 || len(b)%8 != 0 {
-				return nil, rec, fmt.Errorf("wal: chain record holds %T/%d bytes, want 8k bytes", r.Value, len(b))
-			}
+			b, _ := r.Value.([]byte)
 			// Last record wins: checkpoints only advance.
-			rec.TotalFrontier = binary.LittleEndian.Uint64(b)
-			rec.AckClock = make([]uint64, len(b)/8-1)
-			for i := range rec.AckClock {
-				rec.AckClock[i] = binary.LittleEndian.Uint64(b[8*(i+1):])
+			cr := wire.NewReader(b)
+			rec.TotalFrontier = cr.Uvarint()
+			n := cr.Uvarint()
+			if n > uint64(len(cr.Rest())) {
+				cr.Fail()
+				n = 0
+			}
+			rec.AckClock = make([]uint64, n)
+			cr.Uvarints(rec.AckClock)
+			if err := cr.Finish("chain checkpoint"); err != nil {
+				return nil, rec, fmt.Errorf("wal: %w (record holds %T)", err, r.Value)
 			}
 		}
 	}
@@ -187,13 +192,14 @@ func (l *MemberLog) LogStable(frontier uint64) time.Duration {
 // the NACKed gap, and a crashed member's frozen ack row kept that gap
 // unstable — retransmittable — at every survivor).
 func (l *MemberLog) LogChains(ack []uint64, totalFrontier uint64) time.Duration {
-	buf := make([]byte, 8*(len(ack)+1))
-	binary.LittleEndian.PutUint64(buf, totalFrontier)
-	for i, v := range ack {
-		binary.LittleEndian.PutUint64(buf[8*(i+1):], v)
+	w := wire.NewAppendWriter(nil)
+	w.Uvarint(totalFrontier)
+	w.Uvarint(uint64(len(ack)))
+	for _, v := range ack {
+		w.Uvarint(v)
 	}
 	l.chainSeq++
-	return l.dev.Append(Record{Object: chainObject, Seq: l.chainSeq, Value: buf})
+	return l.dev.Append(Record{Object: chainObject, Seq: l.chainSeq, Value: w.Bytes()})
 }
 
 // Device exposes the backing device (byte accounting, test injection).

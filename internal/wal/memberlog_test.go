@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -166,38 +167,67 @@ func TestFileLogRoundTrip(t *testing.T) {
 }
 
 func TestFileLogTruncatesPartialTrailingFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "member.wal")
-	fl, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	l, _, _ := OpenMemberLog(fl.Device())
-	l.LogCast([]byte("whole"))
-	l.LogCast([]byte("doomed"))
-	if err := fl.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	// Chop the file mid-frame: the second record loses its tail, as a
-	// crash between write and sync would leave it.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatalf("chop: %v", err)
-	}
+	// A crash between write and sync leaves the last frame short: cut
+	// inside its body, or inside its varint length prefix (two bytes
+	// here, the record being over 127 bytes). Either way the partial
+	// frame is dropped and the log stays appendable.
+	for _, tc := range []struct {
+		name string
+		cut  func(raw []byte, wholeEnd int) []byte
+	}{
+		{"inside the body", func(raw []byte, _ int) []byte { return raw[:len(raw)-3] }},
+		{"inside the length prefix", func(raw []byte, wholeEnd int) []byte { return raw[:wholeEnd+1] }},
+	} {
+		path := filepath.Join(t.TempDir(), "member.wal")
+		fl, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.name, err)
+		}
+		l, _, _ := OpenMemberLog(fl.Device())
+		l.LogCast([]byte("whole"))
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("%s: stat: %v", tc.name, err)
+		}
+		l.LogCast(bytes.Repeat([]byte("doomed"), 30))
+		if err := fl.Close(); err != nil {
+			t.Fatalf("%s: close: %v", tc.name, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: read: %v", tc.name, err)
+		}
+		if raw[fi.Size()] < 0x80 {
+			t.Fatalf("%s: the second frame's length prefix is one byte", tc.name)
+		}
+		if err := os.WriteFile(path, tc.cut(raw, int(fi.Size())), 0o644); err != nil {
+			t.Fatalf("%s: chop: %v", tc.name, err)
+		}
 
-	fl2, err := OpenFileLog(path)
-	if err != nil {
-		t.Fatalf("reopen chopped: %v", err)
-	}
-	defer fl2.Close()
-	_, rec, err := OpenMemberLog(fl2.Device())
-	if err != nil {
-		t.Fatalf("member log from chopped file: %v", err)
-	}
-	if len(rec.Casts) != 1 || !bytes.Equal(rec.Casts[0], []byte("whole")) {
-		t.Fatalf("replay set from chopped file = %q, want [whole]", rec.Casts)
+		fl2, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatalf("%s: reopen chopped: %v", tc.name, err)
+		}
+		l2, rec, err := OpenMemberLog(fl2.Device())
+		if err != nil {
+			t.Fatalf("%s: member log from chopped file: %v", tc.name, err)
+		}
+		if len(rec.Casts) != 1 || !bytes.Equal(rec.Casts[0], []byte("whole")) {
+			t.Fatalf("%s: replay set from chopped file = %q, want [whole]", tc.name, rec.Casts)
+		}
+		l2.LogCast([]byte("after"))
+		if err := fl2.Close(); err != nil {
+			t.Fatalf("%s: close: %v", tc.name, err)
+		}
+		fl3, err := OpenFileLog(path)
+		if err != nil {
+			t.Fatalf("%s: reopen appended: %v", tc.name, err)
+		}
+		_, rec, err = OpenMemberLog(fl3.Device())
+		fl3.Close()
+		if err != nil || len(rec.Casts) != 2 || string(rec.Casts[1]) != "after" {
+			t.Fatalf("%s: replay set after append = %q (%v), want [whole after]", tc.name, rec.Casts, err)
+		}
 	}
 }
 
@@ -231,5 +261,27 @@ func TestFileLogPreservesTornRecords(t *testing.T) {
 	}
 	if len(rec.Casts) != 1 || string(rec.Casts[0]) != "good" {
 		t.Fatalf("replay set = %q, want [good]", rec.Casts)
+	}
+}
+
+func TestLogChainsRoundTrip(t *testing.T) {
+	dev := NewDevice()
+	l, _, err := OpenMemberLog(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.LogChains([]uint64{1, 0, 2}, 1)
+	l.LogChains([]uint64{3, 0, 300}, 7) // the last checkpoint wins
+	_, rec, err := OpenMemberLog(dev)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if rec.TotalFrontier != 7 || !slices.Equal(rec.AckClock, []uint64{3, 0, 300}) {
+		t.Fatalf("checkpoint = %v / %d, want [3 0 300] / 7", rec.AckClock, rec.TotalFrontier)
+	}
+	bad := NewDevice()
+	bad.Append(Record{Object: chainObject, Seq: 1, Value: []byte{7, 3, 1}}) // three entries claimed, one present
+	if _, _, err := OpenMemberLog(bad); err == nil {
+		t.Fatal("a truncated chain checkpoint was accepted")
 	}
 }

@@ -1,26 +1,27 @@
-// Package wire is the registry-based codec layer that gives the
-// repo's `payload any` messages a defined external representation, so
-// a real network transport (internal/transport/tcpnet) or a durable
-// log can carry them between OS processes.
+// Package wire is the one codec layer of the repo: every message that
+// travels between OS processes (internal/transport/tcpnet), every log
+// file frame (internal/wal) and every state snapshot (internal/state) is
+// written and read through its Writer and Reader, so the byte format is
+// decided here once.
 //
 // The in-process SimNet hands Go values from sender to handler, so it
 // never encodes; it charges each payload the length Size reports, the
-// bytes tcpnet would write. tcpnet calls Marshal at every Send and
-// Unmarshal at every frame receive, which is exactly the end-to-end
+// bytes tcpnet would write. tcpnet calls MarshalAppend at every Send
+// and Unmarshal at every frame receive, which is exactly the end-to-end
 // serialization cost the paper's §3–§5 say an honest scaling
 // measurement must include.
 //
 // Each protocol package registers its own message types (see
 // internal/multicast/wirecodec.go and friends) under a stable 16-bit
-// kind, with a SizeFunc that gives the encoded length by arithmetic.
-// Encoding follows the conventions established by
-// internal/mgcast/codec.go: little-endian, length-prefixed strings and
-// byte slices, every length validated against a guard before
-// allocation, truncated input and trailing garbage rejected. The
-// multicast frames, the hot ones, write every integer as an unsigned
-// LEB128 varint. The Writer/Reader helpers here are those conventions
-// packaged for reuse; the Reader carries sticky error state so decoders
-// read straight through and check once.
+// kind, with an append-style encoder and a SizeFunc that gives the
+// encoded length by arithmetic. The conventions: every integer is an
+// unsigned LEB128 varint (a signed one as its int64 bit pattern), a
+// string carries a 2-byte little-endian length, a byte slice a varint
+// one, every count and length is checked against a guard and the bytes
+// left before it sizes an allocation, and truncated input, trailing
+// bytes and non-canonical encodings are rejected, so a decoded value
+// re-encodes to its own frame. The Reader carries sticky error state,
+// so decoders read straight through and check once.
 package wire
 
 import (
@@ -47,18 +48,13 @@ const (
 	KindScalecast Kind = 0x0020 // internal/scalecast
 	KindMGCast    Kind = 0x0030 // internal/mgcast
 	KindPubsub    Kind = 0x0040 // internal/pubsub
-	KindHarness   Kind = 0x0050 // internal/netharness control traffic
 )
 
-// EncodeFunc serializes a registered payload. It must accept exactly
-// the concrete type registered with it.
-type EncodeFunc func(payload any) ([]byte, error)
-
-// AppendEncodeFunc serializes a registered payload by appending its
-// encoding to dst and returning the extended slice. Append-style
-// encoders let transports reuse pooled buffers so the steady-state
-// encode path allocates nothing.
-type AppendEncodeFunc func(dst []byte, payload any) ([]byte, error)
+// EncodeFunc serializes a registered payload by appending its encoding
+// to dst and returning the extended slice, so transports reuse pooled
+// buffers and the steady-state encode path allocates nothing. It must
+// accept exactly the concrete type registered with it.
+type EncodeFunc func(dst []byte, payload any) ([]byte, error)
 
 // DecodeFunc inverts EncodeFunc. It must reject truncated input,
 // oversized length prefixes, and trailing garbage.
@@ -76,12 +72,11 @@ type SizeFunc func(payload any) (n, app int)
 
 // entry is one registered message type.
 type entry struct {
-	kind      Kind
-	name      string // the registered type, for diagnostics
-	enc       EncodeFunc
-	appendEnc AppendEncodeFunc // nil when registered via Register
-	dec       DecodeFunc
-	size      SizeFunc
+	kind Kind
+	name string // the registered type, for diagnostics
+	enc  EncodeFunc
+	dec  DecodeFunc
+	size SizeFunc
 }
 
 // registry is an immutable snapshot of the registrations. Register
@@ -117,35 +112,23 @@ func lookupKind(kind Kind) (*entry, bool) {
 // wire-protocol bugs that must fail at process start, not at decode
 // time.
 func Register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc) {
-	register(&entry{kind: kind, enc: enc, dec: dec, size: size}, zero)
-}
-
-// RegisterAppend installs an append-style codec for the concrete type
-// of zero under kind; the classic EncodeFunc is derived from it. Same
-// duplicate-detection rules as Register.
-func RegisterAppend(kind Kind, zero any, enc AppendEncodeFunc, dec DecodeFunc, size SizeFunc) {
-	register(&entry{kind: kind, appendEnc: enc, dec: dec, size: size,
-		enc: func(payload any) ([]byte, error) { return enc(nil, payload) }}, zero)
-}
-
-func register(e *entry, zero any) {
 	t := reflect.TypeOf(zero)
 	if t == nil {
 		panic("wire: Register with untyped nil")
 	}
-	if e.size == nil {
-		panic(fmt.Sprintf("wire: kind 0x%04x (%s) registered without a size model", uint16(e.kind), t))
+	if size == nil {
+		panic(fmt.Sprintf("wire: kind 0x%04x (%s) registered without a size model", uint16(kind), t))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := reg.Load()
-	if d, dup := old.byKind[e.kind]; dup {
-		panic(fmt.Sprintf("wire: kind 0x%04x registered twice (%s and %s)", uint16(e.kind), d.name, t))
+	if d, dup := old.byKind[kind]; dup {
+		panic(fmt.Sprintf("wire: kind 0x%04x registered twice (%s and %s)", uint16(kind), d.name, t))
 	}
 	if d, dup := old.byType[t]; dup {
-		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(d.kind), uint16(e.kind)))
+		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(d.kind), uint16(kind)))
 	}
-	e.name = t.String()
+	e := &entry{kind: kind, name: t.String(), enc: enc, dec: dec, size: size}
 	next := &registry{byType: maps.Clone(old.byType), byKind: maps.Clone(old.byKind)}
 	next.byType[t] = e
 	next.byKind[e.kind] = e
@@ -160,39 +143,21 @@ func Registered(payload any) bool {
 
 // Marshal serializes payload under its registered kind.
 func Marshal(payload any) (Kind, []byte, error) {
-	e, ok := lookupType(payload)
-	if !ok {
-		return 0, nil, fmt.Errorf("wire: no codec registered for %T", payload)
-	}
-	buf, err := e.enc(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	return e.kind, buf, nil
+	return MarshalAppend(nil, payload)
 }
 
 // MarshalAppend serializes payload under its registered kind, appending
-// the encoding to dst and returning the extended slice. Types
-// registered with RegisterAppend encode straight into dst (no
-// intermediate allocation); Register'd types fall back to encode-then-
-// copy.
+// the encoding to dst and returning the extended slice.
 func MarshalAppend(dst []byte, payload any) (Kind, []byte, error) {
 	e, ok := lookupType(payload)
 	if !ok {
 		return 0, dst, fmt.Errorf("wire: no codec registered for %T", payload)
 	}
-	if e.appendEnc != nil {
-		out, err := e.appendEnc(dst, payload)
-		if err != nil {
-			return 0, dst, err
-		}
-		return e.kind, out, nil
-	}
-	buf, err := e.enc(payload)
+	out, err := e.enc(dst, payload)
 	if err != nil {
 		return 0, dst, err
 	}
-	return e.kind, append(dst, buf...), nil
+	return e.kind, out, nil
 }
 
 // Unmarshal parses a body under kind.
@@ -246,17 +211,13 @@ func StringLen(s string) int { return 2 + len(s) }
 // BytesVarLen is the encoded length of an n-byte slice (BytesVar).
 func BytesVarLen(n int) int { return UvarintLen(uint64(n)) + n }
 
-// Writer accumulates an encoding. The zero value is ready to use; Grow
-// preallocates when the caller knows the size.
+// Writer accumulates an encoding by appending to a buffer.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns a writer with capacity n.
-func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
-
 // NewAppendWriter returns a by-value writer that appends to dst,
-// typically a pooled buffer. Declared as a local (`w :=
+// typically a pooled buffer or nil. Declared as a local (`w :=
 // NewAppendWriter(dst)`), it lives on the caller's stack, so
 // append-style encoders pay no Writer allocation.
 func NewAppendWriter(dst []byte) Writer { return Writer{buf: dst} }
@@ -276,18 +237,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// I64 appends a little-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
 // Uvarint appends v as an unsigned LEB128 varint (1 byte below 128, at
 // most 10).
 func (w *Writer) Uvarint(v uint64) {
@@ -298,16 +247,11 @@ func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
-// String appends a u16 length prefix and the bytes of s.
+// String appends a little-endian u16 length prefix and the bytes of s;
+// callers bound len(s) by their decode guard, which is below 1<<16.
 func (w *Writer) String(s string) {
-	w.U16(uint16(len(s)))
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(s)))
 	w.buf = append(w.buf, s...)
-}
-
-// Bytes32 appends a u32 length prefix and b.
-func (w *Writer) Bytes32(b []byte) {
-	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
 }
 
 // BytesVar appends a uvarint length prefix and b.
@@ -377,36 +321,6 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// U16 consumes a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.Take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 consumes a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.Take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 consumes a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.Take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 consumes a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
 // Uvarint consumes an unsigned LEB128 varint. Truncated input, an
 // encoding longer than 10 bytes or past 64 bits, and a non-minimal one
 // (a trailing zero byte) all set the sticky error, so each value has
@@ -475,30 +389,16 @@ func (r *Reader) Uvarints(dst []uint64) {
 
 // String consumes a u16-length-prefixed string, guarded by max bytes.
 func (r *Reader) String(max int) string {
-	n := int(r.U16())
+	b := r.Take(2)
+	if b == nil {
+		return ""
+	}
+	n := int(binary.LittleEndian.Uint16(b))
 	if n > max {
 		r.Fail()
 		return ""
 	}
 	return string(r.Take(n))
-}
-
-// Bytes32 consumes a u32-length-prefixed byte slice (copied, not
-// aliased), guarded by max bytes. A zero length yields nil.
-func (r *Reader) Bytes32(max int) []byte {
-	n := int(r.U32())
-	if n > max {
-		r.Fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := r.Take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // BytesVar consumes a uvarint-length-prefixed byte slice (copied, not

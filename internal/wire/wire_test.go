@@ -17,18 +17,18 @@ type localMsg struct {
 
 func init() {
 	wire.Register(0xF000, localMsg{},
-		func(payload any) ([]byte, error) {
+		func(dst []byte, payload any) ([]byte, error) {
 			m := payload.(localMsg)
-			w := wire.NewWriter(32)
-			w.U64(m.A)
+			w := wire.NewAppendWriter(dst)
+			w.Uvarint(m.A)
 			w.String(m.B)
-			w.Bytes32(m.C)
+			w.BytesVar(m.C)
 			return w.Bytes(), nil
 		},
 		func(buf []byte) (any, error) {
 			r := wire.NewReader(buf)
-			m := localMsg{A: r.U64(), B: r.String(1 << 10)}
-			m.C = r.Bytes32(1 << 20)
+			m := localMsg{A: r.Uvarint(), B: r.String(1 << 10)}
+			m.C = r.BytesVar(1 << 20)
 			if err := r.Finish("localMsg"); err != nil {
 				return nil, err
 			}
@@ -36,7 +36,7 @@ func init() {
 		},
 		func(payload any) (int, int) {
 			m := payload.(localMsg)
-			return 8 + wire.StringLen(m.B) + 4 + len(m.C), len(m.C)
+			return wire.UvarintLen(m.A) + wire.StringLen(m.B) + wire.BytesVarLen(len(m.C)), len(m.C)
 		})
 }
 
@@ -110,13 +110,13 @@ func TestEncodedSize(t *testing.T) {
 
 func TestReaderSticky(t *testing.T) {
 	r := wire.NewReader([]byte{1, 2})
-	if got := r.U32(); got != 0 {
-		t.Fatalf("short U32 = %d, want 0", got)
+	if got := r.Take(4); got != nil {
+		t.Fatalf("short Take = %x, want nil", got)
 	}
 	if !r.Err() {
 		t.Fatal("reader not in error state after short read")
 	}
-	if got := r.U64(); got != 0 {
+	if got := r.Uvarint(); got != 0 {
 		t.Fatalf("read after error = %d, want 0", got)
 	}
 	if r.Done() {
@@ -235,6 +235,6 @@ func TestSizeModel(t *testing.T) {
 		}
 	}()
 	type unsized struct{}
-	wire.Register(0xF001, unsized{}, func(any) ([]byte, error) { return nil, nil },
+	wire.Register(0xF001, unsized{}, func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		func([]byte) (any, error) { return unsized{}, nil }, nil)
 }
