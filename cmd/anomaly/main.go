@@ -2,14 +2,13 @@
 // diagrams: Figure 1 (happens-before and causal multicast), Figure 2
 // (hidden channel through a shared database), Figure 3 (external
 // channel — the fire), and Figure 4 (trading false crossing). Each run
-// prints the ASCII event diagram of the actual schedule plus the
-// anomaly verdict for the CATOCS observer and the state-level
-// observer.
+// prints the space-time diagram of the actual schedule (one column per
+// process, one row per event) plus the anomaly verdict for the CATOCS
+// observer and the state-level observer.
 //
-// With -trace, each figure's recorded run is additionally rendered as
-// an obs space-time diagram (columns per process, one row per event)
-// and exported as Chrome trace-event JSON — <prefix>-fig<N>.trace.json
-// — loadable in chrome://tracing or Perfetto.
+// With -trace, each figure's recorded run is also exported as Chrome
+// trace-event JSON — <prefix>-fig<N>.trace.json — loadable in
+// chrome://tracing or Perfetto.
 //
 // Usage:
 //
@@ -24,7 +23,6 @@ import (
 	"catocs/internal/apps/firealarm"
 	"catocs/internal/apps/sfc"
 	"catocs/internal/apps/trading"
-	"catocs/internal/eventlog"
 	"catocs/internal/experiments"
 	"catocs/internal/obs"
 )
@@ -32,17 +30,16 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to reproduce: 1, 2, 3, 4, or all")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	tracePrefix := flag.String("trace", "", "render each figure's space-time diagram and write <prefix>-fig<N>.trace.json")
+	tracePrefix := flag.String("trace", "", "write each figure's recorded run to <prefix>-fig<N>.trace.json")
 	flag.Parse()
 
-	// export converts a figure's event log through the obs bridge: the
-	// ASCII space-time diagram goes to stdout, the Chrome trace to disk.
-	export := func(f, title string, log *eventlog.Log) {
+	// show prints a figure's diagram and, with -trace, writes its
+	// recorded run as a Chrome trace.
+	show := func(f, title string, tr *obs.Tracer) {
+		fmt.Println(obs.RenderSpaceTime(title, tr.Labels(), tr.Events()))
 		if *tracePrefix == "" {
 			return
 		}
-		events, labels := obs.FromEventLog(log)
-		fmt.Println(obs.RenderSpaceTime(title+" (space-time)", labels, events))
 		path := fmt.Sprintf("%s-fig%s.trace.json", *tracePrefix, f)
 		out, err := os.Create(path)
 		if err != nil {
@@ -50,7 +47,7 @@ func main() {
 			os.Exit(1)
 		}
 		chrome := obs.NewChromeTrace()
-		chrome.AddProcess(title, labels, events)
+		chrome.AddProcess(title, tr.Labels(), tr.Events())
 		if err := chrome.Encode(out); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
@@ -64,41 +61,37 @@ func main() {
 		case "1":
 			r := experiments.RunE1(*seed)
 			title := "Figure 1 — a 3-process event diagram under causal multicast"
-			fmt.Println(r.Log.Render(title))
+			show(f, title, r.Trace)
 			fmt.Printf("verdict: m1 before m2 everywhere = %v; m3/m4 delivery diverged across members = %v\n\n",
 				r.CausalOrderHeld, r.ConcurrentOrdersDiffer)
-			export(f, title, r.Log)
 		case "2":
 			cfg := sfc.DefaultConfig()
 			cfg.Seed = *seed
 			r := sfc.Run(cfg)
 			title := "Figure 2 — shop floor control: the shared database is a hidden channel"
-			fmt.Println(r.Log.Render(title))
+			show(f, title, r.Trace)
 			fmt.Printf("database final state:      %q\n", r.TrueFinal)
 			fmt.Printf("delivery-order observer:   %q  (anomaly: %v)\n", r.RawFinal, r.AnomalyRaw)
 			fmt.Printf("version-ordered observer:  %q  (anomaly: %v)\n\n", r.VersionedFinal, r.AnomalyVersioned)
-			export(f, title, r.Log)
 		case "3":
 			cfg := firealarm.DefaultConfig()
 			cfg.Seed = *seed
 			r := firealarm.Run(cfg)
 			title := "Figure 3 — the fire is an external channel the substrate cannot see"
-			fmt.Println(r.Log.Render(title))
+			show(f, title, r.Trace)
 			fmt.Printf("fire actually burning:      %v\n", r.TrueFire)
 			fmt.Printf("delivery-order belief:      burning=%v  (anomaly: %v)\n", r.RawBelief, r.AnomalyRaw)
 			fmt.Printf("timestamped belief:         burning=%v  (anomaly: %v)\n\n", r.TemporalBelief, r.AnomalyTemporal)
-			export(f, title, r.Log)
 		case "4":
 			cfg := trading.DefaultConfig()
 			cfg.Seed = *seed
 			r := trading.Run(cfg)
 			title := "Figure 4 — trading: concurrent base and derived prices"
-			fmt.Println(r.Log.Render(title))
+			show(f, title, r.Trace)
 			fmt.Printf("raw display:               %d false crossings, %d stale pairings in %d refreshes\n",
 				r.RawFalseCrossings, r.RawStalePairings, r.Displays)
 			fmt.Printf("dependency-checked display: %d false crossings, %d stale pairings\n\n",
 				r.CacheFalseCrossings, r.CacheStalePairings)
-			export(f, title, r.Log)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", f)
 			os.Exit(2)

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"catocs/internal/metrics"
 	"catocs/internal/netharness"
 	"catocs/internal/transport"
 )
@@ -96,14 +97,16 @@ func realMain(nodesFlag, workersFlag string, clients int, rate float64, size int
 		TargetRate: rate,
 		DurationS:  duration.Seconds(),
 	}
-	hist := netharness.NewLatencyHist()
+	var hist metrics.Histogram
 	var elapsed time.Duration
 	for _, r := range results {
 		report.Sent += r.Sent
 		report.Done += r.Done
 		report.WireBytesIn += r.NetStats.BytesIn
 		report.WireBytesOut += r.NetStats.BytesOut
-		hist.Merge(r.Hist)
+		for _, v := range r.Hist.Samples() {
+			hist.Observe(v)
+		}
 		if r.Elapsed > elapsed {
 			elapsed = r.Elapsed
 		}
@@ -115,7 +118,7 @@ func realMain(nodesFlag, workersFlag string, clients int, rate float64, size int
 	if report.Done > 0 {
 		report.BytesPerMsg = float64(report.WireBytesIn+report.WireBytesOut) / float64(report.Done)
 	}
-	report.Latency = hist.Summarize()
+	report.Latency = netharness.Summarize(&hist)
 
 	out := os.Stdout
 	if outPath != "" {

@@ -10,7 +10,7 @@ import (
 )
 
 var (
-	docDirRef = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9_]*)`)
+	docDirRef = regexp.MustCompile(`\b(cmd|examples|internal)/([a-z][a-z0-9_]*)`)
 	// A command followed by its arguments, up to the end of the line,
 	// of the code span, of the shell command or the start of a comment.
 	docCmdLine = regexp.MustCompile("\\bcmd/([a-z][a-z0-9_]*)([^`#|;\n]*)")

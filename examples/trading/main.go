@@ -12,12 +12,13 @@ import (
 
 	"catocs/internal/apps/trading"
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 )
 
 func main() {
 	cfg := trading.DefaultConfig()
 	r := trading.Run(cfg)
-	fmt.Println(r.Log.Render("Trading floor under causal multicast"))
+	fmt.Println(obs.RenderSpaceTime("Trading floor under causal multicast", r.Trace.Labels(), r.Trace.Events()))
 	fmt.Printf("raw (delivery-order) display:   %d false crossings, %d stale pairings over %d refreshes\n",
 		r.RawFalseCrossings, r.RawStalePairings, r.Displays)
 	fmt.Printf("dependency-checked display:     %d false crossings, %d stale pairings\n\n",

@@ -19,8 +19,8 @@ package firealarm
 import (
 	"time"
 
-	"catocs/internal/eventlog"
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 	"catocs/internal/realtime"
 	"catocs/internal/sim"
 	"catocs/internal/transport"
@@ -57,7 +57,9 @@ func DefaultConfig() Config {
 
 // Result reports one run.
 type Result struct {
-	Log *eventlog.Log
+	// Trace records the run, one node per diagram column in the order
+	// P, Q, R.
+	Trace *obs.Tracer
 	// TrueFire is the environment's final state (burning).
 	TrueFire bool
 	// RawBelief is Q's belief from delivery order.
@@ -84,7 +86,11 @@ func Run(cfg Config) Result {
 		net.SetLink(1, 0, transport.LinkConfig{BaseDelay: cfg.SlowLink, Jitter: cfg.Jitter})
 		net.SetLink(1, 2, transport.LinkConfig{BaseDelay: cfg.SlowLink, Jitter: cfg.Jitter})
 	}
-	log := eventlog.New("P", "Q", "R")
+	const colP, colQ, colR = 0, 1, 2
+	tr := obs.NewTracer()
+	for i, col := range []string{"P", "Q", "R"} {
+		tr.SetNodeLabel(i, col)
+	}
 
 	// The environment: the fire's true timeline.
 	fire := false
@@ -104,7 +110,7 @@ func Run(cfg Config) Result {
 				if !msg.Fire {
 					name = "fire-out"
 				}
-				log.Add(k.Now(), "Q", eventlog.Deliver, name, "")
+				tr.Deliver(k.Now(), colQ, obs.MsgRef{Sender: -1, Label: name}, "")
 				rawBelief = msg.Fire
 				val := 0.0
 				if msg.Fire {
@@ -114,26 +120,26 @@ func Run(cfg Config) Result {
 			}
 		})
 
-	report := func(sender int, col string, burning bool, note string) {
+	report := func(sender, col int, burning bool, note string) {
 		fire = burning
 		name := "fire"
 		if !burning {
 			name = "fire-out"
 		}
-		log.Add(k.Now(), col, eventlog.Send, name, note)
+		tr.Send(k.Now(), col, obs.MsgRef{Sender: -1, Label: name}, note)
 		members[sender].Multicast(AlarmMsg{Fire: burning, T: k.Now()}, 16)
 	}
 
 	// The figure's schedule: fire, fire out, fire again.
-	k.At(0, func() { report(0, "P", true, "first \"fire\" message sent") })
-	k.At(10*time.Millisecond, func() { report(1, "R", false, "\"fire out\" message sent") })
-	k.At(20*time.Millisecond, func() { report(0, "P", true, "second \"fire\" message sent") })
+	k.At(0, func() { report(0, colP, true, "first \"fire\" message sent") })
+	k.At(10*time.Millisecond, func() { report(1, colR, false, "\"fire out\" message sent") })
+	k.At(20*time.Millisecond, func() { report(0, colP, true, "second \"fire\" message sent") })
 
 	k.Run()
 	tempReading, ok := temporal.Value("fire")
 	tempBelief := ok && tempReading.Value > 0.5
 	return Result{
-		Log:             log,
+		Trace:           tr,
 		TrueFire:        fire,
 		RawBelief:       rawBelief,
 		TemporalBelief:  tempBelief,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 )
 
 func TestFigure3AnomalyReproduced(t *testing.T) {
@@ -28,7 +29,12 @@ func TestFigure3AnomalyReproduced(t *testing.T) {
 
 func TestDeliveryOrderShowsFireOutLast(t *testing.T) {
 	r := Run(DefaultConfig())
-	order := r.Log.DeliveryOrder("Q")
+	var order []string
+	for _, e := range r.Trace.Events() {
+		if e.Kind == obs.KDeliver && r.Trace.Labels()[e.Node] == "Q" {
+			order = append(order, e.Msg.Label)
+		}
+	}
 	if len(order) != 3 {
 		t.Fatalf("Q delivered %v", order)
 	}
@@ -53,7 +59,7 @@ func TestAnomalyPersistsUnderTotalOrder(t *testing.T) {
 
 func TestRenderMatchesFigure(t *testing.T) {
 	r := Run(DefaultConfig())
-	out := r.Log.Render("Figure 3")
+	out := obs.RenderSpaceTime("Figure 3", r.Trace.Labels(), r.Trace.Events())
 	for _, want := range []string{"first \"fire\" message sent", "\"fire out\" message sent", "second \"fire\" message sent"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"time"
 
-	"catocs/internal/eventlog"
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 	"catocs/internal/sim"
 	"catocs/internal/state"
 	"catocs/internal/transport"
@@ -67,7 +67,9 @@ func DefaultConfig() Config {
 
 // Result reports one run.
 type Result struct {
-	Log *eventlog.Log
+	// Trace records the run, one node per diagram column in the order
+	// ClientA, SFC1, DB, SFC2, ClientB.
+	Trace *obs.Tracer
 	// TrueFinal is the lot state in the shared database.
 	TrueFinal string
 	// RawFinal is observer B's belief applying broadcasts in delivery
@@ -87,7 +89,12 @@ type Result struct {
 func Run(cfg Config) Result {
 	k := sim.NewKernel(cfg.Seed)
 	net := transport.NewSimNet(k, transport.LinkConfig{BaseDelay: 2 * time.Millisecond, Jitter: cfg.Jitter})
-	log := eventlog.New("ClientA", "SFC1", "DB", "SFC2", "ClientB")
+	const clientA, dbCol, clientB = 0, 2, 4
+	tr := obs.NewTracer()
+	for i, col := range []string{"ClientA", "SFC1", "DB", "SFC2", "ClientB"} {
+		tr.SetNodeLabel(i, col)
+	}
+	msgRef := func(name string) obs.MsgRef { return obs.MsgRef{Sender: -1, Label: name} }
 
 	db := state.NewStore()
 	const lot = "lotA"
@@ -104,7 +111,7 @@ func Run(cfg Config) Result {
 			}
 			return func(d multicast.Delivered) {
 				msg := d.Payload.(StatusMsg)
-				log.Add(k.Now(), "ClientB", eventlog.Deliver, fmt.Sprintf("%q", msg.State),
+				tr.Deliver(k.Now(), clientB, msgRef(fmt.Sprintf("%q", msg.State)),
 					fmt.Sprintf("%q received by B (db version %d)", msg.State, msg.Version))
 				rawView = msg.State
 				for _, v := range versioned.Submit(msg.Version, msg.State) {
@@ -117,12 +124,12 @@ func Run(cfg Config) Result {
 	// hidden channel), then broadcast the result after a processing
 	// delay.
 	handleRequest := func(instance int, newState string, procDelay time.Duration) {
-		col := fmt.Sprintf("SFC%d", instance+1)
-		log.Add(k.Now(), col, eventlog.Local, "", fmt.Sprintf("%q request (& reply)", newState))
+		col := 1 + 2*instance // SFC1 or SFC2
+		tr.Mark(k.Now(), col, fmt.Sprintf("%q request (& reply)", newState))
 		ver := db.Put(lot, newState)
-		log.Add(k.Now(), "DB", eventlog.Local, "", fmt.Sprintf("db: %s=%s #%d", lot, newState, ver.Seq))
+		tr.Mark(k.Now(), dbCol, fmt.Sprintf("db: %s=%s #%d", lot, newState, ver.Seq))
 		k.After(procDelay, func() {
-			log.Add(k.Now(), col, eventlog.Send, fmt.Sprintf("%q", newState), fmt.Sprintf("%q broadcast", newState))
+			tr.Send(k.Now(), col, msgRef(fmt.Sprintf("%q", newState)), fmt.Sprintf("%q broadcast", newState))
 			members[instance].Multicast(StatusMsg{Lot: lot, State: newState, Version: ver.Seq}, 32)
 		})
 	}
@@ -131,18 +138,18 @@ func Run(cfg Config) Result {
 	// RequestGap later. Requests travel outside the substrate (direct
 	// calls), as in the figure's dashed lines.
 	k.At(0, func() {
-		log.Add(k.Now(), "ClientA", eventlog.Send, "start", "Start request to SFC1")
+		tr.Send(k.Now(), clientA, msgRef("start"), "Start request to SFC1")
 		handleRequest(0, "started", cfg.ProcessingDelay1)
 	})
 	k.At(cfg.RequestGap, func() {
-		log.Add(k.Now(), "ClientB", eventlog.Send, "stop", "Stop request to SFC2")
+		tr.Send(k.Now(), clientB, msgRef("stop"), "Stop request to SFC2")
 		handleRequest(1, "stopped", 0)
 	})
 
 	k.Run()
 	trueFinal, _, _ := db.Get(lot)
 	return Result{
-		Log:              log,
+		Trace:            tr,
 		TrueFinal:        trueFinal.(string),
 		RawFinal:         rawView,
 		VersionedFinal:   versionedView,

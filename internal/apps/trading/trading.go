@@ -23,8 +23,8 @@ import (
 	"fmt"
 	"time"
 
-	"catocs/internal/eventlog"
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 	"catocs/internal/sim"
 	"catocs/internal/state"
 	"catocs/internal/transport"
@@ -86,7 +86,9 @@ func DefaultConfig() Config {
 
 // Result reports one run.
 type Result struct {
-	Log *eventlog.Log
+	// Trace records the run, one node per rank in the diagram's column
+	// order OptionPricing, TheoPricing, Monitor.
+	Trace *obs.Tracer
 	// RawFalseCrossings counts display instants where the monitor,
 	// trusting delivery order, shows theo < option although the true
 	// theo always sits above the option price.
@@ -108,10 +110,17 @@ type Result struct {
 func Run(cfg Config) Result {
 	k := sim.NewKernel(cfg.Seed)
 	net := transport.NewSimNet(k, transport.LinkConfig{BaseDelay: 2 * time.Millisecond, Jitter: cfg.Jitter})
-	log := eventlog.New("OptionPricing", "TheoPricing", "Monitor")
+	const optionPricing, theoPricing, monitor = 0, 1, 2
+	tr := obs.NewTracer()
+	for i, col := range []string{"OptionPricing", "TheoPricing", "Monitor"} {
+		tr.SetNodeLabel(i, col)
+	}
+	msgRef := func(format string, ver uint64) obs.MsgRef {
+		return obs.MsgRef{Sender: -1, Label: fmt.Sprintf(format, ver)}
+	}
 
 	const sym = "OPT"
-	res := Result{Log: log}
+	res := Result{Trace: tr}
 
 	// Monitor state, raw (delivery-order) view.
 	var rawOpt, rawTheo *float64
@@ -128,7 +137,7 @@ func Run(cfg Config) Result {
 			}
 			if *rawTheo < *rawOpt {
 				res.RawFalseCrossings++
-				log.Add(k.Now(), "Monitor", eventlog.Local, "",
+				tr.Mark(k.Now(), monitor,
 					fmt.Sprintf("FALSE CROSSING: theo %.2f < option %.2f", *rawTheo, *rawOpt))
 			}
 		}
@@ -164,8 +173,7 @@ func Run(cfg Config) Result {
 								Price:      opt.Price + cfg.TheoPremium,
 								DepVersion: opt.Version,
 							}
-							log.Add(k.Now(), "TheoPricing", eventlog.Send,
-								fmt.Sprintf("theo#%d", theo.Version),
+							tr.Send(k.Now(), theoPricing, msgRef("theo#%d", theo.Version),
 								fmt.Sprintf("Theoretical price %.2f (from opt#%d)", theo.Price, opt.Version))
 							members[1].Multicast(theo, 32)
 						})
@@ -175,13 +183,13 @@ func Run(cfg Config) Result {
 				return func(d multicast.Delivered) {
 					switch msg := d.Payload.(type) {
 					case OptionPrice:
-						log.Add(k.Now(), "Monitor", eventlog.Deliver, fmt.Sprintf("opt#%d", msg.Version),
+						tr.Deliver(k.Now(), monitor, msgRef("opt#%d", msg.Version),
 							fmt.Sprintf("Option price %.2f", msg.Price))
 						p := msg.Price
 						rawOpt, rawOptVer = &p, msg.Version
 						cache.Apply(state.Update{Object: msg.Symbol, Version: msg.Version, Value: msg.Price})
 					case TheoPrice:
-						log.Add(k.Now(), "Monitor", eventlog.Deliver, fmt.Sprintf("theo#%d", msg.Version),
+						tr.Deliver(k.Now(), monitor, msgRef("theo#%d", msg.Version),
 							fmt.Sprintf("Theoretical price %.2f", msg.Price))
 						p := msg.Price
 						rawTheo, rawTheoDep = &p, msg.DepVersion
@@ -203,8 +211,7 @@ func Run(cfg Config) Result {
 		i := i
 		k.At(time.Duration(i)*cfg.TickInterval, func() {
 			ver := uint64(i + 1)
-			log.Add(k.Now(), "OptionPricing", eventlog.Send, fmt.Sprintf("opt#%d", ver),
-				fmt.Sprintf("Option price %.2f", price))
+			tr.Send(k.Now(), optionPricing, msgRef("opt#%d", ver), fmt.Sprintf("Option price %.2f", price))
 			members[0].Multicast(OptionPrice{Symbol: sym, Version: ver, Price: price}, 32)
 			price += 0.5
 		})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 )
 
 func TestFigure4FalseCrossingUnderCausal(t *testing.T) {
@@ -61,7 +62,7 @@ func TestCrossingIsStructuralEvenWithInstantCompute(t *testing.T) {
 
 func TestEventLogShowsCrossing(t *testing.T) {
 	r := Run(DefaultConfig())
-	out := r.Log.Render("Figure 4")
+	out := obs.RenderSpaceTime("Figure 4", r.Trace.Labels(), r.Trace.Events())
 	if !strings.Contains(out, "FALSE CROSSING") {
 		t.Fatalf("render missing crossing annotation:\n%s", out)
 	}

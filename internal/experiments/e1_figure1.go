@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
-	"catocs/internal/eventlog"
 	"catocs/internal/multicast"
+	"catocs/internal/obs"
 	"catocs/internal/sim"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
@@ -13,7 +13,9 @@ import (
 // E1Result reproduces Figure 1: the basic happens-before event diagram
 // and causal multicast's guarantee over it.
 type E1Result struct {
-	Log *eventlog.Log
+	// Trace records the run, one node per process in column order P,
+	// Q, R.
+	Trace *obs.Tracer
 	// CausalOrderHeld: every process delivered m1 before m2 (m1
 	// happens-before m2 through P's send-after-deliver).
 	CausalOrderHeld bool
@@ -28,40 +30,37 @@ type E1Result struct {
 func RunE1(seed int64) E1Result {
 	k := sim.NewKernel(seed)
 	net := transport.NewSimNet(k, transport.LinkConfig{BaseDelay: 2 * time.Millisecond, Jitter: 6 * time.Millisecond})
-	log := eventlog.New("P", "Q", "R")
 	names := []string{"P", "Q", "R"}
+	tr := obs.NewTracer()
+	for i, n := range names {
+		tr.SetNodeLabel(i, n)
+	}
+	var members []*multicast.Member
+	send := func(rank int, name string) {
+		tr.Send(k.Now(), rank, obs.MsgRef{Sender: -1, Label: name}, name+" sent by "+names[rank])
+		members[rank].Multicast(name, 8)
+	}
 
 	orders := make([][]string, 3)
-	var members []*multicast.Member
 	members = multicast.NewGroup(net, []transport.NodeID{0, 1, 2},
 		multicast.Config{Group: "fig1", Ordering: multicast.Causal},
 		func(rank vclock.ProcessID) multicast.DeliverFunc {
 			return func(d multicast.Delivered) {
 				name := d.Payload.(string)
-				log.Add(k.Now(), names[rank], eventlog.Deliver, name, name+" received by "+names[rank])
+				tr.Deliver(k.Now(), int(rank), obs.MsgRef{Sender: -1, Label: name}, name+" received by "+names[rank])
 				orders[rank] = append(orders[rank], name)
 				if rank == 0 && name == "m1" {
-					log.Add(k.Now(), "P", eventlog.Send, "m2", "m2 sent by P")
-					members[0].Multicast("m2", 8)
+					send(0, "m2")
 				}
 			}
 		})
 
-	k.At(0, func() {
-		log.Add(k.Now(), "Q", eventlog.Send, "m1", "m1 sent by Q")
-		members[1].Multicast("m1", 8)
-	})
-	k.At(12*time.Millisecond, func() {
-		log.Add(k.Now(), "R", eventlog.Send, "m3", "m3 sent by R")
-		members[2].Multicast("m3", 8)
-	})
-	k.At(13*time.Millisecond, func() {
-		log.Add(k.Now(), "Q", eventlog.Send, "m4", "m4 sent by Q")
-		members[1].Multicast("m4", 8)
-	})
+	k.At(0, func() { send(1, "m1") })
+	k.At(12*time.Millisecond, func() { send(2, "m3") })
+	k.At(13*time.Millisecond, func() { send(1, "m4") })
 	k.Run()
 
-	res := E1Result{Log: log, CausalOrderHeld: true}
+	res := E1Result{Trace: tr, CausalOrderHeld: true}
 	pos := func(o []string, m string) int {
 		for i, v := range o {
 			if v == m {

@@ -344,7 +344,7 @@ func TableE20From(pts []E20Point) *Table {
 	t := &Table{
 		ID:    "E20",
 		Title: "Multi-group multicast vs one big group: latency and load at destination members (§5)",
-		Claim: "Skeen-style genuine multicast keeps cross-group delivery acyclic while charging only destination members; the one-big-group fallback buys the same consistency by making every process order and service every message",
+		Claim: "ISIS-style total order stops at the group boundary, so a workload whose messages address small overlapping subsets must collapse into one big group — every process receives, orders, and services every message — or lose cross-group consistency; Skeen-style genuine multicast keeps delivery acyclic across groups while involving only destination members",
 		Headers: []string{"substrate", "N", "k", "casts", "relevant", "lat mean ms", "lat p99 ms",
 			"hold share", "wire msgs", "wire MB", "deliv/node", "violations"},
 	}
@@ -357,10 +357,10 @@ func TableE20From(pts []E20Point) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"k destination groups per cast from N wraparound groups of size max(3, N/8); both arms share the same destination draw",
-		"latency measured at destination members only; each node pays a 30µs receive service time per message, so load coupling is priced in",
+		"setup: N wraparound groups of size max(3, N/8) over N nodes; every node sends casts ÷ N casts at 5 ms spacing, each addressed to k groups drawn from a shared seed, so both arms see identical destination sets; each node pays a 30 µs receive service time per message (SimNet SetServiceTime), pricing in the §5 load coupling; latency is measured at destination members only; full sweep: `go run ./cmd/scalebench -exp mgcast -sizes 8,32,128 -ks 1,2,4,8 -msgs 20`",
+		"mgcast is Skeen two-phase timestamp agreement (internal/mgcast): data → every destination proposes a Lamport stamp → the sender commits the max → destinations deliver in final-stamp order with holdback; final stamps are globally unique, so the delivery order is one total order restricted to each message's destinations — acyclic across overlapping groups by construction. The biggroup arm is the one-big-group ABCAST fallback (TotalCausal sequencer): same consistency, but every node orders and services every cast",
 		"biggroup rows repeat one k-independent run re-filtered per k: one big group cannot exploit destination sets by construction",
-		"violations = cross-group acyclicity (+ dest-liveness for mgcast) oracle findings on the run's own trace")
+		"violations: cross-group acyclicity oracle (union of every node's pairwise delivery precedences must be cycle-free) plus destination liveness (deliver at every live destination, nowhere else) on each run's own trace; `go run ./cmd/chaos -substrate mgcast -n 8 -msgs 20 -episodes 100 -seed 1` runs both oracles over 100 randomized crash/partition/flaky-link episodes")
 	return t
 }
 

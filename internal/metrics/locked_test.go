@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestGaugeNegativeMax: a gauge that only ever sees negative levels
@@ -53,41 +52,12 @@ func TestLockedGauge(t *testing.T) {
 	}
 }
 
-// TestLockedHistogram: aggregate queries and the snapshot round-trip.
-func TestLockedHistogram(t *testing.T) {
-	var h LockedHistogram
-	for i := 1; i <= 4; i++ {
-		h.Observe(float64(i))
-	}
-	h.ObserveDuration(5 * time.Second)
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 15 {
-		t.Fatalf("sum = %f, want 15", h.Sum())
-	}
-	if h.Mean() != 3 {
-		t.Fatalf("mean = %f, want 3", h.Mean())
-	}
-	if h.Max() != 5 {
-		t.Fatalf("max = %f, want 5", h.Max())
-	}
-	snap := h.Snapshot()
-	if snap.Count() != 5 || snap.Mean() != 3 {
-		t.Fatalf("snapshot count=%d mean=%f, want 5 and 3", snap.Count(), snap.Mean())
-	}
-	if h.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-// TestLockedConcurrent hammers all three guarded instruments from
+// TestLockedConcurrent hammers both guarded instruments from
 // many goroutines; correctness of the totals plus -race coverage.
 func TestLockedConcurrent(t *testing.T) {
 	var (
 		c  LockedCounter
 		g  LockedGauge
-		h  LockedHistogram
 		wg sync.WaitGroup
 	)
 	const (
@@ -102,11 +72,9 @@ func TestLockedConcurrent(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				g.Add(-1)
-				h.Observe(1)
 				if i%128 == 0 {
 					_ = c.Value()
 					_ = g.Max()
-					_ = h.Mean()
 				}
 			}
 		}()
@@ -120,8 +88,5 @@ func TestLockedConcurrent(t *testing.T) {
 	}
 	if g.Max() < 1 || g.Max() > workers {
 		t.Errorf("gauge max = %d, want within [1, %d]", g.Max(), workers)
-	}
-	if h.Count() != workers*iters {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*iters)
 	}
 }

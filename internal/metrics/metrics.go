@@ -1,15 +1,15 @@
 // Package metrics provides the small set of measurement primitives the
-// experiment harness uses: counters, duration/value histograms with
-// quantiles, and time series for occupancy-over-time plots (e.g. the
-// unstable-buffer census of experiment E6).
+// experiment harness uses: counters, gauges, exact histograms with
+// quantiles, and the control-to-payload ratio series of experiment E16.
 //
 // Counters, histograms, and series are deliberately allocation-light
 // and unsynchronized; the simulation world is single-threaded, and
 // live-transport users wrap access in their own locks (the Locked*
-// variants in locked.go). Gauge is the exception: the live
-// observability plane (internal/obs/live) reads instantaneous levels
-// from an HTTP goroutine while a run is still recording, so it
-// synchronizes internally and is safe to read concurrently with writes.
+// variants in locked.go, or obs.Registry's mutex). Gauge is the
+// exception: the live observability plane (internal/obs/live) reads
+// instantaneous levels from an HTTP goroutine while a run is still
+// recording, so it synchronizes internally and is safe to read
+// concurrently with writes.
 package metrics
 
 import (
@@ -124,22 +124,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(len(h.samples))
 }
 
-// StdDev returns the population standard deviation, or 0 when fewer
-// than two samples exist.
-func (h *Histogram) StdDev() float64 {
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	m := h.Mean()
-	var ss float64
-	for _, v := range h.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantile returns the q'th quantile (0 <= q <= 1) by
 // nearest-rank on the sorted samples; 0 for an empty histogram or a
 // NaN q (never NaN — summary endpoints render the result directly).
@@ -180,46 +164,6 @@ func (h *Histogram) String() string {
 		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }
 
-// Point is one (virtual time, value) sample of a time series.
-type Point struct {
-	T time.Duration
-	V float64
-}
-
-// Series records a value sampled over virtual time, e.g. total buffered
-// messages across the group during an E6 run.
-type Series struct {
-	points []Point
-}
-
-// Record appends a sample.
-func (s *Series) Record(t time.Duration, v float64) {
-	s.points = append(s.points, Point{T: t, V: v})
-}
-
-// Points returns the recorded samples (aliased; do not mutate).
-func (s *Series) Points() []Point { return s.points }
-
-// MeanLevel returns the time-weighted mean of the series between the
-// first and last sample; 0 when fewer than two points exist. This is
-// the right summary for occupancy curves, where plain sample means
-// over-weight bursts of closely spaced samples.
-func (s *Series) MeanLevel() float64 {
-	if len(s.points) < 2 {
-		return 0
-	}
-	var area float64
-	for i := 1; i < len(s.points); i++ {
-		dt := (s.points[i].T - s.points[i-1].T).Seconds()
-		area += s.points[i-1].V * dt
-	}
-	total := (s.points[len(s.points)-1].T - s.points[0].T).Seconds()
-	if total == 0 {
-		return s.points[0].V
-	}
-	return area / total
-}
-
 // RatioPoint is one sample of a RatioSeries: two cumulative quantities
 // at a virtual time.
 type RatioPoint struct {
@@ -241,9 +185,6 @@ type RatioSeries struct {
 func (r *RatioSeries) Record(t time.Duration, num, den float64) {
 	r.points = append(r.points, RatioPoint{T: t, Num: num, Den: den})
 }
-
-// Points returns the recorded samples (aliased; do not mutate).
-func (r *RatioSeries) Points() []RatioPoint { return r.points }
 
 // Final returns the ratio at the last sample, or 0 when the series is
 // empty or its final denominator is 0.
@@ -276,15 +217,4 @@ func (r *RatioSeries) PeakWindow() float64 {
 		}
 	}
 	return peak
-}
-
-// Peak returns the maximum recorded value, or 0 when empty.
-func (s *Series) Peak() float64 {
-	var m float64
-	for _, p := range s.points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
 }

@@ -56,7 +56,7 @@ func TestHistogramMeanQuantiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.StdDev() != 0 {
+	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should return zeros")
 	}
 }
@@ -70,16 +70,6 @@ func TestHistogramObserveAfterQuantile(t *testing.T) {
 	h.Observe(3)
 	if got := h.Quantile(0.5); got != 3 {
 		t.Fatalf("p50 after re-observe = %v, want 3", got)
-	}
-}
-
-func TestHistogramStdDev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	if got := h.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
 	}
 }
 
@@ -107,35 +97,6 @@ func TestQuantileOrderedProperty(t *testing.T) {
 	}
 }
 
-func TestSeriesMeanLevel(t *testing.T) {
-	var s Series
-	// Level 10 for 1s, then level 20 for 3s.
-	s.Record(0, 10)
-	s.Record(time.Second, 20)
-	s.Record(4*time.Second, 20)
-	want := (10.0*1 + 20.0*3) / 4
-	if got := s.MeanLevel(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("mean level = %v, want %v", got, want)
-	}
-	if s.Peak() != 20 {
-		t.Fatalf("peak = %v, want 20", s.Peak())
-	}
-}
-
-func TestSeriesDegenerate(t *testing.T) {
-	var s Series
-	if s.MeanLevel() != 0 || s.Peak() != 0 {
-		t.Fatal("empty series should return zeros")
-	}
-	s.Record(0, 5)
-	if s.MeanLevel() != 0 {
-		t.Fatal("single-point series has no time extent")
-	}
-	if s.Peak() != 5 {
-		t.Fatalf("peak = %v", s.Peak())
-	}
-}
-
 func TestRatioSeries(t *testing.T) {
 	var r RatioSeries
 	if r.Final() != 0 || r.PeakWindow() != 0 {
@@ -151,9 +112,6 @@ func TestRatioSeries(t *testing.T) {
 	// Increments: (20/100)=0.2 then (60/100)=0.6.
 	if got := r.PeakWindow(); math.Abs(got-0.6) > 1e-9 {
 		t.Fatalf("peak window = %v, want 0.6", got)
-	}
-	if len(r.Points()) != 3 {
-		t.Fatalf("points = %d", len(r.Points()))
 	}
 }
 

@@ -296,7 +296,7 @@ func (m *Member) fireOrderNack() {
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
 	m.CtrlMsgs.Inc()
-	m.send(m.cfg.SequencerRank, &OrderNack{
+	m.send(sequencerRank, &OrderNack{
 		Group: m.cfg.Group, Epoch: m.epoch, From: m.rank,
 		FromGlobal: m.nextGlobal, Want: want,
 	})

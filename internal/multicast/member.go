@@ -74,9 +74,6 @@ type Config struct {
 	// NackDelay is how long a detected gap may age before the member
 	// requests retransmission (atomic mode). Zero defaults to 25ms.
 	NackDelay time.Duration
-	// SequencerRank selects the sequencer in TotalSeq mode (default
-	// rank 0).
-	SequencerRank vclock.ProcessID
 	// Tracer, when non-nil, records the member's per-message lifecycle
 	// (send, holdback, deliver, stabilize, view-change spans) into the
 	// shared causal trace. Disabled tracing costs one nil check per
@@ -341,9 +338,6 @@ type pendingMulticast struct {
 func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.ProcessID, cfg Config, deliver DeliverFunc) *Member {
 	if int(rank) < 0 || int(rank) >= len(nodes) {
 		panic(fmt.Sprintf("multicast: rank %d out of range for %d nodes", rank, len(nodes)))
-	}
-	if int(cfg.SequencerRank) < 0 || int(cfg.SequencerRank) >= len(nodes) {
-		panic(fmt.Sprintf("multicast: sequencer rank %d out of range for %d nodes", cfg.SequencerRank, len(nodes)))
 	}
 	m := &Member{
 		cfg:          cfg,

@@ -7,10 +7,14 @@ import (
 	"catocs/internal/vclock"
 )
 
+// sequencerRank is the rank of the member that sequences a total
+// ordering in every view.
+const sequencerRank vclock.ProcessID = 0
+
 // sequencer is the fixed sequencer of a total ordering (TotalSeq and
 // TotalCausal): it hands out global positions, announces them in runs
 // and answers order NACKs from its assignment log. Only the member at
-// Config.SequencerRank has one; every other member's is nil, and a view
+// sequencerRank has one; every other member's is nil, and a view
 // change builds a fresh one.
 type sequencer struct {
 	m *Member
@@ -43,7 +47,7 @@ type sequencer struct {
 // newSequencer returns m's sequencer for its current view, or nil when
 // m does not sequence it.
 func newSequencer(m *Member) *sequencer {
-	if m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal || m.rank != m.cfg.SequencerRank {
+	if m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal || m.rank != sequencerRank {
 		return nil
 	}
 	s := &sequencer{m: m}

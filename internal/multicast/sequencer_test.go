@@ -203,12 +203,12 @@ func TestSequencerLogBounded(t *testing.T) {
 					members := make([]*Member, n)
 					for r := range members {
 						var nw transport.Network = net
-						if vclock.ProcessID(r) == cfg.SequencerRank {
+						if vclock.ProcessID(r) == sequencerRank {
 							nw = hook
 						}
 						members[r] = NewMember(nw, nodes, vclock.ProcessID(r), cfg, func(Delivered) { delivered[r]++ })
 					}
-					seq = members[cfg.SequencerRank]
+					seq = members[sequencerRank]
 					for w := 0; w < 4; w++ {
 						writer := members[w*n/4]
 						for c := 0; c < casts/4; c++ {

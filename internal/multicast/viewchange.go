@@ -39,17 +39,6 @@ func (m *Member) UnstableData() []*DataMsg {
 	return out
 }
 
-// HasDelivered reports whether the message id was delivered at this
-// member.
-func (m *Member) HasDelivered(id MsgID) bool {
-	switch m.cfg.Ordering {
-	case FIFO, Causal:
-		return id.Seq <= m.delivered.Get(id.Sender)
-	default:
-		return m.deliveredIDs.Has(id)
-	}
-}
-
 // ForceDeliver delivers msg immediately, bypassing the ordering
 // discipline. The flush coordinator calls it with the old view's
 // undelivered messages in (sender, seq) order, which preserves FIFO

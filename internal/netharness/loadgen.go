@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"catocs/internal/flowcontrol"
+	"catocs/internal/metrics"
 	"catocs/internal/pubsub"
 	"catocs/internal/transport"
 	"catocs/internal/transport/tcpnet"
@@ -29,18 +30,19 @@ type LoadConfig struct {
 
 	EpochNanos int64              // shared Now() epoch for the fleet
 	Queue      flowcontrol.Budget // outbound queue override (zero = default)
-	// DrainTimeout bounds the post-send wait for in-flight echoes
-	// (default 2s without progress).
-	DrainTimeout time.Duration
 }
+
+// drainTimeout bounds the post-send wait for in-flight echoes: the
+// drain gives up after this long without progress.
+const drainTimeout = 2 * time.Second
 
 // LoadResult is one worker's measurements.
 type LoadResult struct {
 	Sent     uint64
 	Done     uint64
-	Stale    uint64 // done events superseded under Latest-mode delivery
-	Paused   uint64 // pacing ticks skipped while the ingress queue was backpressured
-	Hist     *LatencyHist
+	Stale    uint64            // done events superseded under Latest-mode delivery
+	Paused   uint64            // pacing ticks skipped while the ingress queue was backpressured
+	Hist     metrics.Histogram // round-trip latencies, seconds
 	Elapsed  time.Duration
 	Stats    transport.Stats
 	NetStats tcpnet.NetStats
@@ -62,9 +64,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("netharness: Duration must be positive")
 	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = 2 * time.Second
-	}
 	net, err := tcpnet.New(tcpnet.Config{
 		Listen:     cfg.Listen,
 		Local:      []transport.NodeID{cfg.Worker},
@@ -77,7 +76,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 	defer net.Close()
 
-	res := &LoadResult{Hist: NewLatencyHist()}
+	res := &LoadResult{}
 	seqs := make([]uint64, cfg.Clients) // the "millions of clients"
 	cursor := 0
 	worker := uint32(cfg.Worker)
@@ -145,7 +144,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				return
 			}
 			res.Done++
-			res.Hist.Record(s.Age(time.Now()))
+			res.Hist.ObserveDuration(s.Age(time.Now()))
 		})
 		publish = func(p []byte) { bus.Publish("load", p) }
 		net.After(tick, pace)
@@ -168,7 +167,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		if done > lastDone {
 			lastDone = done
 			lastProgress = time.Now()
-		} else if time.Since(lastProgress) > cfg.DrainTimeout {
+		} else if time.Since(lastProgress) > drainTimeout {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)

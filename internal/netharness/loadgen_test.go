@@ -85,7 +85,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			if res.Done != res.Sent {
 				t.Fatalf("done %d of %d sent", res.Done, res.Sent)
 			}
-			if res.Hist.Count() != res.Done {
+			if uint64(res.Hist.Count()) != res.Done {
 				t.Fatalf("hist count %d, done %d", res.Hist.Count(), res.Done)
 			}
 			if res.Hist.Quantile(0.5) <= 0 {
@@ -103,7 +103,7 @@ func TestFleetEndToEnd(t *testing.T) {
 					t.Fatalf("snapshot substrate %q", snap.Substrate)
 				}
 			}
-			t.Logf("%s: %d msgs, latency %v", substrate, res.Done, res.Hist)
+			t.Logf("%s: %d msgs, latency %v", substrate, res.Done, &res.Hist)
 		})
 	}
 }

@@ -1,3 +1,8 @@
+// Package netharness holds the shared machinery of the real-network
+// harness: the load payload codec, fleet topology parsing shared by
+// cmd/node and cmd/loadgen, the loadgen worker core that drives
+// simulated clients through the bus, and the latency summary its JSON
+// report carries.
 package netharness
 
 import (
@@ -6,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"catocs/internal/metrics"
 	"catocs/internal/transport"
 )
 
@@ -98,4 +104,31 @@ type LoadReport struct {
 	BytesPerMsg  float64 `json:"bytes_per_msg"`
 	WireBytesIn  uint64  `json:"wire_bytes_in"`
 	WireBytesOut uint64  `json:"wire_bytes_out"`
+}
+
+// Summary is a latency histogram reduced to the quantiles the
+// experiment tables report, in milliseconds for JSON readability. E22
+// parses these keys back.
+type Summary struct {
+	Count  uint64  `json:"count"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P90Ms  float64 `json:"p90_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+	MaxMs  float64 `json:"max_ms"`
+}
+
+// Summarize reduces a histogram of latencies in seconds.
+func Summarize(h *metrics.Histogram) Summary {
+	const ms = 1e3
+	return Summary{
+		Count:  uint64(h.Count()),
+		MeanMs: h.Mean() * ms,
+		P50Ms:  h.Quantile(0.50) * ms,
+		P90Ms:  h.Quantile(0.90) * ms,
+		P99Ms:  h.Quantile(0.99) * ms,
+		P999Ms: h.Quantile(0.999) * ms,
+		MaxMs:  h.Max() * ms,
+	}
 }

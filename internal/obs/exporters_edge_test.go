@@ -113,6 +113,12 @@ func TestRenderSpaceTimeSingleEvent(t *testing.T) {
 			t.Fatalf("single-event diagram missing %q:\n%s", want, out)
 		}
 	}
+	// A label wider than the column is cut to the column.
+	tr.SetNodeLabel(3, "ColumnLabelTooWide")
+	out = RenderSpaceTime("", tr.Labels(), tr.Events())
+	if header := strings.Split(out, "\n")[0]; header != strings.Repeat(" ", 10)+"ColumnLabelTooWi" {
+		t.Fatalf("wide label not truncated to the column:\n%s", out)
+	}
 }
 
 func TestRenderSpaceTimeNonASCIILabels(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"catocs/internal/eventlog"
 	"catocs/internal/multicast"
 	"catocs/internal/obs"
 	"catocs/internal/sim"
@@ -96,46 +95,5 @@ func TestStabilizeNeverPrecedesDeliver(t *testing.T) {
 	}
 	if stabilized == 0 {
 		t.Fatal("trace recorded no stabilizations (stability tracker not instrumented?)")
-	}
-}
-
-// TestFromEventLog: the eventlog bridge preserves processes, kinds,
-// and message names, so the anomaly scenarios render through obs.
-func TestFromEventLog(t *testing.T) {
-	l := eventlog.New("P", "Q")
-	l.Add(1*time.Millisecond, "P", eventlog.Send, "m1", "broadcast m1")
-	l.Add(3*time.Millisecond, "Q", eventlog.Recv, "m1", "")
-	l.Add(4*time.Millisecond, "Q", eventlog.Deliver, "m1", "delivered at Q")
-	l.Add(5*time.Millisecond, "Q", eventlog.Local, "", "state updated")
-
-	events, labels := obs.FromEventLog(l)
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	if labels[0] != "P" || labels[1] != "Q" {
-		t.Fatalf("labels = %v, want P then Q in first-use order", labels)
-	}
-	wantKinds := []obs.Kind{obs.KSend, obs.KWireRecv, obs.KDeliver, obs.KMark}
-	for i, k := range wantKinds {
-		if events[i].Kind != k {
-			t.Errorf("event %d kind = %v, want %v", i, events[i].Kind, k)
-		}
-	}
-	if events[0].Msg.String() != "m1" {
-		t.Errorf("msg ref = %q, want m1", events[0].Msg.String())
-	}
-	// The bridged trace decomposes like a native one.
-	b := obs.AnalyzeLatency(events)
-	if len(b.Samples) != 1 {
-		t.Fatalf("bridged trace decomposed %d samples, want 1", len(b.Samples))
-	}
-	if s := b.Samples[0]; s.Net != 2*time.Millisecond || s.Hold != time.Millisecond {
-		t.Errorf("sample = %+v, want net 2ms hold 1ms", s)
-	}
-	out := obs.RenderSpaceTime("fig", labels, events)
-	for _, want := range []string{"P", "Q", "send m1", "dlvr m1", "state updated"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 }

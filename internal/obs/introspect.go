@@ -99,7 +99,7 @@ func MirrorStatus(reg *Registry, sts []Status) {
 			kind := st.Component + "_" + f.Name
 			reg.Gauge(st.Substrate, st.Node, kind).Set(int64(f.V))
 			if f.Dist {
-				reg.Histogram(st.Substrate, st.Node, kind+"_dist").Observe(f.V)
+				reg.Observe(st.Substrate, st.Node, kind+"_dist", f.V)
 			}
 		}
 	}

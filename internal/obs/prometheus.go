@@ -17,9 +17,10 @@ import (
 //   - histograms → summary: catocs_<kind>{...,quantile="0.5|0.9|0.99"}
 //                 plus catocs_<kind>_sum and catocs_<kind>_count
 //
-// Histograms are exact-sample (internal/metrics keeps raw samples), so
-// the repo exports precomputed quantiles as a Prometheus *summary*
-// rather than re-bucketing into a native histogram.
+// Registry.Observe feeds a metrics.Histogram, which keeps every raw
+// sample, so quantiles are exact: the registry exports them as a
+// Prometheus *summary* rather than re-bucketing into a native
+// histogram.
 
 var summaryQuantiles = []float64{0.5, 0.9, 0.99}
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,9 +11,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("cbcast", 0, "sent").Add(3)
 	r.Counter("cbcast", 1, "sent").Add(5)
 	r.Gauge("cbcast", 0, "holdback depth").Set(7)
-	h := r.Histogram("cbcast", 0, "deliver_latency")
-	h.Observe(1)
-	h.Observe(3)
+	r.Observe("cbcast", 0, "deliver_latency", 1)
+	r.Observe("cbcast", 0, "deliver_latency", 3)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -71,7 +71,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestWritePrometheusEmptyHistogramNoNaN(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("abcast", 2, "latency") // created, never observed
+	r.Observe("abcast", 2, "latency", math.NaN()) // created, sample dropped
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -117,10 +117,11 @@ func TestCollectMirrorRenderStatus(t *testing.T) {
 	if v := reg.Gauge("cbcast", 0, "multicast_holdback_depth").Value(); v != 4 {
 		t.Fatalf("mirrored gauge = %d, want 4", v)
 	}
-	if n := reg.Histogram("cbcast", 0, "multicast_holdback_depth_dist").Count(); n != 1 {
-		t.Fatalf("Dist field histogram count = %d, want 1", n)
+	dump := reg.Render()
+	if !strings.Contains(dump, `kind="multicast_holdback_depth_dist"} = n=1 `) {
+		t.Fatalf("Dist field histogram missing or count != 1:\n%s", dump)
 	}
-	if n := reg.Histogram("cbcast", 0, "multicast_epoch_dist").Count(); n != 0 {
+	if strings.Contains(dump, "multicast_epoch_dist") {
 		t.Fatal("non-Dist field grew a histogram")
 	}
 	MirrorStatus(nil, sts) // must not panic

@@ -29,8 +29,9 @@ func (l Labels) String() string {
 // transports grew (transport.Stats / NodeStats feed it when a network
 // is instrumented) and is safe for concurrent use, because the live
 // HTTP plane (internal/obs/live) reads it while tcpnet's dispatcher and
-// connection goroutines write — the instruments are the guarded
-// variants from internal/metrics.
+// connection goroutines write. Counters and gauges are the guarded
+// variants from internal/metrics; histograms are plain ones, reached
+// only through Observe and the exporters, under the registry's mutex.
 //
 // A nil Registry is valid and hands out no instruments; callers check
 // the registry pointer once, not each instrument.
@@ -38,7 +39,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[Labels]*metrics.LockedCounter
 	gauges   map[Labels]*metrics.LockedGauge
-	hists    map[Labels]*metrics.LockedHistogram
+	hists    map[Labels]*metrics.Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -46,7 +47,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[Labels]*metrics.LockedCounter),
 		gauges:   make(map[Labels]*metrics.LockedGauge),
-		hists:    make(map[Labels]*metrics.LockedHistogram),
+		hists:    make(map[Labels]*metrics.Histogram),
 	}
 }
 
@@ -77,18 +78,18 @@ func (r *Registry) Gauge(substrate string, node int, kind string) *metrics.Locke
 	return g
 }
 
-// Histogram returns the histogram for the labels, creating it on
-// first use.
-func (r *Registry) Histogram(substrate string, node int, kind string) *metrics.LockedHistogram {
+// Observe records one sample in the histogram for the labels,
+// creating it on first use (a NaN sample creates it and is dropped).
+func (r *Registry) Observe(substrate string, node int, kind string, v float64) {
 	l := Labels{Substrate: substrate, Node: node, Kind: kind}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[l]
 	if !ok {
-		h = &metrics.LockedHistogram{}
+		h = &metrics.Histogram{}
 		r.hists[l] = h
 	}
-	return h
+	h.Observe(v)
 }
 
 // CounterTotal sums one kind's counters across nodes of a substrate —

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -21,8 +22,11 @@ func TestRegistryIdentity(t *testing.T) {
 	if g := r.Gauge("cbcast", 0, "holdback"); g != r.Gauge("cbcast", 0, "holdback") {
 		t.Fatal("same labels returned distinct gauges")
 	}
-	if h := r.Histogram("cbcast", 0, "latency"); h != r.Histogram("cbcast", 0, "latency") {
-		t.Fatal("same labels returned distinct histograms")
+	r.Observe("cbcast", 0, "latency", 1)
+	r.Observe("cbcast", 0, "latency", 2)
+	r.Observe("cbcast", 1, "latency", 3)
+	if out := r.Render(); strings.Count(out, "histogram ") != 2 || !strings.Contains(out, `node=0 kind="latency"} = n=2 `) {
+		t.Fatalf("same labels must share one histogram, distinct labels not:\n%s", out)
 	}
 }
 
@@ -53,7 +57,7 @@ func TestRegistryRender(t *testing.T) {
 	r.Counter("b", 1, "x").Inc()
 	r.Counter("a", 0, "x").Inc()
 	r.Gauge("a", 0, "q").Set(-5)
-	r.Histogram("a", 0, "lat").Observe(0.25)
+	r.Observe("a", 0, "lat", 0.25)
 	out := r.Render()
 	if out != r.Render() {
 		t.Fatal("Render nondeterministic")
@@ -92,9 +96,10 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("live", 0, "sent").Inc()
 				r.Counter("live", w, "sent").Inc()
 				r.Gauge("live", w%2, "inflight").Add(1)
-				r.Histogram("live", w%2, "latency").Observe(float64(i))
+				r.Observe("live", w%2, "latency", float64(i))
 				if i%64 == 0 {
 					_ = r.CounterTotal("live", "sent")
+					_ = r.Render() // sorts histogram samples under the lock
 				}
 			}
 		}()
@@ -105,5 +110,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.CounterTotal("live", "sent"); got != 2*workers*iters {
 		t.Errorf("CounterTotal = %d, want %d", got, 2*workers*iters)
+	}
+	want := fmt.Sprintf("n=%d ", workers/2*iters)
+	if out := r.Render(); strings.Count(out, want) != 2 {
+		t.Errorf("each latency histogram should hold %s samples:\n%s", want, out)
 	}
 }

@@ -112,9 +112,9 @@ func rowNote(e Event, sends map[MsgRef]Event, firstRecv map[recvKey]time.Duratio
 			parts = append(parts, e.Ctx)
 		}
 		return strings.Join(parts, "  ")
-	case KSend, KWireRecv, KHoldback:
+	case KWireRecv, KHoldback:
 		return e.Name
-	case KStabilize:
+	case KSend, KStabilize:
 		return e.Ctx
 	case KSpanBegin:
 		return "begin " + e.Name

@@ -83,8 +83,8 @@ func (k Kind) String() string {
 
 // MsgRef identifies a broadcast across the trace: the seq'th message
 // from a sender (a view rank for the multicast stack, a transport
-// NodeID for scalecast). Scenario adapters that know messages only by
-// name set Label and Sender -1; the struct stays comparable either
+// NodeID for scalecast). Scenarios that know messages only by name set
+// Label and Sender -1; the struct stays comparable either
 // way so it can key analysis maps.
 type MsgRef struct {
 	Sender int64
@@ -140,7 +140,9 @@ type Event struct {
 	Msg  MsgRef // zero for spans and marks
 	// Ctx is the causal context at the event: the message's vector
 	// clock for the CBCAST stack, the barrier epoch for scalecast, the
-	// stability frontier for stabilize events.
+	// stability frontier for stabilize events. The figure scenarios,
+	// which know messages only by name, put a send's or delivery's
+	// annotation here instead.
 	Ctx string
 	// Name carries the holdback reason, span name, or mark text.
 	Name string

@@ -161,7 +161,3 @@ func (r *CatocsReplica) handleAck(_ transport.NodeID, payload any) {
 		}
 	}
 }
-
-// PendingWrites returns the number of writes still awaiting their
-// safety level.
-func (r *CatocsReplica) PendingWrites() int { return len(r.pending) }

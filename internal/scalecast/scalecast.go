@@ -280,12 +280,6 @@ func (m *Member) ViewNodes() []transport.NodeID {
 	return append([]transport.NodeID(nil), m.nodes...)
 }
 
-// Neighbors returns the member's current overlay peers in sorted
-// order.
-func (m *Member) Neighbors() []transport.NodeID {
-	return append([]transport.NodeID(nil), m.order...)
-}
-
 // PendingCount returns the messages currently withheld from delivery:
 // link holdback, reconfiguration buffers, and the defensive per-origin
 // future buffer. The scalecast analogue of the CBCAST delay queue.

@@ -413,9 +413,6 @@ func (n *Net) Backpressured(id transport.NodeID) bool {
 	return n.cfg.Queue.Exceeded(msgs*2, bytes*2)
 }
 
-// QueueBudget returns the per-peer outbound budget in force.
-func (n *Net) QueueBudget() flowcontrol.Budget { return n.cfg.Queue }
-
 // accountSend mirrors SimNet's send-side accounting, charging control bytes and forward markers to the sender.
 func (n *Net) accountSend(from transport.NodeID, payload any) {
 	ctrl := uint64(transport.ControlSize(payload))
