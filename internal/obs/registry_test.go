@@ -30,6 +30,30 @@ func TestRegistryIdentity(t *testing.T) {
 	}
 }
 
+// TestRegistryObserveAggregates: a histogram fed through Observe keeps
+// every sample, so count, sum, mean and max are exact in both exporters.
+func TestRegistryObserveAggregates(t *testing.T) {
+	r := NewRegistry()
+	for i := 1; i <= 5; i++ {
+		r.Observe("cbcast", 0, "latency", float64(i))
+	}
+	if out := r.Render(); !strings.Contains(out, "n=5 mean=3 p50=3 ") || !strings.Contains(out, " max=5\n") {
+		t.Fatalf("histogram aggregates wrong:\n%s", out)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`catocs_latency_sum{substrate="cbcast",node="0"} 15`,
+		`catocs_latency_count{substrate="cbcast",node="0"} 5`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
 // TestRegistryCounterTotal: the aggregate sums one kind across nodes
 // of one substrate only; a nil registry totals zero.
 func TestRegistryCounterTotal(t *testing.T) {
