@@ -39,12 +39,15 @@ smoke:
 # fuzz attacks every registered codec's parse path for 10 s each: the
 # multicast, scalecast and pubsub kinds and the four mgcast kinds. Each
 # fuzzer checks that what decodes re-encodes to its own frame and that
-# the size model charges exactly its length. Not part of verify.
+# the size model charges exactly its length. The last line attacks
+# tcpnet's frame reader: the poison rule, and that no later read
+# rewrites a delivered payload's slab region. Not part of verify.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/multicast
 	$(GO) test -run '^$$' -fuzz '^FuzzScalecastWireDecode$$' -fuzztime 10s ./internal/scalecast
 	$(GO) test -run '^$$' -fuzz '^FuzzPubsubWireDecode$$' -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/mgcast
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime 10s ./internal/transport/tcpnet
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -51,7 +51,9 @@ const (
 )
 
 func init() {
-	wire.Register(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg, sizeDataMsg)
+	// The two frames that carry a cast keep its payload as a slice of
+	// the frame body (readDataMsg), saving a copy per delivery.
+	wire.RegisterRetaining(wire.KindMulticast+0, &DataMsg{}, encDataMsg, decDataMsg, sizeDataMsg)
 	// KindMulticast+1 carried single order assignments, now answered in
 	// runs; +2 and +3 carried the retired agreement mode's proposals and
 	// commits (agreement order lives in internal/mgcast). All three stay
@@ -59,7 +61,7 @@ func init() {
 	wire.Register(wire.KindMulticast+4, &AckMsg{}, encAckMsg, decAckMsg, sizeAckMsg)
 	wire.Register(wire.KindMulticast+5, &NackMsg{}, encNackMsg, decNackMsg, sizeNackMsg)
 	wire.Register(wire.KindMulticast+6, &OrderNack{}, encOrderNack, decOrderNack, sizeOrderNack)
-	wire.Register(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
+	wire.RegisterRetaining(wire.KindMulticast+7, &RetransMsg{}, encRetransMsg, decRetransMsg, sizeRetransMsg)
 	wire.Register(wire.KindMulticast+8, &OrderBatchMsg{}, encOrderBatchMsg, decOrderBatchMsg, sizeOrderBatchMsg)
 }
 
@@ -300,7 +302,9 @@ func decDataMsg(buf []byte) (any, error) {
 
 // readDataMsg decodes one DataMsg body, rejecting every non-canonical
 // form: a presence flag over an empty field or a zero incarnation, a
-// full clock and a delta together, an incarnation past 32 bits.
+// full clock and a delta together, an incarnation past 32 bits. The
+// payload aliases the input (both kinds that call it are registered
+// retaining); the clocks and the group name are copied.
 func readDataMsg(r *wire.Reader) (*DataMsg, error) {
 	group := r.String(wireMaxGroup)
 	var h [5]uint64 // epoch, sender, seq, send time, payload size
@@ -342,7 +346,7 @@ func readDataMsg(r *wire.Reader) (*DataMsg, error) {
 			r.Fail()
 		}
 	}
-	if b := r.BytesVar(wireMaxPayload); b != nil {
+	if b := r.BytesVarAlias(wireMaxPayload); b != nil {
 		m.Payload = b
 	}
 	return m, nil

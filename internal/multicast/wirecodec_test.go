@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
@@ -390,5 +391,80 @@ func TestOrderBatchRejectsOversizedCount(t *testing.T) {
 	}
 	if _, err := wire.Unmarshal(wire.KindMulticast+8, w.Bytes()); err == nil {
 		t.Fatalf("decode of a run claiming %d ids succeeded", wireMaxWant+1)
+	}
+}
+
+// decodeDataMsgAllocs bounds a DataMsg decode: the message, its group
+// name, clock delta and stability clock, and the interface box. A
+// payload copied out of the frame would be a sixth.
+const decodeDataMsgAllocs = 5
+
+// TestDecodedPayloadAliasesFrame pins the receive path's saving: the
+// two cast-carrying kinds are registered retaining, their decoded
+// payload is a slice of the frame (capped, so an append cannot reach
+// the bytes after it) and costs no allocation; the control kinds are
+// not retaining, so their bodies may be reused at once.
+func TestDecodedPayloadAliasesFrame(t *testing.T) {
+	data := &DataMsg{
+		Group:       "bench",
+		Epoch:       3,
+		Sender:      1,
+		Seq:         1_000_042,
+		SentAt:      30*time.Second + 123*time.Microsecond,
+		VCDelta:     []vclock.DeltaEntry{{Idx: 0, Val: 999_871}, {Idx: 1, Val: 1_000_042}},
+		DeliveredVC: vclock.VC{999_000, 999_001, 999_002},
+		Payload:     make([]byte, 8192),
+		PayloadSize: 8192,
+	}
+	for i := range data.Payload.([]byte) {
+		data.Payload.([]byte)[i] = byte(i * 7)
+	}
+	inside := func(p, buf []byte) bool {
+		if len(p) == 0 || cap(p) != len(p) {
+			return false
+		}
+		lo, hi := &buf[0], &buf[len(buf)-1]
+		first, last := &p[0], &p[len(p)-1]
+		return uintptr(unsafe.Pointer(lo)) <= uintptr(unsafe.Pointer(first)) &&
+			uintptr(unsafe.Pointer(last)) <= uintptr(unsafe.Pointer(hi))
+	}
+	for _, msg := range []any{data, &RetransMsg{Group: "bench", Epoch: 3, Data: data}} {
+		kind, buf, err := wire.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := wire.Unmarshal(kind, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := out.(*DataMsg)
+		if r, ok := out.(*RetransMsg); ok {
+			got = r.Data
+		}
+		if p, _ := got.Payload.([]byte); !inside(p, buf) || !reflect.DeepEqual(got.Payload, data.Payload) {
+			t.Errorf("%T: decoded payload does not alias the frame it was read from", msg)
+		}
+	}
+	kind, buf, err := wire.Marshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := wire.Unmarshal(kind, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > decodeDataMsgAllocs {
+		t.Errorf("a DataMsg decode allocates %.1f times, want at most %d", avg, decodeDataMsgAllocs)
+	}
+	for _, msg := range sampleMsgs() {
+		kind, _, err := wire.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, isData := msg.(*DataMsg)
+		_, isRetrans := msg.(*RetransMsg)
+		if wire.Retains(kind) != (isData || isRetrans) {
+			t.Errorf("%T: registered retaining = %v", msg, wire.Retains(kind))
+		}
 	}
 }

@@ -374,9 +374,12 @@ func (n *Net) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
-	// One reusable body buffer per connection: decoders copy everything
-	// they retain, so the next frame may overwrite it freely.
-	var body []byte
+	// A retaining kind's body is read into a slab region of its own,
+	// which the decoded payload aliases. Every other decoder copies
+	// what it keeps, so those bodies share one reusable scratch buffer:
+	// acks and order runs take no slab bytes.
+	var scratch []byte
+	var retained slab
 	for {
 		c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
 		length, lenBytes, err := readUvarint(br)
@@ -403,10 +406,15 @@ func (n *Net) serveConn(c net.Conn) {
 			n.nc.frameErrors.Add(1)
 			return
 		}
-		if need := int(length - meta); cap(body) < need {
-			body = make([]byte, need)
+		need := int(length - meta)
+		var body []byte
+		if wire.Retains(wire.Kind(kind)) {
+			body = retained.carve(need)
 		} else {
-			body = body[:need]
+			if cap(scratch) < need {
+				scratch = make([]byte, need)
+			}
+			body = scratch[:need]
 		}
 		if _, err := io.ReadFull(br, body); err != nil {
 			n.nc.frameErrors.Add(1)
@@ -432,6 +440,31 @@ func (n *Net) serveConn(c net.Conn) {
 		}
 		n.enqueueDelivery(transport.NodeID(int64(from)), dst, payload, len(body))
 	}
+}
+
+// slabChunk is the size of the chunks a slab carves.
+const slabChunk = 64 << 10
+
+// slab hands out regions of append-only chunks, each region once, for
+// bodies whose decoded values alias them (wire.Retains). Regions of
+// one chunk share its allocation, which lives until the last value
+// aliasing any of them is gone. A body larger than a chunk gets an
+// allocation of its own. A slab is not safe for concurrent use.
+type slab struct {
+	free []byte // the unused tail of the current chunk
+}
+
+// carve returns n bytes that no earlier or later carve shares.
+func (s *slab) carve(n int) []byte {
+	if n > slabChunk {
+		return make([]byte, n)
+	}
+	if len(s.free) < n {
+		s.free = make([]byte, slabChunk)
+	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
 }
 
 // readUvarint reads one header varint and how many bytes it took. Only

@@ -151,6 +151,12 @@ type Net struct {
 
 	nc counters
 
+	// loopMu guards loop, the slab that loopback bodies of retaining
+	// kinds are copied into: Send is not confined to the dispatcher
+	// (tests call it from their own goroutines).
+	loopMu sync.Mutex
+	loop   slab
+
 	mailbox chan task
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -291,12 +297,21 @@ func (n *Net) Send(from, to transport.NodeID, payload any) {
 
 // deliverLocal routes a loopback frame through the codec and into the
 // dispatch mailbox, subject to the same overflow-drop rule as inbound
-// network traffic. The frame buffer is recycled here: decoders copy
-// everything they retain, so the decoded payload does not alias it.
+// network traffic. The frame buffer is recycled here, and the next
+// Send rewrites it, so a retaining kind's body (wire.Retains) is first
+// copied into the loopback slab for its payload to alias; every other
+// decoder copies what it keeps and reads the pooled buffer directly.
 func (n *Net) deliverLocal(from, to transport.NodeID, kind wire.Kind, bp *[]byte) {
 	body := (*bp)[frameHeaderMax:]
-	payload, err := wire.Unmarshal(kind, body)
 	size := len(body)
+	if wire.Retains(kind) {
+		n.loopMu.Lock()
+		kept := n.loop.carve(size)
+		n.loopMu.Unlock()
+		copy(kept, body)
+		body = kept
+	}
+	payload, err := wire.Unmarshal(kind, body)
 	putFrameBuf(bp)
 	if err != nil {
 		n.nc.decodeErrors.Add(1)
@@ -458,7 +473,7 @@ func (n *Net) drop(to transport.NodeID) {
 
 // Stats returns a snapshot of the transport-level counters. Bytes
 // counts the encoded bodies of delivered messages — the figure SimNet
-// charges through ApproxSize; NetStats' BytesIn and BytesOut add the
+// charges through wire.Size; NetStats' BytesIn and BytesOut add the
 // frame headers.
 func (n *Net) Stats() transport.Stats {
 	n.mu.Lock()

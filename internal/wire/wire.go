@@ -72,11 +72,12 @@ type SizeFunc func(payload any) (n, app int)
 
 // entry is one registered message type.
 type entry struct {
-	kind Kind
-	name string // the registered type, for diagnostics
-	enc  EncodeFunc
-	dec  DecodeFunc
-	size SizeFunc
+	kind    Kind
+	name    string // the registered type, for diagnostics
+	enc     EncodeFunc
+	dec     DecodeFunc
+	size    SizeFunc
+	retains bool // the decoder may keep slices of its input
 }
 
 // registry is an immutable snapshot of the registrations. Register
@@ -110,8 +111,20 @@ func lookupKind(kind Kind) (*entry, bool) {
 // process that links a protocol can frame and parse its traffic.
 // Register panics on a duplicate kind or type: kind collisions are
 // wire-protocol bugs that must fail at process start, not at decode
-// time.
+// time. The decoder must copy every byte it keeps (BytesVar).
 func Register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc) {
+	register(kind, zero, enc, dec, size, false)
+}
+
+// RegisterRetaining is Register for a decoder that may keep slices of
+// its input (BytesVarAlias): the decoded value aliases the body it was
+// parsed from, so whoever calls Unmarshal for kind must hand it a body
+// that is never rewritten (see Retains).
+func RegisterRetaining(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc) {
+	register(kind, zero, enc, dec, size, true)
+}
+
+func register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc, retains bool) {
 	t := reflect.TypeOf(zero)
 	if t == nil {
 		panic("wire: Register with untyped nil")
@@ -128,7 +141,7 @@ func Register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc
 	if d, dup := old.byType[t]; dup {
 		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(d.kind), uint16(kind)))
 	}
-	e := &entry{kind: kind, name: t.String(), enc: enc, dec: dec, size: size}
+	e := &entry{kind: kind, name: t.String(), enc: enc, dec: dec, size: size, retains: retains}
 	next := &registry{byType: maps.Clone(old.byType), byKind: maps.Clone(old.byKind)}
 	next.byType[t] = e
 	next.byKind[e.kind] = e
@@ -160,13 +173,24 @@ func MarshalAppend(dst []byte, payload any) (Kind, []byte, error) {
 	return e.kind, out, nil
 }
 
-// Unmarshal parses a body under kind.
+// Unmarshal parses a body under kind. The body of a retaining kind
+// (Retains) must never be rewritten once it is parsed: the decoded
+// value keeps slices of it for as long as the value lives. Any other
+// kind's decoder copies what it keeps, so its body may be reused as
+// soon as Unmarshal returns.
 func Unmarshal(kind Kind, buf []byte) (any, error) {
 	e, ok := lookupKind(kind)
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown kind 0x%04x", uint16(kind))
 	}
 	return e.dec(buf)
+}
+
+// Retains reports whether kind's decoder keeps slices of its input
+// (registered with RegisterRetaining). Unknown kinds retain nothing.
+func Retains(kind Kind) bool {
+	e, ok := lookupKind(kind)
+	return ok && e.retains
 }
 
 // Size returns the registered size model's body length n and
@@ -401,9 +425,23 @@ func (r *Reader) String(max int) string {
 	return string(r.Take(n))
 }
 
-// BytesVar consumes a uvarint-length-prefixed byte slice (copied, not
-// aliased), guarded by max bytes. A zero length yields nil.
+// BytesVar consumes a uvarint-length-prefixed byte slice, guarded by
+// max bytes, and returns a copy, so the input may be reused. A zero
+// length yields nil. Only the decoders registered with
+// RegisterRetaining use BytesVarAlias instead.
 func (r *Reader) BytesVar(max int) []byte {
+	b := r.BytesVarAlias(max)
+	if b == nil {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// BytesVarAlias is BytesVar without the copy: the slice aliases the
+// input, capped at its own length so an append to it cannot reach the
+// bytes after it. Only a decoder registered with RegisterRetaining may
+// keep it.
+func (r *Reader) BytesVarAlias(max int) []byte {
 	n := r.Uvarint()
 	if n > uint64(max) {
 		r.Fail()
@@ -413,10 +451,7 @@ func (r *Reader) BytesVar(max int) []byte {
 		return nil
 	}
 	b := r.Take(int(n))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
+	return b[:len(b):len(b)]
 }
 
 // Finish is the standard decode epilogue: it converts reader state

@@ -238,3 +238,33 @@ func TestSizeModel(t *testing.T) {
 	wire.Register(0xF001, unsized{}, func(dst []byte, _ any) ([]byte, error) { return dst, nil },
 		func([]byte) (any, error) { return unsized{}, nil }, nil)
 }
+
+// TestBytesVarAliasAndCopy pins the two payload reads: BytesVar hands
+// out a copy the input may be reused under, BytesVarAlias a slice of
+// the input whose capacity ends with it, so an append to it cannot
+// overwrite the bytes that follow. Only RegisterRetaining kinds report
+// Retains.
+func TestBytesVarAliasAndCopy(t *testing.T) {
+	w := wire.NewAppendWriter(nil)
+	w.BytesVar([]byte("abc"))
+	w.U8(0xEE)
+	buf := w.Bytes()
+
+	copied := wire.NewReader(buf).BytesVar(8)
+	r := wire.NewReader(buf)
+	aliased := r.BytesVarAlias(8)
+	if r.U8() != 0xEE || !r.Done() {
+		t.Fatal("BytesVarAlias consumed the wrong number of bytes")
+	}
+	if cap(aliased) != len(aliased) {
+		t.Fatalf("aliased slice has capacity %d past its %d bytes", cap(aliased), len(aliased))
+	}
+	_ = append(aliased, 0)
+	buf[1] = 'X'
+	if string(aliased) != "Xbc" || string(copied) != "abc" || buf[len(buf)-1] != 0xEE {
+		t.Fatalf("aliased %q, copied %q, trailing byte %#x", aliased, copied, buf[len(buf)-1])
+	}
+	if wire.Retains(0xF000) || wire.Retains(0xEEEE) {
+		t.Fatal("a kind registered with Register, or an unknown kind, reports Retains")
+	}
+}

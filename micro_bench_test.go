@@ -165,7 +165,8 @@ func BenchmarkWireEncodeDataMsg(b *testing.B) {
 // data message as an atomic-mode cast puts it on the wire: a sequence
 // around 10^6, a send time around 30 s, a two-entry clock delta, the
 // piggybacked stability clock and a 64 B payload — the tcpnet receive
-// path.
+// path. The payload aliases the frame, so it is not among the
+// allocations.
 func BenchmarkWireDecodeDataMsg(b *testing.B) {
 	for _, n := range []int{3, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
