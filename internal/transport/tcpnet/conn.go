@@ -359,15 +359,28 @@ func (n *Net) acceptLoop() {
 	}
 }
 
+// maxRun bounds the frames a connection reader decodes before it
+// hands them to the mailbox.
+const maxRun = 64
+
 // serveConn reads frames from one inbound connection until the peer
-// goes away, the stream turns to garbage, or the idle deadline fires
-// (half-open detection: a live peer pings at least every PingEvery).
-// A body that fails to decode loses that one message; a framing
-// violation poisons the connection, because nothing after an
+// goes away, the stream turns to garbage, or the watchdog expires the
+// read (half-open detection: a live peer pings at least every
+// PingEvery). A body that fails to decode loses that one message; a
+// framing violation poisons the connection, because nothing after an
 // untrustworthy length prefix can be re-synchronised.
+//
+// Decoded deliveries collect in a run that goes to the mailbox under
+// one lock whenever the next frame is not wholly buffered (so before
+// any read that could block), every maxRun frames, and on return: the
+// frames before a violation are delivered.
 func (n *Net) serveConn(c net.Conn) {
 	defer n.wg.Done()
+	wd := n.watch(c)
+	run := make([]task, 0, maxRun)
 	defer func() {
+		n.enqueue(run)
+		wd.stop()
 		n.mu.Lock()
 		delete(n.inbound, c)
 		n.mu.Unlock()
@@ -377,11 +390,19 @@ func (n *Net) serveConn(c net.Conn) {
 	// A retaining kind's body is read into a slab region of its own,
 	// which the decoded payload aliases. Every other decoder copies
 	// what it keeps, so those bodies share one reusable scratch buffer:
-	// acks and order runs take no slab bytes.
+	// acks and order runs take no slab bytes. A body above slabMax gets
+	// a buffer of its own either way.
 	var scratch []byte
 	var retained slab
+	since := 0 // frames read since the last hand-over
 	for {
-		c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
+		if since == maxRun || !frameBuffered(br) {
+			n.enqueue(run)
+			clear(run)
+			run, since = run[:0], 0
+			wd.mark()
+		}
+		since++
 		length, lenBytes, err := readUvarint(br)
 		if err != nil {
 			if isTimeout(err) {
@@ -408,15 +429,22 @@ func (n *Net) serveConn(c net.Conn) {
 		}
 		need := int(length - meta)
 		var body []byte
-		if wire.Retains(wire.Kind(kind)) {
+		switch {
+		case need > slabMax:
+			// A header may claim far more than its peer ever sends, so
+			// a large body grows only as its bytes arrive.
+			body, err = readGrowing(br, need)
+		case wire.Retains(wire.Kind(kind)):
 			body = retained.carve(need)
-		} else {
+			_, err = io.ReadFull(br, body)
+		default:
 			if cap(scratch) < need {
 				scratch = make([]byte, need)
 			}
 			body = scratch[:need]
+			_, err = io.ReadFull(br, body)
 		}
-		if _, err := io.ReadFull(br, body); err != nil {
+		if err != nil {
 			n.nc.frameErrors.Add(1)
 			return
 		}
@@ -438,17 +466,94 @@ func (n *Net) serveConn(c net.Conn) {
 			n.drop(dst)
 			continue
 		}
-		n.enqueueDelivery(transport.NodeID(int64(from)), dst, payload, len(body))
+		run = append(run, task{from: transport.NodeID(int64(from)), to: dst, payload: payload, size: len(body)})
 	}
 }
 
-// slabChunk is the size of the chunks a slab carves.
-const slabChunk = 64 << 10
+// frameBuffered reports whether br holds a whole frame, so that
+// reading it cannot block. A malformed length prefix reads as not
+// buffered; the read that follows finds the violation.
+func frameBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	length, k := binary.Uvarint(b)
+	return k > 0 && length <= uint64(len(b)-k)
+}
+
+// readGrowing reads an n-byte body, n > slabMax, into a buffer that
+// starts at slabMax bytes and doubles only once the bytes read so far
+// fill it, so what a frame costs before it is complete stays within
+// twice what has arrived. The result has capacity n.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, slabMax)
+	for {
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil || len(buf) == n {
+			return buf, err
+		}
+		grown := make([]byte, len(buf), min(2*cap(buf), n))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// watchdog closes an inbound connection's reads once IdleTimeout
+// passes with no frame read, in place of a read deadline re-armed per
+// frame. The reader marks progress at each hand-over; the watchdog
+// sleeps until IdleTimeout after the latest mark and then, if no newer
+// mark came, sets the deadline in the past so the pending read fails
+// as a timeout.
+type watchdog struct {
+	start time.Time
+	last  atomic.Int64 // time since start at the latest mark
+	stopc chan struct{}
+}
+
+// watch starts c's watchdog.
+func (n *Net) watch(c net.Conn) *watchdog {
+	w := &watchdog{start: time.Now(), stopc: make(chan struct{})}
+	idle := n.cfg.IdleTimeout
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		t := time.NewTimer(idle)
+		defer t.Stop()
+		for {
+			select {
+			case <-w.stopc:
+				return
+			case <-t.C:
+			}
+			left := idle - (time.Since(w.start) - time.Duration(w.last.Load()))
+			if left <= 0 {
+				c.SetReadDeadline(time.Unix(1, 0))
+				return
+			}
+			t.Reset(left)
+		}
+	}()
+	return w
+}
+
+func (w *watchdog) mark() { w.last.Store(int64(time.Since(w.start))) }
+
+func (w *watchdog) stop() { close(w.stopc) }
+
+// slabChunk is the size of the chunks a slab carves, and slabMax the
+// largest body it carves from one. A chunk loses the tail too short
+// for the next body, so at most slabMax of it; a whole number of 8 KiB
+// pages, the unit Go rounds large allocations to, loses nothing more.
+// For the 8 225-byte bodies of an 8 KiB cast a 1 MiB chunk holds 127
+// and loses 4 001 bytes, where a 64 KiB one held 7 and lost 7 961.
+const (
+	slabChunk = 1 << 20
+	slabMax   = 64 << 10
+)
 
 // slab hands out regions of append-only chunks, each region once, for
 // bodies whose decoded values alias them (wire.Retains). Regions of
 // one chunk share its allocation, which lives until the last value
-// aliasing any of them is gone. A body larger than a chunk gets an
+// aliasing any of them is gone. A body larger than slabMax gets an
 // allocation of its own. A slab is not safe for concurrent use.
 type slab struct {
 	free []byte // the unused tail of the current chunk
@@ -456,7 +561,7 @@ type slab struct {
 
 // carve returns n bytes that no earlier or later carve shares.
 func (s *slab) carve(n int) []byte {
-	if n > slabChunk {
+	if n > slabMax {
 		return make([]byte, n)
 	}
 	if len(s.free) < n {

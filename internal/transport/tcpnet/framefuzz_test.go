@@ -82,6 +82,24 @@ func fuzzFrame(to transport.NodeID, msg any) []byte {
 	return buf[putFrameHeader(buf, kind, 0, to):]
 }
 
+// bareNet is a Net hosting the local nodes with no listener and no
+// dispatcher running, for driving serveConn directly.
+func bareNet(cfg Config, local ...transport.NodeID) *Net {
+	n := &Net{
+		cfg:      cfg.withDefaults(),
+		local:    map[transport.NodeID]bool{},
+		handlers: map[transport.NodeID]transport.Handler{},
+		perNode:  map[transport.NodeID]*transport.NodeStats{},
+		inbound:  map[net.Conn]bool{},
+		done:     make(chan struct{}),
+	}
+	n.mb = newMailbox(n.cfg.MailboxDepth)
+	for _, id := range local {
+		n.local[id] = true
+	}
+	return n
+}
+
 // streamConn is an inbound connection that yields a fixed byte stream
 // in reads of at most chunk bytes, so serveConn runs on the caller's
 // goroutine and a fuzz input replays exactly.
@@ -133,16 +151,7 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add([]byte{0x05, 0xF0, 0xFF, 0xFF, 0x03, 0x01, 0x01})         // kind past 16 bits
 
 	const maxFrame = 2 * slabChunk
-	cfg := Config{MaxFrame: maxFrame}.withDefaults()
-	n := &Net{
-		cfg:      cfg,
-		local:    map[transport.NodeID]bool{1: true, 2: true},
-		handlers: map[transport.NodeID]transport.Handler{},
-		perNode:  map[transport.NodeID]*transport.NodeStats{},
-		inbound:  map[net.Conn]bool{},
-		mailbox:  make(chan task, cfg.MailboxDepth),
-		done:     make(chan struct{}),
-	}
+	n := bareNet(Config{MaxFrame: maxFrame}, 1, 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<18 { // a delivered frame takes 7 B or more, so all fit the mailbox
 			return
@@ -174,10 +183,7 @@ func FuzzFrameStream(f *testing.F) {
 		if got := n.nc.framesIn.Load() - inBefore; got != uint64(len(frames)) {
 			t.Fatalf("accepted %d frames, the framing rules give %d", got, len(frames))
 		}
-		var got []task
-		for len(n.mailbox) > 0 {
-			got = append(got, <-n.mailbox)
-		}
+		got := n.mb.take(nil)
 		if len(got) != len(want) {
 			t.Fatalf("delivered %d frames, want %d", len(got), len(want))
 		}
@@ -212,5 +218,33 @@ func TestSlabRegionsNeverShared(t *testing.T) {
 		if !bytes.Equal(r, bytes.Repeat([]byte{byte(i + 1)}, len(r))) {
 			t.Errorf("region %d (%d B) was rewritten by a later carve", i, len(r))
 		}
+	}
+}
+
+// TestSlabChunkHoldsWholeBodies pins the chunk sizing: 127 bodies of an
+// 8 KiB cast's frame share one chunk and the 128th starts the next,
+// and a body past slabMax gets its own allocation without ending the
+// chunk being carved.
+func TestSlabChunkHoldsWholeBodies(t *testing.T) {
+	carves := func(sizes ...int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			var s slab
+			for _, n := range sizes {
+				s.carve(n)
+			}
+		})
+	}
+	body := make([]int, 128)
+	for i := range body {
+		body[i] = 8225
+	}
+	if got := carves(body[:127]...); got != 1 {
+		t.Errorf("127 bodies of 8 225 B took %v chunks, want 1", got)
+	}
+	if got := carves(body...); got != 2 {
+		t.Errorf("128 bodies of 8 225 B took %v chunks, want 2", got)
+	}
+	if got := carves(100, slabMax+1, 100); got != 2 {
+		t.Errorf("a chunk and one outsized body took %v allocations, want 2", got)
 	}
 }

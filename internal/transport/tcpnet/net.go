@@ -18,7 +18,13 @@
 // ONE dispatcher goroutine per Net executes every handler invocation,
 // every After callback, and every Inject function, so all local nodes
 // share a serial execution context exactly as they do on SimNet's
-// kernel goroutine.
+// kernel goroutine. Work reaches it through one FIFO mailbox that it
+// drains a whole batch at a time. A connection reader decodes every
+// complete frame already buffered from its socket and hands the run
+// over under one lock, before any read that could block and at least
+// every 64 frames; a reader never re-arms a deadline per frame, since
+// a per-connection watchdog expires it only after IdleTimeout passes
+// with no frame read.
 //
 // Send never blocks. Each remote peer has a bounded outbound queue
 // governed by a flowcontrol.Budget; when the queue is full the frame
@@ -60,7 +66,11 @@ type Config struct {
 	// Queue bounds each remote peer's outbound queue. Zero fields mean
 	// the default (8192 msgs / 16 MiB). Overflow drops the frame.
 	Queue flowcontrol.Budget
-	// MailboxDepth bounds the inbound dispatch queue (default 65536).
+	// MailboxDepth bounds the deliveries waiting for the dispatcher
+	// (default 65536): a delivery that finds this many tasks queued is
+	// shed and counted in MailboxDrops. After and Inject functions are
+	// never shed. The queue grows to what is waiting; nothing of this
+	// size is allocated up front.
 	MailboxDepth int
 
 	DialTimeout  time.Duration // per dial attempt (default 2s)
@@ -117,16 +127,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one unit of work for the dispatcher goroutine: either a
-// function (After/Inject) or a delivery.
-type task struct {
-	fn      func()
-	from    transport.NodeID
-	to      transport.NodeID
-	payload any
-	size    int // encoded payload bytes, for the Bytes counter
-}
-
 // Net is a transport.Network over TCP. See the package comment for the
 // topology and threading model.
 type Net struct {
@@ -157,10 +157,10 @@ type Net struct {
 	loopMu sync.Mutex
 	loop   slab
 
-	mailbox chan task
-	done    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
+	mb   *mailbox
+	done chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
 var _ transport.Network = (*Net)(nil)
@@ -184,7 +184,7 @@ func New(cfg Config) (*Net, error) {
 		handlers: make(map[transport.NodeID]transport.Handler),
 		perNode:  make(map[transport.NodeID]*transport.NodeStats),
 		inbound:  make(map[net.Conn]bool),
-		mailbox:  make(chan task, cfg.MailboxDepth),
+		mb:       newMailbox(cfg.MailboxDepth),
 		done:     make(chan struct{}),
 	}
 	if cfg.EpochNanos != 0 {
@@ -318,60 +318,75 @@ func (n *Net) deliverLocal(from, to transport.NodeID, kind wire.Kind, bp *[]byte
 		n.drop(to)
 		return
 	}
-	n.enqueueDelivery(from, to, payload, size)
+	n.enqueue([]task{{from: from, to: to, payload: payload, size: size}})
 }
 
-// enqueueDelivery hands a decoded payload to the dispatcher without
-// blocking; mailbox overflow loses the message, as on a real receiver
-// with an exhausted socket buffer.
-func (n *Net) enqueueDelivery(from, to transport.NodeID, payload any, size int) {
-	select {
-	case n.mailbox <- task{from: from, to: to, payload: payload, size: size}:
-	default:
+// enqueue hands a run of tasks to the dispatcher without blocking;
+// mailbox overflow loses the deliveries it sheds, as on a real
+// receiver with an exhausted socket buffer.
+func (n *Net) enqueue(run []task) {
+	for _, t := range n.mb.put(run) {
 		n.nc.mailboxDrops.Add(1)
-		n.drop(to)
+		n.drop(t.to)
 	}
 }
 
 // dispatcher is the single execution context for all handlers, After
-// callbacks and Inject functions hosted by this Net.
+// callbacks and Inject functions hosted by this Net. It takes the
+// mailbox a batch at a time and stops between any two tasks once
+// Close has begun.
 func (n *Net) dispatcher() {
 	defer n.wg.Done()
+	var batch []task
 	for {
 		select {
 		case <-n.done:
 			return
-		case t := <-n.mailbox:
-			if t.fn != nil {
-				t.fn()
-				continue
+		case <-n.mb.wake:
+		}
+		batch = n.mb.take(batch)
+		for i := range batch {
+			select {
+			case <-n.done:
+				return
+			default:
 			}
-			n.mu.Lock()
-			h := n.handlers[t.to]
-			if h == nil {
-				n.stats.Dropped++
-				if n.reg != nil {
-					n.reg.Counter(n.substrate, int(t.to), "dropped").Inc()
-				}
-				n.mu.Unlock()
-				continue
-			}
-			n.stats.Delivered++
-			n.stats.Bytes += uint64(t.size)
-			tr, reg, sub := n.tracer, n.reg, n.substrate
-			n.mu.Unlock()
-			if tr != nil && tr.WantsWire(t.payload) {
-				if ref, ok := obs.RefOf(t.payload); ok {
-					tr.WireRecv(n.Now(), int(t.to), ref)
-				}
-			}
-			if reg != nil {
-				reg.Counter(sub, int(t.to), "delivered").Inc()
-				reg.Counter(sub, int(t.to), "bytes").Add(uint64(t.size))
-			}
-			h(t.from, t.payload)
+			n.run(&batch[i])
+		}
+		clear(batch) // drop the payloads before the slice is reused
+	}
+}
+
+// run executes one task on the dispatcher.
+func (n *Net) run(t *task) {
+	if t.fn != nil {
+		t.fn()
+		return
+	}
+	n.mu.Lock()
+	h := n.handlers[t.to]
+	if h == nil {
+		n.stats.Dropped++
+		if n.reg != nil {
+			n.reg.Counter(n.substrate, int(t.to), "dropped").Inc()
+		}
+		n.mu.Unlock()
+		return
+	}
+	n.stats.Delivered++
+	n.stats.Bytes += uint64(t.size)
+	tr, reg, sub := n.tracer, n.reg, n.substrate
+	n.mu.Unlock()
+	if tr != nil && tr.WantsWire(t.payload) {
+		if ref, ok := obs.RefOf(t.payload); ok {
+			tr.WireRecv(n.Now(), int(t.to), ref)
 		}
 	}
+	if reg != nil {
+		reg.Counter(sub, int(t.to), "delivered").Inc()
+		reg.Counter(sub, int(t.to), "bytes").Add(uint64(t.size))
+	}
+	h(t.from, t.payload)
 }
 
 // Now implements transport.Network: wall time since the shared epoch.
@@ -379,34 +394,22 @@ func (n *Net) Now() time.Duration { return time.Since(n.epoch) }
 
 // After implements transport.Network. f runs on the dispatcher
 // goroutine, preserving the serial execution context timers share with
-// message handlers on SimNet. A zero delay queues f directly behind the
-// tasks already in the mailbox; only when the mailbox is full does it
-// take the timer path, since a blocking send from the dispatcher itself
-// would deadlock.
+// message handlers on SimNet. A zero delay queues f at once behind
+// every task already in the mailbox, including the rest of the batch
+// the dispatcher is running; a full mailbox never sheds it.
 func (n *Net) After(d time.Duration, f func()) {
 	if d <= 0 {
-		select {
-		case n.mailbox <- task{fn: f}:
-			return
-		default:
-		}
+		n.Inject(f)
+		return
 	}
-	time.AfterFunc(d, func() {
-		select {
-		case n.mailbox <- task{fn: f}:
-		case <-n.done:
-		}
-	})
+	time.AfterFunc(d, func() { n.Inject(f) })
 }
 
 // Inject runs f on the dispatcher goroutine, the only context from
-// which protocol objects hosted on this Net may be touched. It blocks
-// only if the mailbox is saturated, and never after Close.
+// which protocol objects hosted on this Net may be touched. It never
+// blocks and f is never shed; after Close, f never runs.
 func (n *Net) Inject(f func()) {
-	select {
-	case n.mailbox <- task{fn: f}:
-	case <-n.done:
-	}
+	n.mb.put([]task{{fn: f}})
 }
 
 // Outbound reports the occupancy of the outbound queue toward the
@@ -497,6 +500,7 @@ func (n *Net) NodeStats(id transport.NodeID) transport.NodeStats {
 func (n *Net) Close() {
 	n.once.Do(func() {
 		close(n.done)
+		n.mb.close()
 		n.ln.Close()
 		n.mu.Lock()
 		n.closed = true
