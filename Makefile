@@ -39,15 +39,18 @@ smoke:
 # fuzz attacks every registered codec's parse path for 10 s each: the
 # multicast, scalecast and pubsub kinds and the four mgcast kinds. Each
 # fuzzer checks that what decodes re-encodes to its own frame and that
-# the size model charges exactly its length. The last line attacks
+# the size model charges exactly its length. The tcpnet line attacks
 # tcpnet's frame reader: the poison rule, and that no later read
-# rewrites a delivered payload's slab region. Not part of verify.
+# rewrites a delivered payload's slab region. FuzzWindow drives the
+# sequence window every per-sender buffer uses and a map through the
+# same operations and compares them. Not part of verify.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/multicast
 	$(GO) test -run '^$$' -fuzz '^FuzzScalecastWireDecode$$' -fuzztime 10s ./internal/scalecast
 	$(GO) test -run '^$$' -fuzz '^FuzzPubsubWireDecode$$' -fuzztime 10s ./internal/pubsub
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 10s ./internal/mgcast
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime 10s ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -fuzz '^FuzzWindow$$' -fuzztime 10s ./internal/seqwin
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -1,8 +1,6 @@
 package multicast
 
 import (
-	"sort"
-
 	"catocs/internal/stability"
 	"catocs/internal/vclock"
 )
@@ -97,7 +95,7 @@ func (m *Member) onAck(a *AckMsg) {
 	m.observeStability(a.From, a.Delivered)
 	m.drainBlocked()
 	if m.known != nil {
-		m.known.Merge(a.Delivered)
+		m.raiseKnown(a.Delivered)
 		// An armed timer will look for itself; only a disarmed one
 		// needs the test.
 		if !m.nackArmed && m.hasMissing() {
@@ -149,7 +147,8 @@ func (m *Member) armNack() {
 // when it sent it, and while the cast is undelivered here it cannot be
 // stable. That copy may be the only one left — the sender was cut off
 // before any other arrived — and a rotation that skipped it would
-// request the cast forever.
+// request the cast forever. One round asks for at most wireMaxWant
+// ids, the most one NackMsg may carry; the rest wait for later rounds.
 func (m *Member) fireNack() {
 	m.nackArmed = false
 	if m.closed || m.stab == nil {
@@ -159,6 +158,7 @@ func (m *Member) fireNack() {
 	// Ids arrive in (sender, seq) order, so each target's share is
 	// sorted as it is built and rank order is target order.
 	var want [][]MsgID
+	asked := 0
 	m.eachMissing(func(id MsgID) bool {
 		if want == nil {
 			want = make([][]MsgID, len(m.nodes))
@@ -175,7 +175,8 @@ func (m *Member) fireNack() {
 			}
 		}
 		want[target] = append(want[target], id)
-		return true
+		asked++
+		return asked < wireMaxWant
 	})
 	if want == nil {
 		if m.pendCount == 0 && m.dataCount == 0 {
@@ -216,23 +217,18 @@ func (m *Member) fireNack() {
 // ResumeChains skipped, which nothing will bring, and is asked for.
 func (m *Member) eachMissing(visit func(MsgID) bool) {
 	total := m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal
+	f := m.frontier()
 	for s, hi := range m.known {
 		id := MsgID{Sender: vclock.ProcessID(s)}
-		lo := m.delivered[s]
-		if total {
-			lo = m.deliveredIDs.hi[s]
-		}
-		for id.Seq = lo + 1; id.Seq <= hi; id.Seq++ {
+		for id.Seq = f[s] + 1; id.Seq <= hi; id.Seq++ {
 			var have bool
 			if total {
-				_, have = m.dataQ[s][id.Seq]
-				have = have || m.deliveredIDs.Has(id)
+				have = m.dataQ[s].Has(id.Seq) || m.deliveredIDs.Has(id)
 			} else {
-				_, have = m.pendQ[s][id.Seq]
+				have = m.pendQ[s].Has(id.Seq)
 			}
 			if !have && m.parkedCount > 0 {
-				_, parked := m.parked[s][id.Seq]
-				have = parked && id.Seq-1 > m.reconSeq[s]
+				have = m.parked[s].Has(id.Seq) && id.Seq-1 > m.reconSeq[s]
 			}
 			if !have && !visit(id) {
 				return
@@ -261,8 +257,8 @@ func (m *Member) hasMissing() bool {
 	}
 	have := m.pendCount + m.parkedCount
 	if m.parkedCount > 0 {
-		for s, shard := range m.parked {
-			if _, atHead := shard[m.reconSeq[s]+1]; atHead {
+		for s := range m.parked {
+			if m.parked[s].Has(m.reconSeq[s] + 1) {
 				have--
 			}
 		}
@@ -272,7 +268,8 @@ func (m *Member) hasMissing() bool {
 
 // fireOrderNack (total modes) asks the sequencer to resend lost order
 // assignments: positions between the delivery frontier and the highest
-// seen, plus positions for arrived-but-unordered data.
+// seen, plus positions for arrived-but-unordered data, wanted in
+// (sender, seq) order.
 func (m *Member) fireOrderNack() {
 	if m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal {
 		return
@@ -281,20 +278,18 @@ func (m *Member) fireOrderNack() {
 		return // the sequencer is the source of truth
 	}
 	var want []MsgID
-	for s, shard := range m.dataQ {
-		for seq := range shard {
-			id := MsgID{Sender: vclock.ProcessID(s), Seq: seq}
-			if !m.orderKnown.Has(id) {
+	for s := range m.dataQ {
+		m.dataQ[s].Ascend(func(seq uint64, _ *DataMsg) bool {
+			if id := (MsgID{Sender: vclock.ProcessID(s), Seq: seq}); !m.orderKnown.Has(id) {
 				want = append(want, id)
 			}
-		}
+			return true
+		})
 	}
-	_, haveNext := m.orderAt(m.nextGlobal)
-	gap := m.nextGlobal <= m.maxGlobalSeen && !haveNext
+	gap := m.nextGlobal <= m.maxGlobalSeen && !m.orderWin.Has(m.nextGlobal)
 	if len(want) == 0 && !gap {
 		return
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
 	m.CtrlMsgs.Inc()
 	m.send(sequencerRank, &OrderNack{
 		Group: m.cfg.Group, Epoch: m.epoch, From: m.rank,

@@ -147,7 +147,7 @@ func TestChainDecodesPastOvertakingRefresh(t *testing.T) {
 	}
 
 	feed(full(1), full(9), delta(10))
-	if _, held := m.pendQ[s][10]; !held || m.parkedCount != 0 {
+	if held := m.pendQ[s].Has(10); !held || m.parkedCount != 0 {
 		t.Fatalf("delta 10 behind refresh 9: held=%v with %d parked; want it decoded from 9's stamp and held back", held, m.parkedCount)
 	}
 	feed(delta(3))
@@ -276,7 +276,6 @@ func TestOrderRunEqualsSingles(t *testing.T) {
 		delivered     []MsgID
 		win           []MsgID
 		nextGlobal    uint64
-		orderBase     uint64
 		maxGlobalSeen uint64
 	}
 	// feed hands the scenario to a fresh member, each run cut into
@@ -301,13 +300,21 @@ func TestOrderRunEqualsSingles(t *testing.T) {
 				m.Handle(nodes[0], &OrderBatchMsg{Group: "o", FirstGlobal: g, IDs: part})
 			}
 		}
-		st.win = append(st.win, m.orderWin[m.orderHead:]...)
-		st.nextGlobal, st.orderBase, st.maxGlobalSeen = m.nextGlobal, m.orderBase, m.maxGlobalSeen
+		// The window by position from nextGlobal, a zero id where no
+		// assignment is known.
+		m.orderWin.Ascend(func(g uint64, id MsgID) bool {
+			for uint64(len(st.win)) < g-m.nextGlobal {
+				st.win = append(st.win, MsgID{})
+			}
+			st.win = append(st.win, id)
+			return true
+		})
+		st.nextGlobal, st.maxGlobalSeen = m.nextGlobal, m.maxGlobalSeen
 		return st
 	}
 	equal := func(a, b state) bool {
 		return slices.Equal(a.delivered, b.delivered) && slices.Equal(a.win, b.win) &&
-			a.nextGlobal == b.nextGlobal && a.orderBase == b.orderBase && a.maxGlobalSeen == b.maxGlobalSeen
+			a.nextGlobal == b.nextGlobal && a.maxGlobalSeen == b.maxGlobalSeen
 	}
 	for name, runs := range scenarios {
 		singles := feed(runs, 1)

@@ -7,6 +7,7 @@ import (
 	"catocs/internal/flowcontrol"
 	"catocs/internal/metrics"
 	"catocs/internal/obs"
+	"catocs/internal/seqwin"
 	"catocs/internal/stability"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
@@ -211,12 +212,13 @@ type Member struct {
 	// is also the CBCAST delivered clock.
 	delivered vclock.VC
 
-	// Holdback for FIFO/causal, sharded by sender rank and keyed by
-	// sequence. Only the head of each sender's chain (delivered+1) can
-	// ever be deliverable under FIFO or causal rules, so the drain path
-	// probes one key per sender instead of scanning every pending
-	// message — O(ready), not O(pending).
-	pendQ     []map[uint64]*DataMsg
+	// Holdback for FIFO/causal, one sequence window per sender rank
+	// (every per-sender buffer below is one too; see internal/seqwin).
+	// Only the head of each sender's chain (delivered+1) can ever be
+	// deliverable under FIFO or causal rules, so the drain path probes
+	// one key per sender instead of scanning every pending message —
+	// O(ready), not O(pending).
+	pendQ     []seqwin.Window[*DataMsg]
 	pendCount int
 
 	// Causal stamp chain (stamped orderings; see DESIGN.md). Send side:
@@ -239,8 +241,8 @@ type Member struct {
 	deltaBuf    []vclock.DeltaEntry
 	reconVC     []vclock.VC
 	reconSeq    []uint64
-	ahead       []map[uint64]vclock.VC
-	parked      []map[uint64]*DataMsg
+	ahead       []seqwin.Window[vclock.VC]
+	parked      []seqwin.Window[*DataMsg]
 	parkedCount int
 	fullThrough uint64
 
@@ -249,16 +251,13 @@ type Member struct {
 	seq        *sequencer
 	orderKnown *seqSet // messages with an assigned position
 	nextGlobal uint64  // next global seq to deliver (1-based)
-	// Known-but-undelivered assignments, a ring-indexed window: slot
-	// orderHead+i holds the id at global seq orderBase+i (zero MsgID =
-	// assignment not yet learned). Global positions are consumed
-	// contiguously from the front, so in steady state the window is one
-	// slot reused forever — no per-message map churn.
-	orderWin  []MsgID
-	orderHead int
-	orderBase uint64
+	// Known-but-undelivered assignments by global position, from
+	// nextGlobal to at most maxOrderWindow past it. Positions are
+	// consumed contiguously from the front, so in steady state the ring
+	// reuses the same few slots.
+	orderWin seqwin.Window[MsgID]
 	// Arrived-but-undelivered data, sharded per sender like pendQ.
-	dataQ     []map[uint64]*DataMsg
+	dataQ     []seqwin.Window[*DataMsg]
 	dataCount int
 	// maxGlobalSeen is the highest global position this member has
 	// learned of, for order-gap detection.
@@ -314,6 +313,7 @@ type Member struct {
 	CtrlMsgs       metrics.Counter   // protocol (non-data) messages sent
 	Duplicates     metrics.Counter   // duplicate data copies discarded
 	StaleDrops     metrics.Counter   // data dropped by the incarnation guard
+	FarDrops       metrics.Counter   // data dropped maxOrderWindow or more past its sender's frontier
 	AdmissionStall metrics.Histogram // Block/Suspect admission stall (seconds)
 	ShedCount      metrics.Counter   // casts rejected by the Shed policy
 	SuspectCount   metrics.Counter   // suspicions this member raised
@@ -349,7 +349,6 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 		pendQ:        newShardQ(len(nodes)),
 		orderKnown:   newSeqSet(len(nodes)),
 		nextGlobal:   1,
-		orderBase:    1,
 		dataQ:        newShardQ(len(nodes)),
 		nackRetries:  make(map[MsgID]int),
 		deliveredIDs: newSeqSet(len(nodes)),
@@ -404,12 +403,8 @@ func NewGroup(net transport.Network, nodes []transport.NodeID, cfg Config, deliv
 }
 
 // newShardQ builds a per-sender-sharded holdback structure.
-func newShardQ(n int) []map[uint64]*DataMsg {
-	q := make([]map[uint64]*DataMsg, n)
-	for i := range q {
-		q[i] = make(map[uint64]*DataMsg)
-	}
-	return q
+func newShardQ(n int) []seqwin.Window[*DataMsg] {
+	return make([]seqwin.Window[*DataMsg], n)
 }
 
 // initChainState (re)builds the stamp chain's send and receive state
@@ -671,7 +666,7 @@ func (m *Member) traceHoldback(msg *DataMsg, reason string) {
 	held := false
 	switch m.cfg.Ordering {
 	case FIFO, Causal:
-		_, held = m.pendQ[msg.Sender][msg.Seq]
+		held = m.pendQ[msg.Sender].Has(msg.Seq)
 	default:
 		_, held = m.dataGet(msg.ID())
 	}
@@ -779,7 +774,17 @@ func (m *Member) Incarnation() uint32 { return m.inc }
 // causal stamp is first reconstructed along the sender's sequence
 // chain; a delta whose predecessor's stamp is not known yet parks until
 // it is (or until the NACK path retransmits it full-clock).
+//
+// First comes the door: a sequence number maxOrderWindow or more past
+// its sender's delivery frontier is dropped and counted before any
+// window sees it. Every per-sender buffer is a sequence window whose
+// memory follows the span of its keys, so the door is what keeps one
+// hostile frame from sizing a window to its sequence number.
 func (m *Member) onData(msg *DataMsg) {
+	if f := m.frontier()[msg.Sender]; msg.Seq > f && msg.Seq-f >= maxOrderWindow {
+		m.FarDrops.Inc()
+		return
+	}
 	if !m.cfg.stamped() {
 		m.onDataMain(msg)
 		return
@@ -816,10 +821,10 @@ func (m *Member) reconstruct(in *DataMsg) *DataMsg {
 		base = m.aheadAt(s, q-1)
 	}
 	if base == nil {
-		shard := m.parked[s]
-		before := len(shard)
-		shard[q] = in // a duplicate arrival overwrites its twin
-		m.parkedCount += len(shard) - before
+		shard := &m.parked[s]
+		before := shard.Len()
+		shard.Put(q, in) // a duplicate arrival overwrites its twin
+		m.parkedCount += shard.Len() - before
 		m.updateHoldbackGauge()
 		if m.known != nil {
 			// A parked arrival is evidence that s cast everything up to
@@ -856,20 +861,16 @@ func (m *Member) decode(in *DataMsg, base vclock.VC) *DataMsg {
 func (m *Member) learn(s vclock.ProcessID, q uint64, vc vclock.VC) {
 	if q != m.reconSeq[s]+1 {
 		if m.ahead == nil {
-			m.ahead = make([]map[uint64]vclock.VC, len(m.nodes))
+			m.ahead = make([]seqwin.Window[vclock.VC], len(m.nodes))
 		}
-		if m.ahead[s] == nil {
-			m.ahead[s] = make(map[uint64]vclock.VC)
-		}
-		m.ahead[s][q] = vc
+		m.ahead[s].Put(q, vc)
 		return
 	}
 	m.reconSeq[s], m.reconVC[s] = q, vc
 	if m.ahead == nil {
 		return
 	}
-	for next, ok := m.ahead[s][q+1]; ok; next, ok = m.ahead[s][q+1] {
-		delete(m.ahead[s], q+1)
+	for next, ok := m.ahead[s].Delete(q + 1); ok; next, ok = m.ahead[s].Delete(q + 1) {
 		q++
 		m.reconSeq[s], m.reconVC[s] = q, next
 	}
@@ -881,27 +882,28 @@ func (m *Member) aheadAt(s vclock.ProcessID, q uint64) vclock.VC {
 	if m.ahead == nil {
 		return nil
 	}
-	return m.ahead[s][q]
+	vc, _ := m.ahead[s].Get(q)
+	return vc
 }
 
-// unpark drops the parked copy of cast q from s, if any.
-func (m *Member) unpark(s vclock.ProcessID, q uint64) {
-	if _, ok := m.parked[s][q]; ok {
-		delete(m.parked[s], q)
+// unpark drops and returns the parked copy of cast q from s, if any.
+func (m *Member) unpark(s vclock.ProcessID, q uint64) *DataMsg {
+	in, ok := m.parked[s].Delete(q)
+	if ok {
 		m.parkedCount--
 		m.updateHoldbackGauge()
 	}
+	return in
 }
 
 // drainParked decodes the parked deltas that follow cast q of s, whose
 // stamp vc has just become known, for as long as they run contiguously.
 func (m *Member) drainParked(s vclock.ProcessID, q uint64, vc vclock.VC) {
-	for len(m.parked[s]) > 0 {
-		in, ok := m.parked[s][q+1]
-		if !ok {
+	for {
+		in := m.unpark(s, q+1)
+		if in == nil {
 			return
 		}
-		m.unpark(s, q+1)
 		rec := m.decode(in, vc)
 		if rec == nil {
 			return
@@ -920,7 +922,7 @@ func (m *Member) onDataMain(msg *DataMsg) {
 	if m.cfg.Atomic {
 		if msg.DeliveredVC != nil {
 			m.observeStability(msg.Sender, msg.DeliveredVC)
-			m.known.Merge(msg.DeliveredVC)
+			m.raiseKnown(msg.DeliveredVC)
 		}
 		if msg.Seq > m.known.Get(msg.Sender) {
 			m.known.Set(msg.Sender, msg.Seq)
@@ -941,7 +943,7 @@ func (m *Member) onDataMain(msg *DataMsg) {
 		}
 		m.doDeliver(msg)
 	case FIFO, Causal:
-		if _, dup := m.pendQ[msg.Sender][msg.Seq]; dup {
+		if m.pendQ[msg.Sender].Has(msg.Seq) {
 			m.Duplicates.Inc()
 			return
 		}
@@ -957,7 +959,7 @@ func (m *Member) onDataMain(msg *DataMsg) {
 			}
 			return
 		}
-		m.pendQ[msg.Sender][msg.Seq] = msg
+		m.pendQ[msg.Sender].Put(msg.Seq, msg)
 		m.pendCount++
 		m.updateHoldbackGauge()
 		if m.cfg.Ordering == Causal {
@@ -970,16 +972,16 @@ func (m *Member) onDataMain(msg *DataMsg) {
 				// The stamp names every predecessor the held message
 				// waits on; with it folded in, eachMissing reads the
 				// queue's wants off the known frontier alone.
-				m.known.Merge(msg.VC)
+				m.raiseKnown(msg.VC)
 			}
 			m.armNack()
 		}
 	case TotalSeq:
-		if _, dup := m.dataQ[msg.Sender][msg.Seq]; dup {
+		if m.dataQ[msg.Sender].Has(msg.Seq) {
 			m.Duplicates.Inc()
 			return
 		}
-		m.dataQ[msg.Sender][msg.Seq] = msg
+		m.dataQ[msg.Sender].Put(msg.Seq, msg)
 		m.dataCount++
 		m.updateHoldbackGauge()
 		if m.seq != nil && !m.orderKnown.Has(msg.ID()) {
@@ -991,15 +993,15 @@ func (m *Member) onDataMain(msg *DataMsg) {
 			m.armNack()
 		}
 	case TotalCausal:
-		if _, dup := m.dataQ[msg.Sender][msg.Seq]; dup {
+		if m.dataQ[msg.Sender].Has(msg.Seq) {
 			m.Duplicates.Inc()
 			return
 		}
-		m.dataQ[msg.Sender][msg.Seq] = msg
+		m.dataQ[msg.Sender].Put(msg.Seq, msg)
 		m.dataCount++
 		m.updateHoldbackGauge()
 		if m.seq != nil && msg.Seq > m.seq.seqDelivered.Get(msg.Sender) {
-			m.seq.seqQ[msg.Sender][msg.Seq] = msg
+			m.seq.seqQ[msg.Sender].Put(msg.Seq, msg)
 			m.seq.drainSequencer()
 		}
 		m.drainTotal()
@@ -1010,49 +1012,52 @@ func (m *Member) onDataMain(msg *DataMsg) {
 	}
 }
 
-// maxOrderWindow bounds how far above the delivery frontier an order
-// assignment may be buffered. Wire-supplied global positions are
-// untrusted; without a bound a single hostile frame could demand a
-// multi-gigabyte window. Assignments beyond it are dropped and
-// recovered by the normal order-NACK path once the frontier advances.
+// maxOrderWindow bounds how far past this member's delivery frontier
+// a wire-supplied sequence number or global position is buffered or
+// believed: data beyond it is dropped at the door (onData), an order
+// assignment beyond it is dropped (learnOrder), and evidence that a
+// sender cast beyond it is clamped there (raiseKnown). Without a bound
+// one hostile frame could size a window to its number or send the NACK
+// path walking towards it. Legitimate traffic beyond it is recovered
+// by the NACK paths once the frontier advances.
 const maxOrderWindow = 1 << 20
 
-// orderSet records that global position g holds id.
-func (m *Member) orderSet(g uint64, id MsgID) {
-	if g < m.orderBase || g-m.orderBase >= maxOrderWindow {
-		return // stale (already consumed) or absurdly far ahead
+// frontier returns the per-sender delivery frontier: every cast from s
+// up to frontier()[s] is delivered here. FIFO and causal deliver in
+// sequence order, so it is the delivered clock; the other orderings
+// deliver across it and use the delivered set's contiguous prefix.
+func (m *Member) frontier() vclock.VC {
+	if m.cfg.Ordering == FIFO || m.cfg.Ordering == Causal {
+		return m.delivered
 	}
-	idx := m.orderHead + int(g-m.orderBase)
-	for len(m.orderWin) <= idx {
-		m.orderWin = append(m.orderWin, MsgID{})
-	}
-	m.orderWin[idx] = id
+	return m.deliveredIDs.hi
 }
 
-// orderAt returns the id assigned global position g, if known and not
-// yet consumed.
-func (m *Member) orderAt(g uint64) (MsgID, bool) {
-	if g < m.orderBase {
-		return MsgID{}, false
+// raiseKnown folds a wire-supplied clock into known, each entry
+// clamped at its sender's frontier plus maxOrderWindow.
+func (m *Member) raiseKnown(vc vclock.VC) {
+	f := m.frontier()
+	for s, v := range vc {
+		if v = min(v, f[s]+maxOrderWindow); v > m.known[s] {
+			m.known[s] = v
+		}
 	}
-	idx := m.orderHead + int(g-m.orderBase)
-	if idx >= len(m.orderWin) {
-		return MsgID{}, false
-	}
-	id := m.orderWin[idx]
-	return id, id != MsgID{}
 }
 
-// orderConsume drops the window's head (position orderBase) after
-// delivery. When the window empties the ring resets, so steady-state
-// delivery reuses the same backing slot forever.
-func (m *Member) orderConsume() {
-	m.orderWin[m.orderHead] = MsgID{}
-	m.orderHead++
-	m.orderBase++
-	if m.orderHead == len(m.orderWin) {
-		m.orderWin = m.orderWin[:0]
-		m.orderHead = 0
+// learnOrder records that global position g holds id, unless id's
+// position is known already. A position already consumed or
+// maxOrderWindow or more past the next one to deliver is not kept,
+// though the id counts as known from then on.
+func (m *Member) learnOrder(g uint64, id MsgID) {
+	if g > m.maxGlobalSeen {
+		m.maxGlobalSeen = g
+	}
+	if m.orderKnown.Has(id) {
+		return
+	}
+	m.orderKnown.Add(id)
+	if g >= m.nextGlobal && g-m.nextGlobal < maxOrderWindow {
+		m.orderWin.Put(g, id)
 	}
 }
 
@@ -1062,8 +1067,7 @@ func (m *Member) dataGet(id MsgID) (*DataMsg, bool) {
 	if !m.validRank(id.Sender) {
 		return nil, false
 	}
-	msg, ok := m.dataQ[id.Sender][id.Seq]
-	return msg, ok
+	return m.dataQ[id.Sender].Get(id.Seq)
 }
 
 // dataDel removes id from the arrival buffer if present.
@@ -1071,8 +1075,7 @@ func (m *Member) dataDel(id MsgID) {
 	if !m.validRank(id.Sender) {
 		return
 	}
-	if _, held := m.dataQ[id.Sender][id.Seq]; held {
-		delete(m.dataQ[id.Sender], id.Seq)
+	if _, held := m.dataQ[id.Sender].Delete(id.Seq); held {
 		m.dataCount--
 	}
 }
@@ -1080,15 +1083,7 @@ func (m *Member) dataDel(id MsgID) {
 // onOrderBatch records a run of sequencer assignments.
 func (m *Member) onOrderBatch(ob *OrderBatchMsg) {
 	for i, id := range ob.IDs {
-		g := ob.FirstGlobal + uint64(i)
-		if g > m.maxGlobalSeen {
-			m.maxGlobalSeen = g
-		}
-		if m.orderKnown.Has(id) {
-			continue
-		}
-		m.orderKnown.Add(id)
-		m.orderSet(g, id)
+		m.learnOrder(ob.FirstGlobal+uint64(i), id)
 	}
 	m.drainTotal()
 	if m.cfg.Atomic && (m.dataCount > 0 || m.nextGlobal <= m.maxGlobalSeen) {
@@ -1127,8 +1122,8 @@ func (m *Member) drainHoldback() {
 	}
 	for s := 0; s < len(m.pendQ); {
 		head := m.delivered.Get(vclock.ProcessID(s)) + 1
-		if msg, ok := m.pendQ[s][head]; ok && m.deliverable(msg) {
-			delete(m.pendQ[s], head)
+		if msg, ok := m.pendQ[s].Get(head); ok && m.deliverable(msg) {
+			m.pendQ[s].Delete(head)
 			m.pendCount--
 			m.updateHoldbackGauge()
 			m.doDeliver(msg)
@@ -1146,7 +1141,7 @@ func (m *Member) drainTotal() {
 		return // delivery frozen during the flush window
 	}
 	for {
-		id, ok := m.orderAt(m.nextGlobal)
+		id, ok := m.orderWin.Get(m.nextGlobal)
 		if !ok {
 			return
 		}
@@ -1156,7 +1151,7 @@ func (m *Member) drainTotal() {
 		}
 		m.dataDel(id)
 		m.updateHoldbackGauge()
-		m.orderConsume()
+		m.orderWin.Delete(m.nextGlobal)
 		m.nextGlobal++
 		m.doDeliver(msg)
 	}

@@ -23,10 +23,7 @@ func (m *Member) referenceMissingSet() []MsgID {
 	// predecessor is the chain head with no stamp (ResumeChains skipped
 	// it) can only arrive as a full-clock retransmission and is wanted.
 	awaitsStamp := func(id MsgID) bool {
-		if m.parked == nil {
-			return false
-		}
-		if _, parked := m.parked[id.Sender][id.Seq]; !parked {
+		if m.parked == nil || !m.parked[id.Sender].Has(id.Seq) {
 			return false
 		}
 		prev := id.Seq - 1
@@ -64,7 +61,7 @@ func (m *Member) referenceMissingSet() []MsgID {
 			for s := range m.known {
 				sender := vclock.ProcessID(s)
 				for seq := m.delivered.Get(sender) + 1; seq <= m.known.Get(sender); seq++ {
-					if _, held := m.pendQ[sender][seq]; held {
+					if m.pendQ[sender].Has(seq) {
 						continue
 					}
 					add(MsgID{Sender: sender, Seq: seq})
@@ -72,25 +69,26 @@ func (m *Member) referenceMissingSet() []MsgID {
 			}
 		}
 	}
-	for _, shard := range m.pendQ {
-		for _, msg := range shard {
+	for r := range m.pendQ {
+		m.pendQ[r].Ascend(func(_ uint64, msg *DataMsg) bool {
 			switch m.cfg.Ordering {
 			case Causal:
 				for _, st := range m.delivered.Missing(msg.VC, msg.Sender) {
-					if _, held := m.pendQ[st.Proc][st.Time]; held {
+					if m.pendQ[st.Proc].Has(st.Time) {
 						continue // already arrived, just undeliverable itself
 					}
 					add(MsgID{Sender: st.Proc, Seq: st.Time})
 				}
 			case FIFO:
 				for s := m.delivered.Get(msg.Sender) + 1; s < msg.Seq; s++ {
-					if _, held := m.pendQ[msg.Sender][s]; held {
+					if m.pendQ[msg.Sender].Has(s) {
 						continue
 					}
 					add(MsgID{Sender: msg.Sender, Seq: s})
 				}
 			}
-		}
+			return true
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Sender != out[j].Sender {
@@ -102,12 +100,22 @@ func (m *Member) referenceMissingSet() []MsgID {
 }
 
 // referenceAssignedGlobalOf is the lookup the sequencer's log index
-// replaced, kept as the oracle: a newest-first scan of the live log.
-func (s *sequencer) referenceAssignedGlobalOf(id MsgID) (uint64, bool) {
-	for i := len(s.assignedLog) - 1; i >= 0; i-- {
-		if s.assignedLog[i] == id {
-			return s.assignedBase + uint64(i), true
-		}
-	}
-	return 0, false
+// replaced, kept as the oracle: a scan of the live log.
+func (s *sequencer) referenceAssignedGlobalOf(id MsgID) (g uint64, found bool) {
+	s.log.Ascend(func(at uint64, logged MsgID) bool {
+		g, found = at, logged == id
+		return !found
+	})
+	return g, found
+}
+
+// logIDs returns the sequencer's live assignment log: the position of
+// its first id (0 when the log is empty) and the ids by position.
+func (s *sequencer) logIDs() (base uint64, ids []MsgID) {
+	base, _ = s.log.Min()
+	s.log.Ascend(func(_ uint64, id MsgID) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return base, ids
 }

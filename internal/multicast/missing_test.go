@@ -151,8 +151,8 @@ func (w *missWorld) spawn(r int) *Member {
 func (w *missWorld) check(m *Member) {
 	t := w.t
 	parked := 0
-	for _, shard := range m.parked {
-		parked += len(shard)
+	for s := range m.parked {
+		parked += m.parked[s].Len()
 	}
 	if m.parkedCount != parked {
 		t.Fatalf("t=%v rank %d epoch %d: parkedCount = %d with %d parked", w.k.Now(), m.rank, m.epoch, m.parkedCount, parked)
@@ -160,25 +160,24 @@ func (w *missWorld) check(m *Member) {
 	if parked > 0 {
 		w.parks++
 	}
-	for s, stamps := range m.ahead {
-		for q := range stamps {
-			if q <= m.reconSeq[s] {
-				t.Fatalf("t=%v rank %d epoch %d: stamp of (%d,%d) kept ahead of chain head %d", w.k.Now(), m.rank, m.epoch, s, q, m.reconSeq[s])
-			}
+	for s := range m.ahead {
+		if q, ok := m.ahead[s].Min(); ok && q <= m.reconSeq[s] {
+			t.Fatalf("t=%v rank %d epoch %d: stamp of (%d,%d) kept ahead of chain head %d", w.k.Now(), m.rank, m.epoch, s, q, m.reconSeq[s])
 		}
 	}
 	// A parked delta sits above its chain head, and right above it only
 	// when the head's stamp is unknown (a ResumeChains checkpoint): any
 	// other base would have decoded it.
-	for s, shard := range m.parked {
-		for q := range shard {
+	for s := range m.parked {
+		m.parked[s].Ascend(func(q uint64, _ *DataMsg) bool {
 			if q <= m.reconSeq[s] || q == m.reconSeq[s]+1 && m.reconVC[s] != nil {
 				t.Fatalf("t=%v rank %d epoch %d: (%d,%d) parked with chain head %d (stamp known: %v)", w.k.Now(), m.rank, m.epoch, s, q, m.reconSeq[s], m.reconVC[s] != nil)
 			}
 			if q > m.known[s] || m.cfg.Ordering == Causal && q <= m.delivered[s] {
 				t.Fatalf("t=%v rank %d epoch %d: (%d,%d) parked outside (delivered %d, known %d]", w.k.Now(), m.rank, m.epoch, s, q, m.delivered[s], m.known[s])
 			}
-		}
+			return true
+		})
 	}
 	want := m.referenceMissingSet()
 	var got []MsgID
@@ -199,7 +198,7 @@ func (w *missWorld) check(m *Member) {
 		w.checkSequencer(m)
 	}
 	for id := range m.nackRetries {
-		_, held := m.pendQ[id.Sender][id.Seq]
+		held := m.pendQ[id.Sender].Has(id.Seq)
 		if _, arrived := m.dataGet(id); held || arrived {
 			t.Fatalf("t=%v rank %d: retry count kept for %v, which is buffered", w.k.Now(), m.rank, id)
 		}
@@ -211,7 +210,7 @@ func (w *missWorld) check(m *Member) {
 		if m.known[s] < m.delivered[s] {
 			t.Fatalf("t=%v rank %d: known[%d] = %d < delivered = %d", w.k.Now(), m.rank, s, m.known[s], m.delivered[s])
 		}
-		for q, msg := range m.pendQ[s] {
+		m.pendQ[s].Ascend(func(q uint64, msg *DataMsg) bool {
 			if q <= m.delivered[s] || q > m.known[s] {
 				t.Fatalf("t=%v rank %d: held (%d,%d) outside (delivered %d, known %d]", w.k.Now(), m.rank, s, q, m.delivered[s], m.known[s])
 			}
@@ -220,7 +219,8 @@ func (w *missWorld) check(m *Member) {
 					t.Fatalf("t=%v rank %d: held (%d,%d) stamp[%d] = %d above known %d", w.k.Now(), m.rank, s, q, p, v, m.known[p])
 				}
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -231,10 +231,11 @@ func (w *missWorld) check(m *Member) {
 // name a popped position.
 func (w *missWorld) checkSequencer(m *Member) {
 	t, s := w.t, m.seq
+	base, log := s.logIDs()
 	if s != w.seqWas {
-		w.seqWas, w.seqLog, w.seqBase = s, nil, s.assignedBase
+		w.seqWas, w.seqLog, w.seqBase = s, nil, base
 	}
-	for g := w.seqBase; g < s.assignedBase && g-w.seqBase < uint64(len(w.seqLog)); g++ {
+	for g := w.seqBase; g < base && g-w.seqBase < uint64(len(w.seqLog)); g++ {
 		id := w.seqLog[g-w.seqBase]
 		if !m.stab.Stable(stability.Key{Sender: id.Sender, Seq: id.Seq}) {
 			t.Fatalf("t=%v epoch %d: the sequencer popped %v at %d, which is not stable", w.k.Now(), m.epoch, id, g)
@@ -243,16 +244,16 @@ func (w *missWorld) checkSequencer(m *Member) {
 			t.Fatalf("t=%v epoch %d: %v, popped at %d, is still indexed at %d", w.k.Now(), m.epoch, id, g, at)
 		}
 	}
-	w.seqLog, w.seqBase = append(w.seqLog[:0], s.assignedLog...), s.assignedBase
-	for _, id := range s.assignedLog {
+	w.seqLog, w.seqBase = append(w.seqLog[:0], log...), base
+	for _, id := range log {
 		g, ok := s.assignedGlobalOf(id)
 		if want, _ := s.referenceAssignedGlobalOf(id); !ok || g != want {
 			t.Fatalf("t=%v epoch %d: index has %v at %d (%v), the log at %d", w.k.Now(), m.epoch, id, g, ok, want)
 		}
 	}
 	for r, o := range w.members {
-		if !o.closed && o.epoch == m.epoch && o.nextGlobal < s.assignedBase {
-			t.Fatalf("t=%v epoch %d: rank %d delivers from %d, below the sequencer's log at %d", w.k.Now(), m.epoch, r, o.nextGlobal, s.assignedBase)
+		if !o.closed && o.epoch == m.epoch && len(log) > 0 && o.nextGlobal < base {
+			t.Fatalf("t=%v epoch %d: rank %d delivers from %d, below the sequencer's log at %d", w.k.Now(), m.epoch, r, o.nextGlobal, base)
 		}
 	}
 }
@@ -260,8 +261,8 @@ func (w *missWorld) checkSequencer(m *Member) {
 // aheadCount is the number of stamps m knows ahead of its chain heads.
 func aheadCount(m *Member) int {
 	k := 0
-	for _, stamps := range m.ahead {
-		k += len(stamps)
+	for s := range m.ahead {
+		k += m.ahead[s].Len()
 	}
 	return k
 }

@@ -103,8 +103,6 @@ func (m *Member) ResumeChains(sendSeq uint64, replay int, ack []uint64, totalFro
 	case TotalSeq, TotalCausal:
 		if totalFrontier+1 > m.nextGlobal {
 			m.nextGlobal = totalFrontier + 1
-			m.orderBase = m.nextGlobal
-			m.orderHead = 0
 		}
 		if totalFrontier > m.maxGlobalSeen {
 			m.maxGlobalSeen = totalFrontier

@@ -3,6 +3,7 @@ package multicast
 import (
 	"slices"
 
+	"catocs/internal/seqwin"
 	"catocs/internal/stability"
 	"catocs/internal/vclock"
 )
@@ -27,20 +28,22 @@ type sequencer struct {
 	obArmed bool    // flush task queued
 	flushFn func()  // the flush task, bound once so arming allocates nothing
 	// Assignment log for order retransmission (atomic groups only; a
-	// non-atomic group never asks): the id assigned global position
-	// assignedBase+i sits at assignedLog[i]. Each assignment first pops
-	// the front while it is stable — delivered everywhere, so every
-	// member's delivery frontier is past it and no current OrderNack can
-	// name it — so the log spans the unstable window, not the epoch.
-	assignedLog  []MsgID
-	assignedBase uint64
+	// non-atomic group never asks): the id assigned each global
+	// position, contiguous from the oldest one kept. Each assignment
+	// first pops the front while it is stable — delivered everywhere,
+	// so every member's delivery frontier is past it and no current
+	// OrderNack can name it — so the log spans the unstable window, not
+	// the epoch.
+	log seqwin.Window[MsgID]
 	// assigned indexes the log by id, per sender: the position of every
-	// id in the log, kept and dropped with it (see posRun).
-	assigned []posRun
+	// id in the log, kept and dropped with it. A TotalSeq sequencer
+	// assigns a retransmitted early cast after its successors, so a
+	// sender's index grows at either end.
+	assigned []seqwin.Window[uint64]
 	// TotalCausal only: the causal delay queue the sequencer runs so
 	// assigned positions extend happens-before. Sharded like pendQ: only
 	// each sender's next sequence can be sequenceable.
-	seqQ         []map[uint64]*DataMsg
+	seqQ         []seqwin.Window[*DataMsg]
 	seqDelivered vclock.VC
 }
 
@@ -50,7 +53,7 @@ func newSequencer(m *Member) *sequencer {
 	if m.cfg.Ordering != TotalSeq && m.cfg.Ordering != TotalCausal || m.rank != sequencerRank {
 		return nil
 	}
-	s := &sequencer{m: m}
+	s := &sequencer{m: m, assigned: make([]seqwin.Window[uint64], len(m.nodes))}
 	// The task flushes whichever sequencer is current when it runs: one a
 	// view change replaced may still have a task queued, and it serves
 	// the new view's run.
@@ -66,16 +69,6 @@ func newSequencer(m *Member) *sequencer {
 	return s
 }
 
-// posRun is one sender's stretch of the log index: pos[q-base] is the
-// global position of (sender, q) while that id is in the log, 0 when it
-// is not. Sequence numbers are dense per sender, so a slice replaces a
-// map; it grows at either end (TotalSeq assigns a retransmitted early
-// cast after its successors) and sheds its front as the log pops.
-type posRun struct {
-	base uint64
-	pos  []uint64
-}
-
 // assignOrder gives a message the next global position and announces
 // it.
 func (s *sequencer) assignOrder(id MsgID) {
@@ -83,19 +76,12 @@ func (s *sequencer) assignOrder(id MsgID) {
 	s.seqCounter++
 	if m.stab != nil {
 		s.prune()
-		if len(s.assignedLog) == 0 {
-			s.assignedBase = s.seqCounter
-		}
-		s.assignedLog = append(s.assignedLog, id)
-		s.index(id, s.seqCounter)
+		s.log.Put(s.seqCounter, id)
+		s.assigned[id.Sender].Put(id.Seq, s.seqCounter)
 	}
 	// Apply locally first: the sequencer's own copy must not depend on
 	// the lossy network loopback (it cannot NACK itself).
-	m.orderKnown.Add(id)
-	m.orderSet(s.seqCounter, id)
-	if s.seqCounter > m.maxGlobalSeen {
-		m.maxGlobalSeen = s.seqCounter
-	}
+	m.learnOrder(s.seqCounter, id)
 	// Announce in runs: assignments accumulate into one contiguous run
 	// (seqCounter only ever increments, so the run stays contiguous) and
 	// flush when full or when a zero-delay task, queued behind whatever
@@ -115,97 +101,25 @@ func (s *sequencer) assignOrder(id MsgID) {
 	}
 }
 
-// prune pops the log's stable front and drops it from the index. The
-// popped slots are never written again (order NACK answers alias the
-// log), and a log that has shrunk to under a quarter of its capacity
-// moves to a fresh array.
+// prune pops the log's stable front and drops it from the index.
 func (s *sequencer) prune() {
-	k := 0
-	for _, id := range s.assignedLog {
+	for g, ok := s.log.Min(); ok; g, ok = s.log.Min() {
+		id, _ := s.log.Get(g)
 		if !s.m.stab.Stable(stability.Key{Sender: id.Sender, Seq: id.Seq}) {
-			break
-		}
-		s.unindex(id)
-		k++
-	}
-	if k > 0 {
-		s.assignedLog = compact(s.assignedLog[k:])
-		s.assignedBase += uint64(k)
-	}
-}
-
-// index records that id holds global position g. A run never spans more
-// than maxOrderWindow sequence numbers: an id beyond that stays
-// unindexed, and a NACK naming it gets the answer a pruned id gets.
-func (s *sequencer) index(id MsgID, g uint64) {
-	if s.assigned == nil {
-		s.assigned = make([]posRun, len(s.m.nodes))
-	}
-	r := &s.assigned[id.Sender]
-	switch q, n := id.Seq, uint64(len(r.pos)); {
-	case n == 0:
-		r.base = q
-		r.pos = append(r.pos, g)
-	case q >= r.base:
-		i := q - r.base
-		if i >= maxOrderWindow {
 			return
 		}
-		if i >= n {
-			r.pos = append(r.pos, make([]uint64, i+1-n)...)
-		}
-		r.pos[i] = g
-	default:
-		d := r.base - q
-		if d > maxOrderWindow-n {
-			return
-		}
-		r.pos = append(make([]uint64, d, d+n), r.pos...)
-		r.base, r.pos[0] = q, g
+		s.log.Delete(g)
+		s.assigned[id.Sender].Delete(id.Seq)
 	}
-}
-
-// unindex drops a popped id from the index and trims its run's empty
-// front.
-func (s *sequencer) unindex(id MsgID) {
-	r := &s.assigned[id.Sender]
-	if id.Seq < r.base || id.Seq-r.base >= uint64(len(r.pos)) {
-		return // never indexed
-	}
-	r.pos[id.Seq-r.base] = 0
-	k := 0
-	for k < len(r.pos) && r.pos[k] == 0 {
-		k++
-	}
-	if k > 0 {
-		r.pos = compact(r.pos[k:])
-		r.base += uint64(k)
-	}
-}
-
-// compact returns s, or a copy of it in an array of its own size once
-// it fills less than a quarter of its capacity: a window that slid back
-// from a burst lets the burst's array go.
-func compact[T any](s []T) []T {
-	if len(s) < cap(s)/4 {
-		return slices.Clone(s)
-	}
-	return s
 }
 
 // assignedGlobalOf returns the global position of an id in the log.
-// Ids never assigned, pruned, unindexed or from no member are not
-// found.
+// Ids never assigned, pruned or from no member are not found.
 func (s *sequencer) assignedGlobalOf(id MsgID) (uint64, bool) {
 	if int(id.Sender) < 0 || int(id.Sender) >= len(s.assigned) {
 		return 0, false
 	}
-	r := s.assigned[id.Sender]
-	if id.Seq < r.base || id.Seq-r.base >= uint64(len(r.pos)) {
-		return 0, false
-	}
-	g := r.pos[id.Seq-r.base]
-	return g, g != 0
+	return s.assigned[id.Sender].Get(id.Seq)
 }
 
 // flushOrders broadcasts the accumulated ordering run. Runs both on
@@ -253,7 +167,7 @@ func (s *sequencer) onOrderNack(n *OrderNack) {
 				below = append(below, g)
 			}
 		case m.orderKnown.Has(id):
-			// Assigned this epoch, and pruned since or never indexed.
+			// Assigned this epoch, and pruned since.
 		default:
 			if _, arrived := m.dataGet(id); !arrived {
 				unknown = append(unknown, id)
@@ -264,9 +178,12 @@ func (s *sequencer) onOrderNack(n *OrderNack) {
 	var first, last uint64 // the run being built; none while first is 0
 	flush := func() {
 		for ; first != 0 && first <= last; first += wireMaxWant {
-			i, j := first-s.assignedBase, min(last+1, first+wireMaxWant)-s.assignedBase
+			ids := make([]MsgID, min(last+1-first, wireMaxWant))
+			for i := range ids {
+				ids[i], _ = s.log.Get(first + uint64(i))
+			}
 			m.CtrlMsgs.Inc()
-			m.send(n.From, &OrderBatchMsg{Group: m.cfg.Group, Epoch: m.epoch, FirstGlobal: first, IDs: s.assignedLog[i:j:j]})
+			m.send(n.From, &OrderBatchMsg{Group: m.cfg.Group, Epoch: m.epoch, FirstGlobal: first, IDs: ids})
 		}
 		first = 0
 	}
@@ -281,8 +198,10 @@ func (s *sequencer) onOrderNack(n *OrderNack) {
 	for _, g := range below {
 		extend(g, g)
 	}
-	if end := s.assignedBase + uint64(len(s.assignedLog)); max(n.FromGlobal, s.assignedBase) < end {
-		extend(max(n.FromGlobal, s.assignedBase), end-1)
+	if base, ok := s.log.Min(); ok {
+		if from, end := max(n.FromGlobal, base), base+uint64(s.log.Len()); from < end {
+			extend(from, end-1)
+		}
 	}
 	flush()
 	if len(unknown) > 0 {
@@ -301,8 +220,8 @@ func (s *sequencer) drainSequencer() {
 	// preserves the deterministic assignment order.
 	for p := 0; p < len(s.seqQ); {
 		head := s.seqDelivered.Get(vclock.ProcessID(p)) + 1
-		if msg, ok := s.seqQ[p][head]; ok && s.seqDelivered.Deliverable(msg.VC, msg.Sender) {
-			delete(s.seqQ[p], head)
+		if msg, ok := s.seqQ[p].Get(head); ok && s.seqDelivered.Deliverable(msg.VC, msg.Sender) {
+			s.seqQ[p].Delete(head)
 			s.seqDelivered.Set(msg.Sender, msg.Seq)
 			if !s.m.orderKnown.Has(msg.ID()) {
 				s.assignOrder(msg.ID())

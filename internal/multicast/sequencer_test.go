@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"catocs/internal/seqwin"
 	"catocs/internal/sim"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
@@ -23,8 +24,8 @@ func stabilize(m *Member, upTo vclock.VC) {
 // against the assignment log it inverts, on the shapes it has to
 // survive: TotalSeq assigning a retransmitted early cast after its
 // successors, a sequence space resumed far from 1, ids never assigned
-// or from no member, a prune of the stable front, steps beyond
-// maxOrderWindow in either direction, and a view change.
+// or from no member, a prune of the stable front, casts maxOrderWindow
+// or more past the frontier, and a view change.
 func TestAssignedGlobalOf(t *testing.T) {
 	nodes := []transport.NodeID{0, 1, 2}
 	m := NewMember(nullNet{}, nodes, 0, Config{Group: "a", Ordering: TotalSeq, Atomic: true}, func(Delivered) {})
@@ -40,8 +41,8 @@ func TestAssignedGlobalOf(t *testing.T) {
 		if g, ok := s.assignedGlobalOf(id); !ok || g != uint64(i+1) {
 			t.Errorf("assignedGlobalOf(%v) = %d, %v; want %d", id, g, ok, i+1)
 		}
-		if back := s.assignedLog[uint64(i+1)-s.assignedBase]; back != id {
-			t.Errorf("assignedLog holds %v at position %d; want %v", back, i+1, id)
+		if back, _ := s.log.Get(uint64(i + 1)); back != id {
+			t.Errorf("the log holds %v at position %d; want %v", back, i+1, id)
 		}
 	}
 	for _, id := range []MsgID{{Sender: 1, Seq: 5_000_003}, {Sender: 1, Seq: 1}, {Sender: 2, Seq: 2}, {Sender: 2, Seq: 9}, {Sender: 0, Seq: 1}, {Sender: 7, Seq: 1}, {Sender: -1, Seq: 1}} {
@@ -58,8 +59,8 @@ func TestAssignedGlobalOf(t *testing.T) {
 	next := MsgID{Sender: 2, Seq: 4}
 	s.assignOrder(next)
 	live := append(assigned[2:], next)
-	if s.assignedBase != 3 || !slices.Equal(s.assignedLog, live) {
-		t.Fatalf("after the prune the log is %v from %d; want %v from 3", s.assignedLog, s.assignedBase, live)
+	if base, log := s.logIDs(); base != 3 || !slices.Equal(log, live) {
+		t.Fatalf("after the prune the log is %v from %d; want %v from 3", log, base, live)
 	}
 	for i, id := range live {
 		if g, ok := s.assignedGlobalOf(id); !ok || g != uint64(i+3) {
@@ -74,28 +75,26 @@ func TestAssignedGlobalOf(t *testing.T) {
 			t.Errorf("pruned %v no longer counts as assigned", id)
 		}
 	}
-	if r := s.assigned[1]; r.base != 5_000_002 || len(r.pos) != 6 {
-		t.Errorf("sender 1's run spans %d from %d; want 6 from 5_000_002", len(r.pos), r.base)
+	if lo, _ := s.assigned[1].Min(); lo != 5_000_002 || s.assigned[1].Len() != 2 {
+		t.Errorf("sender 1's index holds %d from %d; want 5_000_002 and 5_000_006", s.assigned[1].Len(), lo)
 	}
 
-	// (b) A step more than maxOrderWindow from a run's base, up or down,
-	// stays unindexed, allocates no window-sized slice, and still counts
-	// as assigned.
-	far := []MsgID{{Sender: 1, Seq: 5_000_002 + maxOrderWindow}, {Sender: 1, Seq: 1}}
-	for _, id := range far {
-		s.assignOrder(id)
-		if g, ok := s.assignedGlobalOf(id); ok {
-			t.Errorf("%v, beyond the window, indexed at %d", id, g)
-		}
-		if !m.orderKnown.Has(id) {
-			t.Errorf("%v, beyond the window, does not count as assigned", id)
+	// (b) A cast maxOrderWindow or more past its sender's frontier (0
+	// here: the casts above were assigned without being delivered) is
+	// dropped at the door: never assigned, never indexed, and without
+	// allocating.
+	far := []*DataMsg{{Group: "a", Sender: 1, Seq: maxOrderWindow}, {Group: "a", Sender: 2, Seq: 1 << 40}}
+	for _, d := range far {
+		m.Handle(nodes[d.Sender], d)
+		if g, ok := s.assignedGlobalOf(d.ID()); ok || m.orderKnown.Has(d.ID()) {
+			t.Errorf("%v, past the door, assigned (indexed at %d: %v)", d.ID(), g, ok)
 		}
 	}
-	if r := s.assigned[1]; r.base != 5_000_002 || len(r.pos) != 6 || cap(r.pos) > 64 {
-		t.Errorf("steps beyond the window left sender 1's run at %d from %d (cap %d)", len(r.pos), r.base, cap(r.pos))
+	if drops := m.FarDrops.Value(); drops != 2 {
+		t.Errorf("FarDrops = %d, want 2", drops)
 	}
-	if avg := testing.AllocsPerRun(10, func() { s.index(far[0], 99) }); avg != 0 {
-		t.Errorf("indexing a step beyond the window allocates %.0f times", avg)
+	if avg := testing.AllocsPerRun(10, func() { m.Handle(nodes[2], far[1]) }); avg != 0 {
+		t.Errorf("a cast past the door allocates %.0f times", avg)
 	}
 
 	m.InstallView(nodes, 0, 1)
@@ -121,8 +120,8 @@ func TestStaleOrderNackAfterPrune(t *testing.T) {
 	stabilize(m, vclock.VC{0, 10, 0})
 	ids[21] = MsgID{Sender: 2, Seq: 1}
 	m.seq.assignOrder(ids[21])
-	if m.seq.assignedBase != 11 {
-		t.Fatalf("log starts at %d after the prune, want 11", m.seq.assignedBase)
+	if base, _ := m.seq.logIDs(); base != 11 {
+		t.Fatalf("log starts at %d after the prune, want 11", base)
 	}
 	m.Handle(nodes[1], &OrderNack{Group: "o", From: 1, FromGlobal: 5, Want: []MsgID{ids[7]}})
 	var firsts []uint64
@@ -142,6 +141,18 @@ func TestStaleOrderNackAfterPrune(t *testing.T) {
 	if want := []uint64{11, 21}; !slices.Equal(firsts, want) {
 		t.Errorf("answered with runs spanning %v, want %v", firsts, want)
 	}
+}
+
+// windowSpan is the number of keys from w's smallest through its
+// largest: the stretch its ring has to cover.
+func windowSpan[T any](w *seqwin.Window[T]) int {
+	lo, ok := w.Min()
+	if !ok {
+		return 0
+	}
+	var hi uint64
+	w.Ascend(func(k uint64, _ T) bool { hi = k; return true })
+	return int(hi - lo + 1)
 }
 
 // hookNet calls after once after every handler and timer callback of
@@ -194,10 +205,10 @@ func TestSequencerLogBounded(t *testing.T) {
 					hook := &hookNet{Network: net, after: func() {
 						s := seq.seq
 						span := 0
-						for _, r := range s.assigned {
-							span += len(r.pos)
+						for r := range s.assigned {
+							span += windowSpan(&s.assigned[r])
 						}
-						peakLog, peakSpan = max(peakLog, len(s.assignedLog)), max(peakSpan, span)
+						peakLog, peakSpan = max(peakLog, s.log.Len()), max(peakSpan, span)
 					}}
 					delivered := make([]int, n)
 					members := make([]*Member, n)

@@ -2,8 +2,8 @@ package multicast
 
 import (
 	"fmt"
-	"sort"
 
+	"catocs/internal/seqwin"
 	"catocs/internal/transport"
 	"catocs/internal/vclock"
 )
@@ -23,19 +23,13 @@ func (m *Member) UnstableData() []*DataMsg {
 		return nil
 	}
 	var out []*DataMsg
-	for _, k := range m.stab.Keys() {
+	for _, k := range m.stab.Keys() { // in (sender, seq) order
 		if buffered, ok := m.stab.Get(k); ok {
 			if d, ok := buffered.(*DataMsg); ok {
 				out = append(out, d)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sender != out[j].Sender {
-			return out[i].Sender < out[j].Sender
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }
 
@@ -58,17 +52,15 @@ func (m *Member) ForceDeliver(msg *DataMsg) {
 		m.dataDel(msg.ID())
 	default:
 		if m.validRank(msg.Sender) {
-			if _, held := m.pendQ[msg.Sender][msg.Seq]; held {
-				delete(m.pendQ[msg.Sender], msg.Seq)
+			if _, held := m.pendQ[msg.Sender].Delete(msg.Seq); held {
 				m.pendCount--
 			}
 			if m.parked != nil { // nil for unstamped orderings
 				// A fill may overtake parked deltas whose stamps never
 				// arrived; every parked copy at or below it is dead.
-				for q := range m.parked[msg.Sender] {
-					if q <= msg.Seq {
-						m.unpark(msg.Sender, q)
-					}
+				shard := &m.parked[msg.Sender]
+				for q, ok := shard.Min(); ok && q <= msg.Seq; q, ok = shard.Min() {
+					m.unpark(msg.Sender, q)
 				}
 			}
 			// A fill this member never received still has to keep
@@ -131,9 +123,7 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	}
 	m.HoldbackGauge.Set(0)
 	m.seq = newSequencer(m)
-	m.orderWin = nil
-	m.orderHead = 0
-	m.orderBase = 1
+	m.orderWin = seqwin.Window[MsgID]{}
 	m.orderKnown = newSeqSet(len(nodes))
 	m.nextGlobal = 1
 	m.dataQ = newShardQ(len(nodes))

@@ -15,12 +15,12 @@
 package stability
 
 import (
-	"sort"
 	"time"
 
 	"catocs/internal/flowcontrol"
 	"catocs/internal/metrics"
 	"catocs/internal/obs"
+	"catocs/internal/seqwin"
 	"catocs/internal/vclock"
 	"catocs/internal/wal"
 )
@@ -36,10 +36,12 @@ func (k Key) spillKey() wal.SpillKey {
 	return wal.SpillKey{Sender: int64(k.Sender), Seq: k.Seq}
 }
 
-// entry is one buffered message with its approximate encoded size.
+// entry is one unstable message with its approximate encoded size. A
+// spilled entry's message lives in the spill store, not in msg.
 type entry struct {
-	msg  any
-	size int
+	msg     any
+	size    int
+	spilled bool
 }
 
 // Tracker is one member's unstable-message buffer plus the matrix
@@ -48,32 +50,30 @@ type entry struct {
 type Tracker struct {
 	n      int
 	matrix *vclock.Matrix
-	// bufQ holds the in-memory buffer sharded by sender and keyed by
-	// sequence; bufLen counts entries across shards. evictedTo[s] is the
-	// eviction frontier: every message from s with seq <= evictedTo[s]
-	// has already been evicted (or was never buffered), so stabilization
-	// walks only the newly stable window instead of scanning the whole
-	// buffer per ack.
-	bufQ      []map[uint64]entry
-	bufLen    int
-	evictedTo []uint64
-	memBytes  int
-	perSender []int // in-memory + spilled unstable count per sender
-	perBytes  []int // same, in bytes
-	occupancy metrics.Gauge
-	bytes     metrics.Gauge
-	evicted   metrics.Counter
-	buffered  metrics.Counter
-	spilled   metrics.Counter
+	// bufQ holds every unstable message, in memory or spilled, in one
+	// sequence window per sender; bufLen counts the in-memory entries
+	// and spilledLen the spilled ones. evictedTo[s] is the eviction
+	// frontier: every message from s with seq <= evictedTo[s] has
+	// already been evicted (or was never buffered), so the window's keys
+	// all lie above it and stabilization pops the window's front.
+	bufQ       []seqwin.Window[entry]
+	bufLen     int
+	spilledLen int
+	evictedTo  []uint64
+	memBytes   int
+	perSender  []int // in-memory + spilled unstable count per sender
+	perBytes   []int // same, in bytes
+	occupancy  metrics.Gauge
+	bytes      metrics.Gauge
+	evicted    metrics.Counter
+	buffered   metrics.Counter
+	spilled    metrics.Counter
 
 	// Budget bounds the in-memory buffer; enforcement requires a spill
 	// store (without one the tracker only measures — the sender-side
 	// admission window is the other enforcement site).
 	budget flowcontrol.Budget
 	spill  *wal.SpillStore
-	// spilledKeys tracks which unstable keys live in the spill store,
-	// so stabilization drops them and Keys() still reports them.
-	spilledKeys map[Key]struct{}
 
 	// Optional trace wiring (Instrument): stabilization events are
 	// part of a message's lifecycle, so eviction records one trace
@@ -88,19 +88,11 @@ func New(n int) *Tracker {
 	return &Tracker{
 		n:         n,
 		matrix:    vclock.NewMatrix(n),
-		bufQ:      newBufQ(n),
+		bufQ:      make([]seqwin.Window[entry], n),
 		evictedTo: make([]uint64, n),
 		perSender: make([]int, n),
 		perBytes:  make([]int, n),
 	}
-}
-
-func newBufQ(n int) []map[uint64]entry {
-	q := make([]map[uint64]entry, n)
-	for i := range q {
-		q[i] = make(map[uint64]entry)
-	}
-	return q
 }
 
 // SetBudget bounds the in-memory buffer. With a spill store attached
@@ -112,12 +104,7 @@ func (t *Tracker) SetBudget(b flowcontrol.Budget) { t.budget = b }
 func (t *Tracker) Budget() flowcontrol.Budget { return t.budget }
 
 // SetSpill attaches the overflow store the Spill policy writes to.
-func (t *Tracker) SetSpill(s *wal.SpillStore) {
-	t.spill = s
-	if s != nil && t.spilledKeys == nil {
-		t.spilledKeys = make(map[Key]struct{})
-	}
-}
+func (t *Tracker) SetSpill(s *wal.SpillStore) { t.spill = s }
 
 // Spill returns the attached spill store, or nil.
 func (t *Tracker) Spill() *wal.SpillStore { return t.spill }
@@ -134,28 +121,22 @@ func (t *Tracker) Buffer(k Key, msg any, size int) {
 	if int(k.Sender) < 0 || int(k.Sender) >= t.n {
 		return
 	}
-	if _, ok := t.bufQ[k.Sender][k.Seq]; ok {
-		return
-	}
-	if t.spilledKeys != nil {
-		if _, ok := t.spilledKeys[k]; ok {
-			return
-		}
-	}
-	// A message already known stable must not re-enter the buffer (a
-	// late duplicate would otherwise linger forever).
-	if k.Seq <= t.evictedTo[k.Sender] || t.matrix.Stable(k.Sender, k.Seq) {
+	// A buffered key is a retransmitted copy; a message already known
+	// stable must not re-enter the buffer (a late duplicate would
+	// otherwise linger forever).
+	if t.bufQ[k.Sender].Has(k.Seq) || k.Seq <= t.evictedTo[k.Sender] || t.matrix.Stable(k.Sender, k.Seq) {
 		return
 	}
 	t.buffered.Inc()
 	if t.spill != nil && t.budget.Limited() && !t.budget.Admits(t.bufLen, t.memBytes, size) {
 		t.spill.Put(k.spillKey(), msg, size)
-		t.spilledKeys[k] = struct{}{}
+		t.bufQ[k.Sender].Put(k.Seq, entry{size: size, spilled: true})
+		t.spilledLen++
 		t.spilled.Inc()
 		t.bumpSender(k.Sender, 1, size)
 		return
 	}
-	t.bufQ[k.Sender][k.Seq] = entry{msg: msg, size: size}
+	t.bufQ[k.Sender].Put(k.Seq, entry{msg: msg, size: size})
 	t.bufLen++
 	t.memBytes += size
 	t.bumpSender(k.Sender, 1, size)
@@ -181,43 +162,42 @@ func (t *Tracker) setGauges() {
 // then the spill store (a spill-store hit models the NACK-path reload
 // and is counted there).
 func (t *Tracker) Get(k Key) (any, bool) {
-	if int(k.Sender) >= 0 && int(k.Sender) < t.n {
-		if e, ok := t.bufQ[k.Sender][k.Seq]; ok {
-			return e.msg, true
-		}
+	if int(k.Sender) < 0 || int(k.Sender) >= t.n {
+		return nil, false
 	}
-	if t.spill != nil {
-		if _, ok := t.spilledKeys[k]; ok {
-			return t.spill.Get(k.spillKey())
-		}
+	e, ok := t.bufQ[k.Sender].Get(k.Seq)
+	if ok && e.spilled {
+		return t.spill.Get(k.spillKey())
 	}
-	return nil, false
+	return e.msg, ok
 }
 
 // Remove discards k from the buffer (memory or spill) without waiting
 // for stability — the shed and view-change paths. It reports whether
 // anything was removed.
 func (t *Tracker) Remove(k Key) bool {
-	if int(k.Sender) >= 0 && int(k.Sender) < t.n {
-		if e, ok := t.bufQ[k.Sender][k.Seq]; ok {
-			delete(t.bufQ[k.Sender], k.Seq)
-			t.bufLen--
-			t.memBytes -= e.size
-			t.bumpSender(k.Sender, -1, -e.size)
-			t.setGauges()
-			return true
-		}
+	if int(k.Sender) < 0 || int(k.Sender) >= t.n {
+		return false
 	}
-	if t.spilledKeys != nil {
-		if _, ok := t.spilledKeys[k]; ok {
-			delete(t.spilledKeys, k)
-			sz := t.spill.Size(k.spillKey())
-			t.spill.Drop(k.spillKey())
-			t.bumpSender(k.Sender, -1, -sz)
-			return true
-		}
+	e, ok := t.bufQ[k.Sender].Delete(k.Seq)
+	if ok {
+		t.drop(k, e)
+		t.setGauges()
 	}
-	return false
+	return ok
+}
+
+// drop settles the accounting of entry e, just removed under k: its
+// memory or its spill-store copy goes.
+func (t *Tracker) drop(k Key, e entry) {
+	if e.spilled {
+		t.spill.Drop(k.spillKey())
+		t.spilledLen--
+	} else {
+		t.bufLen--
+		t.memBytes -= e.size
+	}
+	t.bumpSender(k.Sender, -1, -e.size)
 }
 
 // Instrument attaches a trace recorder: each eviction (a message
@@ -233,44 +213,28 @@ func (t *Tracker) Instrument(tr *obs.Tracer, node int, now func() time.Duration)
 // evicts every buffered or spilled message that became stable. It
 // returns the number of evictions (spill drops included).
 //
-// Eviction walks only the window each sender's stability frontier
-// advanced through (evictedTo[s]+1 .. min[s]) rather than scanning the
-// whole buffer, so an ack costs O(newly stable) instead of
-// O(buffered) — the per-ack cost the batched-ack path amortizes
-// further.
+// Eviction pops each sender's window from the front up to its
+// stability frontier rather than scanning the whole buffer, so an ack
+// costs O(newly stable) instead of O(buffered) — the per-ack cost the
+// batched-ack path amortizes further.
 func (t *Tracker) ObserveAck(p vclock.ProcessID, delivered vclock.VC) int {
 	t.matrix.Update(p, delivered)
 	min := t.matrix.Min()
 	evicted := 0
-	var gone []Key
+	var gone []Key // in (sender, seq) order
 	for s := 0; s < t.n; s++ {
 		upto := min[s]
 		if upto <= t.evictedTo[s] {
 			continue
 		}
-		shard := t.bufQ[s]
-		for seq := t.evictedTo[s] + 1; seq <= upto; seq++ {
-			if e, ok := shard[seq]; ok {
-				delete(shard, seq)
-				t.bufLen--
-				t.memBytes -= e.size
-				t.bumpSender(vclock.ProcessID(s), -1, -e.size)
-				evicted++
-				if t.trace.Wants(obs.MsgRef{Sender: int64(s), Seq: seq}) {
-					gone = append(gone, Key{Sender: vclock.ProcessID(s), Seq: seq})
-				}
-			} else if t.spilledKeys != nil {
-				k := Key{Sender: vclock.ProcessID(s), Seq: seq}
-				if _, ok := t.spilledKeys[k]; ok {
-					delete(t.spilledKeys, k)
-					sz := t.spill.Size(k.spillKey())
-					t.spill.Drop(k.spillKey())
-					t.bumpSender(k.Sender, -1, -sz)
-					evicted++
-					if t.trace.Wants(obs.MsgRef{Sender: int64(s), Seq: seq}) {
-						gone = append(gone, k)
-					}
-				}
+		w := &t.bufQ[s]
+		for seq, ok := w.Min(); ok && seq <= upto; seq, ok = w.Min() {
+			k := Key{Sender: vclock.ProcessID(s), Seq: seq}
+			e, _ := w.Delete(seq)
+			t.drop(k, e)
+			evicted++
+			if t.trace.Wants(obs.MsgRef{Sender: int64(s), Seq: seq}) {
+				gone = append(gone, k)
 			}
 		}
 		t.evictedTo[s] = upto
@@ -280,13 +244,6 @@ func (t *Tracker) ObserveAck(p vclock.ProcessID, delivered vclock.VC) int {
 		t.setGauges()
 	}
 	if len(gone) > 0 {
-		// Sorted so the trace is deterministic under map iteration.
-		sort.Slice(gone, func(i, j int) bool {
-			if gone[i].Sender != gone[j].Sender {
-				return gone[i].Sender < gone[j].Sender
-			}
-			return gone[i].Seq < gone[j].Seq
-		})
 		at := t.traceNow()
 		ctx := "frontier=" + min.String()
 		for _, k := range gone {
@@ -310,7 +267,7 @@ func (t *Tracker) OccupancyBytes() int { return t.memBytes }
 
 // Unstable returns the total unstable messages this member still
 // accounts for, in memory or spilled.
-func (t *Tracker) Unstable() int { return t.bufLen + len(t.spilledKeys) }
+func (t *Tracker) Unstable() int { return t.bufLen + t.spilledLen }
 
 // PerSender returns how many of sender p's messages are currently
 // unstable here (memory + spilled) — the sender-side admission
@@ -398,18 +355,16 @@ func (t *Tracker) Laggard(exclude vclock.ProcessID) (lag vclock.ProcessID, waits
 }
 
 // Keys returns the identities of all currently buffered messages
-// (memory and spill), in unspecified order. Used by the view-change
+// (memory and spill) in (sender, seq) order. Used by the view-change
 // flush, which must redistribute unstable messages before installing a
 // new view.
 func (t *Tracker) Keys() []Key {
-	out := make([]Key, 0, t.bufLen+len(t.spilledKeys))
-	for s, shard := range t.bufQ {
-		for seq := range shard {
+	out := make([]Key, 0, t.Unstable())
+	for s := range t.bufQ {
+		t.bufQ[s].Ascend(func(seq uint64, _ entry) bool {
 			out = append(out, Key{Sender: vclock.ProcessID(s), Seq: seq})
-		}
-	}
-	for k := range t.spilledKeys {
-		out = append(out, k)
+			return true
+		})
 	}
 	return out
 }
@@ -421,17 +376,21 @@ func (t *Tracker) Keys() []Key {
 // Occupancy gauges reset with it, and old-epoch spilled entries are
 // dropped from the store (the new epoch re-buffers what survived).
 func (t *Tracker) Resize(n int) {
+	for s := range t.bufQ {
+		t.bufQ[s].Ascend(func(seq uint64, e entry) bool {
+			if e.spilled {
+				t.spill.Drop(Key{Sender: vclock.ProcessID(s), Seq: seq}.spillKey())
+			}
+			return true
+		})
+	}
 	t.n = n
 	t.matrix = vclock.NewMatrix(n)
-	t.bufQ = newBufQ(n)
-	t.bufLen = 0
+	t.bufQ = make([]seqwin.Window[entry], n)
+	t.bufLen, t.spilledLen = 0, 0
 	t.evictedTo = make([]uint64, n)
 	t.memBytes = 0
 	t.perSender = make([]int, n)
 	t.perBytes = make([]int, n)
-	for k := range t.spilledKeys {
-		t.spill.Drop(k.spillKey())
-		delete(t.spilledKeys, k)
-	}
 	t.setGauges()
 }

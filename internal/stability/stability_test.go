@@ -2,6 +2,7 @@ package stability
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"catocs/internal/flowcontrol"
@@ -92,22 +93,30 @@ func TestHighWater(t *testing.T) {
 	}
 }
 
+// TestKeys pins that Keys lists every unstable key, in memory or
+// spilled, in (sender, seq) order whatever order they were buffered in.
 func TestKeys(t *testing.T) {
 	tr := New(2)
-	tr.Buffer(Key{0, 1}, "a", 1)
-	tr.Buffer(Key{1, 3}, "b", 1)
-	keys := tr.Keys()
-	if len(keys) != 2 {
-		t.Fatalf("keys = %v", keys)
+	tr.SetBudget(flowcontrol.Budget{MaxMsgs: 2})
+	tr.SetSpill(wal.NewSpillStore(nil))
+	for _, k := range []Key{{1, 3}, {0, 2}, {1, 1}, {0, 1}, {1, 2}} {
+		tr.Buffer(k, "m", 1)
+	}
+	want := []Key{{0, 1}, {0, 2}, {1, 1}, {1, 2}, {1, 3}}
+	if keys := tr.Keys(); !slices.Equal(keys, want) || tr.Spill().Len() != 3 {
+		t.Fatalf("keys = %v with %d spilled, want %v with 3 spilled", keys, tr.Spill().Len(), want)
 	}
 }
 
 func TestResize(t *testing.T) {
 	tr := New(2)
+	tr.SetBudget(flowcontrol.Budget{MaxMsgs: 1})
+	tr.SetSpill(wal.NewSpillStore(nil))
 	tr.Buffer(Key{0, 1}, "a", 1)
+	tr.Buffer(Key{1, 1}, "b", 1) // over budget -> spilled
 	tr.Resize(4)
-	if tr.Occupancy() != 0 {
-		t.Fatal("resize must clear the buffer")
+	if tr.Occupancy() != 0 || tr.Unstable() != 0 || tr.Spill().Len() != 0 {
+		t.Fatal("resize must clear the buffer and the spill store")
 	}
 	if tr.MinClock().Len() != 4 {
 		t.Fatalf("min clock length = %d", tr.MinClock().Len())

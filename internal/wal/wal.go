@@ -319,6 +319,3 @@ func (s *SpillStore) Drops() uint64   { return s.drops }
 
 // Device exposes the backing device (for byte accounting).
 func (s *SpillStore) Device() *Device { return s.dev }
-
-// Size returns the recorded size of a spilled entry (0 when absent).
-func (s *SpillStore) Size(k SpillKey) int { return s.sizes[k] }

@@ -30,6 +30,7 @@ import (
 	"maps"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,10 +82,12 @@ type entry struct {
 }
 
 // registry is an immutable snapshot of the registrations. Register
-// publishes a new copy, so the per-frame lookups take no lock.
+// publishes a new copy, so the per-frame lookups take no lock. byKind
+// is indexed by kind (nil where none is registered): kinds are small
+// and dense, and a receiver looks one up twice per frame.
 type registry struct {
 	byType map[reflect.Type]*entry
-	byKind map[Kind]*entry
+	byKind []*entry
 }
 
 var (
@@ -93,7 +96,7 @@ var (
 )
 
 func init() {
-	reg.Store(&registry{byType: map[reflect.Type]*entry{}, byKind: map[Kind]*entry{}})
+	reg.Store(&registry{byType: map[reflect.Type]*entry{}})
 }
 
 func lookupType(payload any) (*entry, bool) {
@@ -102,8 +105,11 @@ func lookupType(payload any) (*entry, bool) {
 }
 
 func lookupKind(kind Kind) (*entry, bool) {
-	e, ok := reg.Load().byKind[kind]
-	return e, ok
+	if byKind := reg.Load().byKind; int(kind) < len(byKind) {
+		e := byKind[kind]
+		return e, e != nil
+	}
+	return nil, false
 }
 
 // Register installs a codec and its size model for the concrete type
@@ -135,16 +141,19 @@ func register(kind Kind, zero any, enc EncodeFunc, dec DecodeFunc, size SizeFunc
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := reg.Load()
-	if d, dup := old.byKind[kind]; dup {
+	if d, dup := lookupKind(kind); dup {
 		panic(fmt.Sprintf("wire: kind 0x%04x registered twice (%s and %s)", uint16(kind), d.name, t))
 	}
 	if d, dup := old.byType[t]; dup {
 		panic(fmt.Sprintf("wire: type %s registered twice (kinds 0x%04x and 0x%04x)", t, uint16(d.kind), uint16(kind)))
 	}
 	e := &entry{kind: kind, name: t.String(), enc: enc, dec: dec, size: size, retains: retains}
-	next := &registry{byType: maps.Clone(old.byType), byKind: maps.Clone(old.byKind)}
+	next := &registry{byType: maps.Clone(old.byType), byKind: slices.Clone(old.byKind)}
 	next.byType[t] = e
-	next.byKind[e.kind] = e
+	if n := int(kind) + 1; n > len(next.byKind) {
+		next.byKind = append(next.byKind, make([]*entry, n-len(next.byKind))...)
+	}
+	next.byKind[kind] = e
 	reg.Store(next)
 }
 

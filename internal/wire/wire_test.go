@@ -72,10 +72,31 @@ func TestMarshalUnregistered(t *testing.T) {
 	}
 }
 
+// TestUnmarshalUnknownKind covers the three unknown shapes of the
+// kind index: the reserved kind 0, a gap between registered kinds, and
+// a kind past the highest registered one.
 func TestUnmarshalUnknownKind(t *testing.T) {
-	if _, err := wire.Unmarshal(0xEEEE, []byte{1}); err == nil {
-		t.Fatal("Unmarshal of unknown kind succeeded")
+	for _, k := range []wire.Kind{wire.KindReserved, 0xEEEE, 0xFFFF} {
+		if _, err := wire.Unmarshal(k, []byte{1}); err == nil {
+			t.Errorf("Unmarshal of unknown kind 0x%04x succeeded", uint16(k))
+		}
+		if wire.Retains(k) || wire.KindName(k) != "" {
+			t.Errorf("unknown kind 0x%04x reports Retains or a name", uint16(k))
+		}
 	}
+}
+
+// TestRegisterDuplicateKindPanics pins that a kind cannot be registered
+// twice, also for a second type.
+func TestRegisterDuplicateKindPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering kind 0xF000 twice did not panic")
+		}
+	}()
+	type other struct{}
+	wire.Register(0xF000, other{}, func(dst []byte, _ any) ([]byte, error) { return dst, nil },
+		func([]byte) (any, error) { return other{}, nil }, func(any) (int, int) { return 0, 0 })
 }
 
 func TestUnmarshalTruncatedAndTrailing(t *testing.T) {
