@@ -207,22 +207,22 @@ func (m *Member) fireNack() {
 // or parked message's own sequence and, under Causal, a held message's
 // dependency stamp (onDataMain). A held message waits only on prefixes
 // that start at delivered+1, so the union of what the holdback queue
-// waits on is the window (delivered, known] minus the queue itself. The
-// total orders deliver across per-sender order, so their window starts
-// at the delivered set's contiguous frontier and skips what was
-// delivered above it. A parked delta is not missing while its
+// waits on is the window (delivered, known] minus the queue itself.
+// Unordered and the total orders deliver across per-sender order, so
+// their window starts at the delivered set's contiguous frontier and
+// skips what was delivered above it. A parked delta is not missing while its
 // predecessor's stamp is outstanding: the retransmission that brings
 // the predecessor decodes it, so asking for it too only buys a
 // duplicate. One parked right above its chain head waits on a stamp
 // ResumeChains skipped, which nothing will bring, and is asked for.
 func (m *Member) eachMissing(visit func(MsgID) bool) {
-	total := m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal
+	fifo := m.cfg.fifoDelivery()
 	f := m.frontier()
 	for s, hi := range m.known {
 		id := MsgID{Sender: vclock.ProcessID(s)}
 		for id.Seq = f[s] + 1; id.Seq <= hi; id.Seq++ {
 			var have bool
-			if total {
+			if !fifo {
 				have = m.dataQ[s].Has(id.Seq) || m.deliveredIDs.Has(id)
 			} else {
 				have = m.pendQ[s].Has(id.Seq)
@@ -242,11 +242,11 @@ func (m *Member) eachMissing(visit func(MsgID) bool) {
 // every held or parked (s, q) has delivered[s] < q <= known[s], so
 // something is missing exactly when the windows hold more sequences than
 // the queue holds messages plus the parked arrivals eachMissing skips —
-// every parked one but those right above their chain head. The total
-// orders have no such count (deliveries above the frontier sit in the
-// window too) and stop at the first gap.
+// every parked one but those right above their chain head. Unordered
+// and the total orders have no such count (deliveries above the
+// frontier sit in the window too) and stop at the first gap.
 func (m *Member) hasMissing() bool {
-	if m.cfg.Ordering == TotalSeq || m.cfg.Ordering == TotalCausal {
+	if !m.cfg.fifoDelivery() {
 		found := false
 		m.eachMissing(func(MsgID) bool { found = true; return false })
 		return found

@@ -2,6 +2,7 @@ package multicast
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func (n *nackTap) Send(from, to transport.NodeID, payload any) {
 // three one frame from rank 1 that names sequence number 2^40: an ack
 // claiming rank 1 delivered that many of its own casts, or a cast
 // carrying it. Neither may wedge the member: the ack's claim is
-// clamped at the frontier plus maxOrderWindow and each NACK round asks
+// clamped at the last sequence the door lets in and each NACK round asks
 // for at most wireMaxWant ids, the cast is dropped at the door. The
 // world must finish its run within a second of wall time, and rank 1's
 // next real cast must still be delivered.
@@ -71,8 +72,8 @@ func TestHostileClockEntry(t *testing.T) {
 				t.Fatalf("member 0 delivered %v, want rank 1's cast 1", got)
 			}
 			m := members[0]
-			if lim := m.delivered[1] + maxOrderWindow; m.known[1] > lim {
-				t.Errorf("known[1] = %d, past the frontier plus maxOrderWindow (%d)", m.known[1], lim)
+			if lim := m.delivered[1] + maxSeqWindow - 1; m.known[1] > lim {
+				t.Errorf("known[1] = %d, past the last sequence the door lets in (%d)", m.known[1], lim)
 			}
 			for _, n := range tap.nacks {
 				if len(n.Want) > wireMaxWant {
@@ -86,32 +87,59 @@ func TestHostileClockEntry(t *testing.T) {
 	}
 }
 
-// TestDoorBoundsAlloc pins the door under every ordering. Sender 1's
-// cast 2 is held or buffered first, so each of its windows holds a key;
-// then a cast at its frontier plus maxOrderWindow and one at 2^40 are
-// dropped and counted, and handling both allocates less than 1 MiB,
-// where windows stretched to them would take tens of megabytes or more
-// than the address space.
+// TestDoorBoundsAlloc pins the door under every ordering of an atomic
+// group. Sender 1's cast 2 is held or buffered first, so each of its
+// windows holds a key. The last cast the door lets in, at the frontier
+// plus maxSeqWindow-1, is taken in and allocates a few megabytes at
+// most, however many windows it stretches; casts at the frontier plus
+// maxSeqWindow and at 2^40 are dropped and counted and allocate almost
+// nothing, where windows stretched to them would take more than the
+// address space.
 func TestDoorBoundsAlloc(t *testing.T) {
 	for _, ord := range []Ordering{Unordered, FIFO, Causal, TotalSeq, TotalCausal} {
 		nodes := []transport.NodeID{0, 1, 2}
 		m := NewMember(nullNet{}, nodes, 0, Config{Group: "d", Ordering: ord, Atomic: true}, func(Delivered) {})
-		cast := func(seq uint64) *DataMsg {
-			return &DataMsg{Group: "d", Sender: 1, Seq: seq, VC: vclock.VC{0, seq, 0}}
+		handle := func(seqs ...uint64) (alloc uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, q := range seqs {
+				m.Handle(nodes[1], &DataMsg{Group: "d", Sender: 1, Seq: q, VC: vclock.VC{0, q, 0}})
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
 		}
-		m.Handle(nodes[1], cast(2))
+		handle(2)
+		if grew := handle(maxSeqWindow - 1); grew >= 4<<20 {
+			t.Errorf("%v: the last cast inside the door allocated %d bytes", ord, grew)
+		}
 		held, buffered := m.PendingCount(), m.Stability().Unstable()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m.Handle(nodes[1], cast(maxOrderWindow))
-		m.Handle(nodes[1], cast(1<<40))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		if m.FarDrops.Value() != 0 || buffered != 2 {
+			t.Errorf("%v: FarDrops = %d with %d buffered; want the cast inside the door taken in", ord, m.FarDrops.Value(), buffered)
+		}
+		if grew := handle(maxSeqWindow, 1<<40); grew >= 64<<10 {
 			t.Errorf("%v: the far casts allocated %d bytes", ord, grew)
 		}
 		if m.FarDrops.Value() != 2 || m.PendingCount() != held || m.Stability().Unstable() != buffered {
 			t.Errorf("%v: FarDrops = %d with %d held and %d buffered; want both casts dropped and counted",
 				ord, m.FarDrops.Value(), m.PendingCount(), m.Stability().Unstable())
 		}
+	}
+}
+
+// TestUnorderedWithoutDoor loses sender 1's first cast to a
+// non-atomic Unordered member, which never asks for it again, so its
+// delivered set's contiguous frontier stays at 0 for good. It buffers
+// nothing, so it has no door: casts far past that frontier are still
+// delivered on arrival.
+func TestUnorderedWithoutDoor(t *testing.T) {
+	nodes := []transport.NodeID{0, 1, 2}
+	var got []MsgID
+	m := NewMember(nullNet{}, nodes, 0, Config{Group: "u", Ordering: Unordered}, func(d Delivered) { got = append(got, d.ID) })
+	want := []MsgID{{Sender: 1, Seq: 2}, {Sender: 1, Seq: 1 + maxSeqWindow}, {Sender: 1, Seq: 1 << 40}}
+	for _, id := range want {
+		m.Handle(nodes[1], &DataMsg{Group: "u", Sender: id.Sender, Seq: id.Seq})
+	}
+	if !slices.Equal(got, want) || m.FarDrops.Value() != 0 {
+		t.Errorf("delivered %v with FarDrops = %d; want %v and none dropped", got, m.FarDrops.Value(), want)
 	}
 }

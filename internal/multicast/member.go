@@ -155,6 +155,12 @@ func (c Config) vcRefreshEvery() uint64 {
 	}
 }
 
+// fifoDelivery reports whether each sender's casts are delivered in
+// sequence order, so the delivered clock counts them.
+func (c Config) fifoDelivery() bool {
+	return c.Ordering == FIFO || c.Ordering == Causal
+}
+
 // stamped reports whether casts carry a causal stamp.
 func (c Config) stamped() bool {
 	return c.Ordering == Causal || c.Ordering == TotalCausal
@@ -313,7 +319,7 @@ type Member struct {
 	CtrlMsgs       metrics.Counter   // protocol (non-data) messages sent
 	Duplicates     metrics.Counter   // duplicate data copies discarded
 	StaleDrops     metrics.Counter   // data dropped by the incarnation guard
-	FarDrops       metrics.Counter   // data dropped maxOrderWindow or more past its sender's frontier
+	FarDrops       metrics.Counter   // data dropped maxSeqWindow or more past its sender's frontier
 	AdmissionStall metrics.Histogram // Block/Suspect admission stall (seconds)
 	ShedCount      metrics.Counter   // casts rejected by the Shed policy
 	SuspectCount   metrics.Counter   // suspicions this member raised
@@ -346,10 +352,10 @@ func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.Proc
 		rank:         rank,
 		deliver:      deliver,
 		delivered:    vclock.New(len(nodes)),
-		pendQ:        newShardQ(len(nodes)),
+		pendQ:        make([]seqwin.Window[*DataMsg], len(nodes)),
 		orderKnown:   newSeqSet(len(nodes)),
 		nextGlobal:   1,
-		dataQ:        newShardQ(len(nodes)),
+		dataQ:        make([]seqwin.Window[*DataMsg], len(nodes)),
 		nackRetries:  make(map[MsgID]int),
 		deliveredIDs: newSeqSet(len(nodes)),
 	}
@@ -402,11 +408,6 @@ func NewGroup(net transport.Network, nodes []transport.NodeID, cfg Config, deliv
 	return members
 }
 
-// newShardQ builds a per-sender-sharded holdback structure.
-func newShardQ(n int) []seqwin.Window[*DataMsg] {
-	return make([]seqwin.Window[*DataMsg], n)
-}
-
 // initChainState (re)builds the stamp chain's send and receive state
 // for the current view size.
 func (m *Member) initChainState() {
@@ -416,7 +417,7 @@ func (m *Member) initChainState() {
 	m.reconVC = make([]vclock.VC, n)
 	m.reconSeq = make([]uint64, n)
 	m.ahead = nil
-	m.parked = newShardQ(n)
+	m.parked = make([]seqwin.Window[*DataMsg], n)
 	m.parkedCount = 0
 	m.fullThrough = 0
 }
@@ -775,15 +776,18 @@ func (m *Member) Incarnation() uint32 { return m.inc }
 // chain; a delta whose predecessor's stamp is not known yet parks until
 // it is (or until the NACK path retransmits it full-clock).
 //
-// First comes the door: a sequence number maxOrderWindow or more past
+// First comes the door: a sequence number maxSeqWindow or more past
 // its sender's delivery frontier is dropped and counted before any
 // window sees it. Every per-sender buffer is a sequence window whose
 // memory follows the span of its keys, so the door is what keeps one
-// hostile frame from sizing a window to its sequence number.
+// hostile frame from sizing a window to its sequence number. A
+// non-atomic Unordered member buffers nothing, so it has no door.
 func (m *Member) onData(msg *DataMsg) {
-	if f := m.frontier()[msg.Sender]; msg.Seq > f && msg.Seq-f >= maxOrderWindow {
-		m.FarDrops.Inc()
-		return
+	if m.cfg.Atomic || m.cfg.Ordering != Unordered {
+		if f := m.frontier()[msg.Sender]; msg.Seq > f && msg.Seq-f >= maxSeqWindow {
+			m.FarDrops.Inc()
+			return
+		}
 	}
 	if !m.cfg.stamped() {
 		m.onDataMain(msg)
@@ -1012,14 +1016,20 @@ func (m *Member) onDataMain(msg *DataMsg) {
 	}
 }
 
-// maxOrderWindow bounds how far past this member's delivery frontier
-// a wire-supplied sequence number or global position is buffered or
-// believed: data beyond it is dropped at the door (onData), an order
-// assignment beyond it is dropped (learnOrder), and evidence that a
-// sender cast beyond it is clamped there (raiseKnown). Without a bound
-// one hostile frame could size a window to its number or send the NACK
-// path walking towards it. Legitimate traffic beyond it is recovered
-// by the NACK paths once the frontier advances.
+// maxSeqWindow bounds how far past its sender's delivery frontier a
+// wire-supplied sequence number is buffered or believed: data beyond it
+// is dropped at the door (onData) and evidence that a sender cast
+// beyond it is clamped there (raiseKnown). Without a bound one hostile
+// frame could size a window to its number or send the NACK path walking
+// towards it; with it, what one frame can make this member hold for its
+// sender stays under a megabyte per window. Legitimate traffic runs far
+// inside it: the benchmark's workloads and the chaos worlds bring casts
+// at most a few hundred past the frontier. An atomic group recovers a
+// cast dropped here by NACK once the frontier has advanced.
+const maxSeqWindow = 1 << 14
+
+// maxOrderWindow bounds how far past the next position to deliver an
+// order assignment is kept (learnOrder), for the same reason.
 const maxOrderWindow = 1 << 20
 
 // frontier returns the per-sender delivery frontier: every cast from s
@@ -1027,18 +1037,18 @@ const maxOrderWindow = 1 << 20
 // sequence order, so it is the delivered clock; the other orderings
 // deliver across it and use the delivered set's contiguous prefix.
 func (m *Member) frontier() vclock.VC {
-	if m.cfg.Ordering == FIFO || m.cfg.Ordering == Causal {
+	if m.cfg.fifoDelivery() {
 		return m.delivered
 	}
 	return m.deliveredIDs.hi
 }
 
 // raiseKnown folds a wire-supplied clock into known, each entry
-// clamped at its sender's frontier plus maxOrderWindow.
+// clamped at the last sequence the door lets in from its sender.
 func (m *Member) raiseKnown(vc vclock.VC) {
 	f := m.frontier()
 	for s, v := range vc {
-		if v = min(v, f[s]+maxOrderWindow); v > m.known[s] {
+		if v = min(v, f[s]+maxSeqWindow-1); v > m.known[s] {
 			m.known[s] = v
 		}
 	}

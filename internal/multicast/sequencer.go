@@ -63,7 +63,7 @@ func newSequencer(m *Member) *sequencer {
 		}
 	}
 	if m.cfg.Ordering == TotalCausal {
-		s.seqQ = newShardQ(len(m.nodes))
+		s.seqQ = make([]seqwin.Window[*DataMsg], len(m.nodes))
 		s.seqDelivered = vclock.New(len(m.nodes))
 	}
 	return s

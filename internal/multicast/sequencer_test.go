@@ -24,7 +24,7 @@ func stabilize(m *Member, upTo vclock.VC) {
 // against the assignment log it inverts, on the shapes it has to
 // survive: TotalSeq assigning a retransmitted early cast after its
 // successors, a sequence space resumed far from 1, ids never assigned
-// or from no member, a prune of the stable front, casts maxOrderWindow
+// or from no member, a prune of the stable front, casts maxSeqWindow
 // or more past the frontier, and a view change.
 func TestAssignedGlobalOf(t *testing.T) {
 	nodes := []transport.NodeID{0, 1, 2}
@@ -79,11 +79,11 @@ func TestAssignedGlobalOf(t *testing.T) {
 		t.Errorf("sender 1's index holds %d from %d; want 5_000_002 and 5_000_006", s.assigned[1].Len(), lo)
 	}
 
-	// (b) A cast maxOrderWindow or more past its sender's frontier (0
+	// (b) A cast maxSeqWindow or more past its sender's frontier (0
 	// here: the casts above were assigned without being delivered) is
 	// dropped at the door: never assigned, never indexed, and without
 	// allocating.
-	far := []*DataMsg{{Group: "a", Sender: 1, Seq: maxOrderWindow}, {Group: "a", Sender: 2, Seq: 1 << 40}}
+	far := []*DataMsg{{Group: "a", Sender: 1, Seq: maxSeqWindow}, {Group: "a", Sender: 2, Seq: 1 << 40}}
 	for _, d := range far {
 		m.Handle(nodes[d.Sender], d)
 		if g, ok := s.assignedGlobalOf(d.ID()); ok || m.orderKnown.Has(d.ID()) {

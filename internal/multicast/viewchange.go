@@ -116,7 +116,7 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	}
 	m.sendSeq = 0
 	m.delivered = vclock.New(len(nodes))
-	m.pendQ = newShardQ(len(nodes))
+	m.pendQ = make([]seqwin.Window[*DataMsg], len(nodes))
 	m.pendCount = 0
 	if m.cfg.stamped() {
 		m.initChainState()
@@ -126,7 +126,7 @@ func (m *Member) InstallViewIncs(nodes []transport.NodeID, rank vclock.ProcessID
 	m.orderWin = seqwin.Window[MsgID]{}
 	m.orderKnown = newSeqSet(len(nodes))
 	m.nextGlobal = 1
-	m.dataQ = newShardQ(len(nodes))
+	m.dataQ = make([]seqwin.Window[*DataMsg], len(nodes))
 	m.dataCount = 0
 	m.lastAdvert = nil
 	m.ackForce = false

@@ -61,8 +61,7 @@ type Tracker struct {
 	spilledLen int
 	evictedTo  []uint64
 	memBytes   int
-	perSender  []int // in-memory + spilled unstable count per sender
-	perBytes   []int // same, in bytes
+	perBytes   []int // in-memory + spilled unstable bytes per sender
 	occupancy  metrics.Gauge
 	bytes      metrics.Gauge
 	evicted    metrics.Counter
@@ -90,7 +89,6 @@ func New(n int) *Tracker {
 		matrix:    vclock.NewMatrix(n),
 		bufQ:      make([]seqwin.Window[entry], n),
 		evictedTo: make([]uint64, n),
-		perSender: make([]int, n),
 		perBytes:  make([]int, n),
 	}
 }
@@ -133,21 +131,14 @@ func (t *Tracker) Buffer(k Key, msg any, size int) {
 		t.bufQ[k.Sender].Put(k.Seq, entry{size: size, spilled: true})
 		t.spilledLen++
 		t.spilled.Inc()
-		t.bumpSender(k.Sender, 1, size)
+		t.perBytes[k.Sender] += size
 		return
 	}
 	t.bufQ[k.Sender].Put(k.Seq, entry{msg: msg, size: size})
 	t.bufLen++
 	t.memBytes += size
-	t.bumpSender(k.Sender, 1, size)
+	t.perBytes[k.Sender] += size
 	t.setGauges()
-}
-
-func (t *Tracker) bumpSender(p vclock.ProcessID, delta, bytes int) {
-	if int(p) < len(t.perSender) {
-		t.perSender[p] += delta
-		t.perBytes[p] += bytes
-	}
 }
 
 // setGauges publishes the in-memory occupancy in messages and bytes.
@@ -197,7 +188,7 @@ func (t *Tracker) drop(k Key, e entry) {
 		t.bufLen--
 		t.memBytes -= e.size
 	}
-	t.bumpSender(k.Sender, -1, -e.size)
+	t.perBytes[k.Sender] -= e.size
 }
 
 // Instrument attaches a trace recorder: each eviction (a message
@@ -273,10 +264,10 @@ func (t *Tracker) Unstable() int { return t.bufLen + t.spilledLen }
 // unstable here (memory + spilled) — the sender-side admission
 // window's accounting when p is the tracker's own rank.
 func (t *Tracker) PerSender(p vclock.ProcessID) int {
-	if int(p) >= len(t.perSender) {
+	if int(p) >= len(t.bufQ) {
 		return 0
 	}
-	return t.perSender[p]
+	return t.bufQ[p].Len()
 }
 
 // PerSenderBytes returns the byte analogue of PerSender.
@@ -390,7 +381,6 @@ func (t *Tracker) Resize(n int) {
 	t.bufLen, t.spilledLen = 0, 0
 	t.evictedTo = make([]uint64, n)
 	t.memBytes = 0
-	t.perSender = make([]int, n)
 	t.perBytes = make([]int, n)
 	t.setGauges()
 }
