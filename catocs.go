@@ -124,7 +124,8 @@ type Ordering = multicast.Ordering
 
 // Delivery disciplines.
 const (
-	// Unordered delivers on arrival.
+	// Unordered delivers on arrival. It is non-atomic only: NewMember
+	// and NewGroup refuse it with GroupConfig.Atomic.
 	Unordered = multicast.Unordered
 	// FIFO preserves per-sender order.
 	FIFO = multicast.FIFO

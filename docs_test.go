@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -83,4 +84,80 @@ func TestDocsReferenceExistingTargets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInventoryMatchesTree holds DESIGN.md's System inventory to the
+// tree: every directory under internal/, cmd/ or examples/ that holds
+// non-test Go is listed, and every directory listed exists.
+func TestInventoryMatchesTree(t *testing.T) {
+	listed, err := inventoryDirs("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir := range listed {
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("DESIGN.md's inventory lists %s/, which does not exist", dir)
+		}
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			if dir := filepath.ToSlash(filepath.Dir(p)); !listed[dir] {
+				listed[dir] = true // report each directory once
+				t.Errorf("%s holds Go code but DESIGN.md's inventory does not list it", dir)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// inventoryDirs parses the indented tree in the fenced block under
+// doc's "System inventory" heading into directory paths relative to
+// the module root. A directory entry is a name ending in "/" left of
+// the description column; deeper indentation nests it under the entry
+// above. The first entry is the module root itself.
+func inventoryDirs(doc string) (map[string]bool, error) {
+	raw, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	_, block, ok := strings.Cut(string(raw), "## System inventory")
+	if ok {
+		_, block, ok = strings.Cut(block, "```\n")
+	}
+	if ok {
+		block, _, ok = strings.Cut(block, "```")
+	}
+	if !ok {
+		return nil, errors.New(doc + " has no fenced System inventory block")
+	}
+	const descColumn = 32
+	type entry struct {
+		indent int
+		dir    string // with a trailing "/"; "" for the module root
+	}
+	var stack []entry
+	dirs := map[string]bool{}
+	for _, line := range strings.Split(block, "\n") {
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		fields := strings.Fields(line)
+		if indent >= descColumn || len(fields) == 0 || !strings.HasSuffix(fields[0], "/") {
+			continue
+		}
+		for len(stack) > 0 && stack[len(stack)-1].indent >= indent {
+			stack = stack[:len(stack)-1]
+		}
+		dir := ""
+		if len(stack) > 0 {
+			dir = stack[len(stack)-1].dir + fields[0]
+			dirs[strings.TrimSuffix(dir, "/")] = true
+		}
+		stack = append(stack, entry{indent, dir})
+	}
+	return dirs, nil
 }

@@ -208,9 +208,9 @@ func (m *Member) fireNack() {
 // dependency stamp (onDataMain). A held message waits only on prefixes
 // that start at delivered+1, so the union of what the holdback queue
 // waits on is the window (delivered, known] minus the queue itself.
-// Unordered and the total orders deliver across per-sender order, so
-// their window starts at the delivered set's contiguous frontier and
-// skips what was delivered above it. A parked delta is not missing while its
+// The total orders deliver across per-sender order, so their window
+// starts at the delivered set's contiguous frontier and skips what was
+// delivered above it. A parked delta is not missing while its
 // predecessor's stamp is outstanding: the retransmission that brings
 // the predecessor decodes it, so asking for it too only buys a
 // duplicate. One parked right above its chain head waits on a stamp
@@ -242,9 +242,9 @@ func (m *Member) eachMissing(visit func(MsgID) bool) {
 // every held or parked (s, q) has delivered[s] < q <= known[s], so
 // something is missing exactly when the windows hold more sequences than
 // the queue holds messages plus the parked arrivals eachMissing skips —
-// every parked one but those right above their chain head. Unordered
-// and the total orders have no such count (deliveries above the
-// frontier sit in the window too) and stop at the first gap.
+// every parked one but those right above their chain head. The total
+// orders have no such count (deliveries above the frontier sit in the
+// window too) and stop at the first gap.
 func (m *Member) hasMissing() bool {
 	if !m.cfg.fifoDelivery() {
 		found := false

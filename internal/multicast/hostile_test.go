@@ -3,6 +3,7 @@ package multicast
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestHostileClockEntry(t *testing.T) {
 // nothing, where windows stretched to them would take more than the
 // address space.
 func TestDoorBoundsAlloc(t *testing.T) {
-	for _, ord := range []Ordering{Unordered, FIFO, Causal, TotalSeq, TotalCausal} {
+	for _, ord := range []Ordering{FIFO, Causal, TotalSeq, TotalCausal} {
 		nodes := []transport.NodeID{0, 1, 2}
 		m := NewMember(nullNet{}, nodes, 0, Config{Group: "d", Ordering: ord, Atomic: true}, func(Delivered) {})
 		handle := func(seqs ...uint64) (alloc uint64) {
@@ -142,4 +143,16 @@ func TestUnorderedWithoutDoor(t *testing.T) {
 	if !slices.Equal(got, want) || m.FarDrops.Value() != 0 {
 		t.Errorf("delivered %v with FarDrops = %d; want %v and none dropped", got, m.FarDrops.Value(), want)
 	}
+}
+
+// TestUnorderedAtomicRefused pins that NewMember refuses an atomic
+// Unordered group, with a reason, rather than building a member whose
+// resumed checkpoint cannot say what it delivered above a gap.
+func TestUnorderedAtomicRefused(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "non-atomic only") {
+			t.Fatalf("NewMember(Unordered, Atomic) recovered %q, want a refusal", r)
+		}
+	}()
+	NewMember(nullNet{}, []transport.NodeID{0, 1, 2}, 0, Config{Group: "u", Ordering: Unordered, Atomic: true}, nil)
 }

@@ -19,7 +19,8 @@ type Ordering int
 
 const (
 	// Unordered delivers on arrival — the UDP-over-IP-multicast
-	// baseline the paper contrasts CATOCS against (§2).
+	// baseline the paper contrasts CATOCS against (§2). It is
+	// non-atomic only: NewMember refuses it with Atomic.
 	Unordered Ordering = iota
 	// FIFO delivers each sender's messages in send order, with no
 	// cross-sender constraints.
@@ -344,6 +345,12 @@ type pendingMulticast struct {
 func NewMember(net transport.Network, nodes []transport.NodeID, rank vclock.ProcessID, cfg Config, deliver DeliverFunc) *Member {
 	if int(rank) < 0 || int(rank) >= len(nodes) {
 		panic(fmt.Sprintf("multicast: rank %d out of range for %d nodes", rank, len(nodes)))
+	}
+	if cfg.Atomic && cfg.Ordering == Unordered {
+		// A chain checkpoint keeps only the delivered set's contiguous
+		// prefix, so an Unordered member rebuilt from one would deliver
+		// again what it delivered above a gap.
+		panic("multicast: Unordered is non-atomic only: atomic delivery needs FIFO, causal or total order")
 	}
 	m := &Member{
 		cfg:          cfg,
@@ -780,10 +787,11 @@ func (m *Member) Incarnation() uint32 { return m.inc }
 // its sender's delivery frontier is dropped and counted before any
 // window sees it. Every per-sender buffer is a sequence window whose
 // memory follows the span of its keys, so the door is what keeps one
-// hostile frame from sizing a window to its sequence number. A
-// non-atomic Unordered member buffers nothing, so it has no door.
+// hostile frame from sizing a window to its sequence number. An
+// Unordered member is never atomic and buffers nothing, so it has no
+// door.
 func (m *Member) onData(msg *DataMsg) {
-	if m.cfg.Atomic || m.cfg.Ordering != Unordered {
+	if m.cfg.Ordering != Unordered {
 		if f := m.frontier()[msg.Sender]; msg.Seq > f && msg.Seq-f >= maxSeqWindow {
 			m.FarDrops.Inc()
 			return
@@ -1034,7 +1042,7 @@ const maxOrderWindow = 1 << 20
 
 // frontier returns the per-sender delivery frontier: every cast from s
 // up to frontier()[s] is delivered here. FIFO and causal deliver in
-// sequence order, so it is the delivered clock; the other orderings
+// sequence order, so it is the delivered clock; the total orders
 // deliver across it and use the delivered set's contiguous prefix.
 func (m *Member) frontier() vclock.VC {
 	if m.cfg.fifoDelivery() {

@@ -37,9 +37,9 @@ func (m *Member) referenceMissingSet() []MsgID {
 	}
 	if m.known != nil {
 		switch m.cfg.Ordering {
-		case Unordered, TotalSeq, TotalCausal:
-			// Unordered and the total modes deliver across per-sender
-			// order, so the delivered clock is a max, not a count: check each known
+		case TotalSeq, TotalCausal:
+			// The total modes deliver across per-sender order, so the
+			// delivered clock is a max, not a count: check each known
 			// sequence individually against the delivered set and the
 			// arrival buffer.
 			for s := range m.known {

@@ -447,15 +447,13 @@ func (w *missWorld) runRejoin() {
 // schedules through every atomic ordering, with the stamp chain at
 // period 1 (a full clock on every cast) and at period 8, and holds the
 // incremental gap index to the from-scratch oracle after every
-// callback, through a view change and (but for Unordered) through a
-// ResumeChains rejoin.
+// callback, through a view change and through a ResumeChains rejoin.
 func TestMissingSetMatchesReference(t *testing.T) {
 	configs := []struct {
 		name    string
 		ord     Ordering
 		refresh int
 	}{
-		{"unordered", Unordered, 0},
 		{"fifo", FIFO, 0},
 		{"causal", Causal, 1},
 		{"causal-delta", Causal, 8},
@@ -469,12 +467,6 @@ func TestMissingSetMatchesReference(t *testing.T) {
 				t.Parallel()
 				newMissWorld(t, lossyLink, c.ord, c.refresh, n, seed).runViewChange()
 			})
-			if c.ord == Unordered {
-				// A chain checkpoint keeps only the delivered set's
-				// contiguous prefix, so an Unordered member rebuilt from
-				// one delivers again what it delivered above a gap.
-				continue
-			}
 			t.Run(fmt.Sprintf("%s/n%d/rejoin", c.name, n), func(t *testing.T) {
 				t.Parallel()
 				newMissWorld(t, lossyLink, c.ord, c.refresh, n, seed+7).runRejoin()

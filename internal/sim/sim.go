@@ -7,19 +7,14 @@
 // the paper's ordering anomalies (Figures 2-4) on demand rather than
 // waiting for an unlucky scheduling on a real network.
 //
-// The kernel is intentionally tiny: a calendar-style bucket queue (a
-// 4-ary heap of distinct timestamps, each holding a FIFO slice of
-// events), a virtual clock, and a seeded PRNG. Everything else —
-// links, nodes, protocols — lives in higher layers. Simulated
-// workloads schedule thousands of events at identical timestamps
-// (every hop of a fixed-delay link lands on the same instant), so
-// bucketing turns most push/pop pairs into slice appends instead of
-// heap sifts over 64-byte event values. Buckets and their slices
-// recycle through a free list, and the AtCall variant takes a
-// (func(any), any) pair instead of a closure, so a steady-state
-// scheduling loop allocates nothing per event. Execution order is
-// identical to a flat (time, seq) heap: buckets fire in timestamp
-// order and appends within a bucket are already in seq order.
+// The kernel is intentionally tiny: a 4-ary min-heap of events keyed
+// by (time, seq), a virtual clock, and a seeded PRNG. Everything else —
+// links, nodes, protocols — lives in higher layers. seq is a counter
+// taken when an event is scheduled, so events at one instant fire in
+// the order they were scheduled. Every event is a (func(any), any)
+// pair: AtCall takes one directly and At wraps its thunk as the
+// argument of a shared runner, so a steady-state scheduling loop
+// allocates nothing per event.
 package sim
 
 import (
@@ -28,23 +23,23 @@ import (
 	"time"
 )
 
-// event is a scheduled thunk. Exactly one of fire or call is set; call
-// receives arg. Timestamp and tiebreak order live in the bucket
-// structure: a bucket is one timestamp, and its slice is FIFO in
-// scheduling order.
+// event is one scheduled call(arg), keyed by (at, seq).
 type event struct {
-	fire func()
+	at   time.Duration
+	seq  uint64
 	call func(any)
 	arg  any
 }
 
-// bucket holds every pending event for one timestamp, consumed
-// front-to-back.
-type bucket struct {
-	at     time.Duration
-	events []event
-	next   int // index of the first unconsumed event
+// before reports whether e fires before o.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
+
+// runThunk is the call of every At event: its argument is the thunk.
+// A func value is pointer-shaped, so storing it in an interface
+// allocates nothing.
+func runThunk(f any) { f.(func())() }
 
 // Kernel is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use: all protocol code runs inside kernel events, so
@@ -52,21 +47,19 @@ type bucket struct {
 // exactly the "processes interleave arbitrarily" model the paper's
 // event diagrams assume, without data races.
 type Kernel struct {
-	now     time.Duration
-	buckets []*bucket                 // 4-ary min-heap on at; one per distinct timestamp
-	index   map[time.Duration]*bucket // live buckets by timestamp
-	free    []*bucket                 // retired buckets for reuse
-	pending int                       // scheduled, unfired events
-	rng     *rand.Rand
-	fired   uint64
-	limit   uint64 // safety valve against runaway simulations; 0 = none
+	now   time.Duration
+	heap  []event // 4-ary min-heap on (at, seq)
+	seq   uint64  // tiebreak of the next scheduled event
+	rng   *rand.Rand
+	fired uint64
+	limit uint64 // safety valve against runaway simulations; 0 = none
 }
 
 // NewKernel returns a kernel with virtual time 0 and a PRNG seeded with
 // seed. Two kernels with the same seed and the same scheduled workload
 // execute identically.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed)), index: make(map[time.Duration]*bucket)}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -85,31 +78,33 @@ func (k *Kernel) SetEventLimit(n uint64) { k.limit = n }
 // At schedules f to run at absolute virtual time t. Scheduling in the
 // past is a programming error and panics: silent reordering of the
 // past would invalidate every causality experiment built on top.
-func (k *Kernel) At(t time.Duration, f func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
-	}
-	k.push(t, event{fire: f})
-}
+func (k *Kernel) At(t time.Duration, f func()) { k.AtCall(t, runThunk, f) }
 
-// AtCall schedules call(arg) at absolute virtual time t. It is the
-// allocation-free twin of At: the callback is a plain function value
-// shared across events and the per-event state travels in arg, so no
-// closure is built per schedule.
+// AtCall schedules call(arg) at absolute virtual time t. A caller with
+// per-event state passes it in arg to a callback shared across events,
+// so no closure is built per schedule.
 func (k *Kernel) AtCall(t time.Duration, call func(any), arg any) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
-	k.push(t, event{call: call, arg: arg})
+	h := append(k.heap, event{})
+	i := len(h) - 1
+	e := event{at: t, seq: k.seq, call: call, arg: arg}
+	k.seq++
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	k.heap = h
 }
 
 // After schedules f to run d after the current virtual time.
-func (k *Kernel) After(d time.Duration, f func()) {
-	if d < 0 {
-		d = 0
-	}
-	k.At(k.now+d, f)
-}
+func (k *Kernel) After(d time.Duration, f func()) { k.AfterCall(d, runThunk, f) }
 
 // AfterCall schedules call(arg) d after the current virtual time; see
 // AtCall.
@@ -121,111 +116,57 @@ func (k *Kernel) AfterCall(d time.Duration, call func(any), arg any) {
 }
 
 // Pending returns the number of scheduled, unfired events.
-func (k *Kernel) Pending() int { return k.pending }
+func (k *Kernel) Pending() int { return len(k.heap) }
 
 // Fired returns the total number of events executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// push appends an event to its timestamp's bucket, creating (or
-// recycling) the bucket and heap-inserting it when t is a new
-// timestamp. Appends within a bucket are in scheduling order, which is
-// exactly the old flat heap's seq tiebreak.
-func (k *Kernel) push(t time.Duration, e event) {
-	k.pending++
-	b, ok := k.index[t]
-	if !ok {
-		if n := len(k.free); n > 0 {
-			b = k.free[n-1]
-			k.free[n-1] = nil
-			k.free = k.free[:n-1]
-		} else {
-			b = &bucket{}
-		}
-		b.at = t
-		k.index[t] = b
-		h := append(k.buckets, b)
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 4
-			if h[i].at >= h[p].at {
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	h := k.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop references so fired thunks can be collected
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
 				break
 			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-		k.buckets = h
-	}
-	b.events = append(b.events, e)
-}
-
-// pop removes and returns the earliest event: the front of the minimum
-// bucket. A drained bucket is heap-popped and recycled.
-func (k *Kernel) pop() (time.Duration, event) {
-	b := k.buckets[0]
-	e := b.events[b.next]
-	b.events[b.next] = event{} // drop references so fired thunks can be collected
-	b.next++
-	k.pending--
-	if b.next < len(b.events) {
-		return b.at, e
-	}
-	// Bucket drained: remove it from the heap and recycle it. A handler
-	// scheduling at this same timestamp afterwards simply opens a fresh
-	// bucket, which (being at == now) sorts first and fires next —
-	// the same order the flat heap produced.
-	at := b.at
-	delete(k.index, at)
-	b.events = b.events[:0]
-	b.next = 0
-	k.free = append(k.free, b)
-	h := k.buckets
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].at < h[m].at {
-				m = j
+			m := c
+			for j, end := c+1, min(c+4, n); j < end; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
 			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
 		}
-		if h[m].at >= h[i].at {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h[i] = last
 	}
-	k.buckets = h
-	return at, e
+	k.heap = h
+	return top
 }
 
 // Step fires the single earliest event, advancing the clock to its
 // timestamp. It reports false when no events remain.
 func (k *Kernel) Step() bool {
-	if k.pending == 0 {
+	if len(k.heap) == 0 {
 		return false
 	}
-	at, e := k.pop()
-	k.now = at
+	e := k.pop()
+	k.now = e.at
 	k.fired++
 	if k.limit != 0 && k.fired > k.limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", k.limit, k.now))
 	}
-	if e.fire != nil {
-		e.fire()
-	} else {
-		e.call(e.arg)
-	}
+	e.call(e.arg)
 	return true
 }
 
@@ -239,7 +180,7 @@ func (k *Kernel) Run() {
 // clock to the deadline afterwards even if the queue drained early.
 // Events scheduled beyond the deadline remain queued.
 func (k *Kernel) RunUntil(deadline time.Duration) {
-	for k.pending > 0 && k.buckets[0].at <= deadline {
+	for len(k.heap) > 0 && k.heap[0].at <= deadline {
 		k.Step()
 	}
 	if k.now < deadline {

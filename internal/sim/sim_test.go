@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -141,5 +143,91 @@ func TestNegativeAfterClamps(t *testing.T) {
 	k.Run()
 	if !ran {
 		t.Fatal("negative After should clamp to now and run")
+	}
+}
+
+// TestOrderIsTimeThenSchedulingOrder schedules a seeded random mix of
+// At, AtCall, After(0) and After(d) on a 1 ms grid, so instants
+// collide often, and lets handlers schedule more, at now and in the
+// future. The firing sequence must be a stable sort of the scheduled
+// events by time: by (at, scheduling order).
+func TestOrderIsTimeThenSchedulingOrder(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		k := NewKernel(seed)
+		r := rand.New(rand.NewSource(seed))
+		var ats []time.Duration // by scheduling order
+		var fired []int
+		var schedule func()
+		onFire := func(arg any) {
+			id := arg.(int)
+			if k.Now() != ats[id] {
+				t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, id, k.Now(), ats[id])
+			}
+			fired = append(fired, id)
+			for n := r.Intn(3); n > 0 && len(ats) < 3000; n-- {
+				schedule()
+			}
+		}
+		schedule = func() {
+			id := len(ats)
+			d := time.Duration(r.Intn(4)) * time.Millisecond
+			at := k.Now() + d
+			switch r.Intn(4) {
+			case 0:
+				k.At(at, func() { onFire(id) })
+			case 1:
+				k.AtCall(at, onFire, id)
+			case 2:
+				at = k.Now()
+				k.After(0, func() { onFire(id) })
+			default:
+				k.After(d, func() { onFire(id) })
+			}
+			ats = append(ats, at)
+		}
+		for i := 0; i < 200; i++ {
+			schedule()
+		}
+		k.Run()
+		want := make([]int, len(ats))
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return int(ats[a] - ats[b]) })
+		if !slices.Equal(fired, want) {
+			t.Fatalf("seed %d: fired %d events out of (at, scheduling order); first difference at %d",
+				seed, len(fired), firstDiff(fired, want))
+		}
+	}
+}
+
+func firstDiff(a, b []int) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestSchedulingAllocatesNothing pins the kernel's allocation contract:
+// once its heap has grown, scheduling with At and AtCall and firing
+// the events allocates nothing per event.
+func TestSchedulingAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	thunk := func() {}
+	call := func(any) {}
+	arg := any(&struct{ n int }{})
+	for i := 0; i < 64; i++ {
+		k.At(time.Duration(k.Rand().Intn(1000))*time.Microsecond, thunk)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.At(k.Now()+time.Duration(k.Rand().Intn(1000))*time.Microsecond, thunk)
+		k.AtCall(k.Now()+time.Duration(k.Rand().Intn(1000))*time.Microsecond, call, arg)
+		k.Step()
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state At+AtCall+2×Step allocated %v per run, want 0", allocs)
 	}
 }

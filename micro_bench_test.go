@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"catocs/internal/multicast"
+	"catocs/internal/sim"
 	"catocs/internal/stability"
 	"catocs/internal/state"
 	"catocs/internal/transport"
@@ -358,6 +359,27 @@ func BenchmarkOnAckBacklog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := 2 + i%30
 		m.Handle(transport.NodeID(p), acks[p])
+	}
+}
+
+// BenchmarkKernelEvent is the simulator kernel alone in the bench
+// world's shape: a standing queue of 10 000 events (the sim workloads
+// peak near that), each fired event scheduling one successor with
+// AfterCall 5 ms + U[0, 8 ms) later, like a hop on the bench's jittered
+// links. One op is one fired event.
+func BenchmarkKernelEvent(b *testing.B) {
+	k := sim.NewKernel(1)
+	var hop func(any)
+	hop = func(arg any) {
+		k.AfterCall(5*time.Millisecond+time.Duration(k.Rand().Int63n(int64(8*time.Millisecond))), hop, arg)
+	}
+	for i := 0; i < 10_000; i++ {
+		k.AtCall(time.Duration(k.Rand().Int63n(int64(13*time.Millisecond))), hop, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
 	}
 }
 
