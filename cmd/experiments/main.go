@@ -1,5 +1,5 @@
-// Command experiments runs the full reproduction suite E1–E21 plus the
-// ablations and prints every table. With -md it emits the tables in
+// Command experiments runs E1–E21, E24 and the total-order ablation
+// and prints every table. With -md it emits the tables in
 // the Markdown layout used by EXPERIMENTS.md. With -net it also runs
 // E22, the real-network fleet: unlike everything else here it spawns
 // OS processes (cmd/node, cmd/loadgen) and measures wall-clock time,

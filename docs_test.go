@@ -2,6 +2,8 @@ package catocs
 
 import (
 	"errors"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,7 +28,8 @@ var (
 
 // TestDocsReferenceExistingTargets fails when a document names a
 // command or example directory, a flag of a command, or a Makefile
-// target that does not exist.
+// target that does not exist, or when a comment in non-test Go code
+// names a directory that does not exist.
 func TestDocsReferenceExistingTargets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -48,12 +51,7 @@ func TestDocsReferenceExistingTargets(t *testing.T) {
 		}
 		text := string(raw)
 
-		for _, m := range docDirRef.FindAllStringSubmatch(text, -1) {
-			dir := m[1] + "/" + m[2]
-			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-				t.Errorf("%s names %s, which does not exist", doc, dir)
-			}
-		}
+		checkDirRefs(t, doc, text)
 		for _, m := range docCmdLine.FindAllStringSubmatch(text, -1) {
 			src, err := os.ReadFile("cmd/" + m[1] + "/main.go")
 			if err != nil {
@@ -84,11 +82,47 @@ func TestDocsReferenceExistingTargets(t *testing.T) {
 			}
 		}
 	}
+
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, tooling and build output
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, c := range f.Comments {
+			checkDirRefs(t, filepath.ToSlash(p), c.Text())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkDirRefs reports each cmd/, examples/ or internal/ directory that
+// text names and the tree does not hold.
+func checkDirRefs(t *testing.T, where, text string) {
+	t.Helper()
+	for _, m := range docDirRef.FindAllStringSubmatch(text, -1) {
+		dir := m[1] + "/" + m[2]
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			t.Errorf("%s names %s, which does not exist", where, dir)
+		}
+	}
 }
 
 // TestInventoryMatchesTree holds DESIGN.md's System inventory to the
 // tree: every directory under internal/, cmd/ or examples/ that holds
-// non-test Go is listed, and every directory listed exists.
+// non-test Go is listed, and every directory listed exists. A root
+// that does not exist holds nothing.
 func TestInventoryMatchesTree(t *testing.T) {
 	listed, err := inventoryDirs("DESIGN.md")
 	if err != nil {
@@ -100,6 +134,9 @@ func TestInventoryMatchesTree(t *testing.T) {
 		}
 	}
 	for _, root := range []string{"internal", "cmd", "examples"} {
+		if _, err := os.Stat(root); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 				return err

@@ -1,8 +1,8 @@
 // Package experiments contains the runnable reproductions of every
-// figure and quantitative claim in the paper, indexed E1–E12 (see
-// DESIGN.md). Each experiment is a pure function of its parameters —
-// deterministic under a seed — returning a Table the harness renders,
-// plus programmatic fields the tests assert on.
+// figure and quantitative claim in the paper, indexed E1–E22, E24 and
+// the total-order ablation (see DESIGN.md). Each experiment is a pure
+// function of its parameters — deterministic under a seed — returning
+// a Table the harness renders, plus programmatic fields the tests assert on.
 //
 // The experiments deliberately instantiate both sides of the paper's
 // argument from this repository's own substrates: the CATOCS stack
